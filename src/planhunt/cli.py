@@ -10,7 +10,6 @@ missing files), 2 unexpected errors.
 """
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -21,17 +20,18 @@ from .hunt import (
     HuntAssets,
     HuntConfig,
     batch_hunt,
+    hypothesis_plans,
+    hypothesis_problem,
+    hypothesis_task,
     identify_threats,
+    infer_facts,
     report_to_json,
     summary_to_csv,
 )
-from .inference.engine import evaluate
-from .planner import Limits, find_top_k, parse_plan_text, render_plan, validate_plan
-from .planning_model.ground import ground_task
+from .planner import Limits, parse_plan_text, render_plan, validate_plan
 from .planning_model.model import ThreatHypothesis
 from .planning_model.pddl import render_problem
-from .planning_model.state import build_problem
-from .telemetry import events_to_facts, load_sample
+from .telemetry import SampleRecord, load_sample
 
 logger = logging.getLogger(__name__)
 
@@ -102,10 +102,13 @@ def _config(args: argparse.Namespace) -> HuntConfig:
             wall_time=args.time_limit,
             memory=args.memory_limit,
         ),
-        strict_domain=args.strict_domain,
         confirm=getattr(args, "confirm", False),
         sample_wall_time=args.sample_time_limit,
     )
+
+
+def _sample(args: argparse.Namespace) -> SampleRecord:
+    return load_sample(args.sample, column_map=args.column_map)
 
 
 def _hypothesis(label: str) -> ThreatHypothesis:
@@ -129,35 +132,27 @@ def _write_out(text: str, out: Path | None) -> None:
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
-    assets = _assets(args)
-    sample = load_sample(args.sample, column_map=args.column_map)
-    base = events_to_facts(sample)
-    derived = evaluate(assets.program, base).facts
+    facts = infer_facts(_sample(args), _assets(args))
     lines: list[str] = []
     if args.dump_facts:
         lines.append("% extensional")
-        lines.extend(str(fact) for fact in base.sorted())
+        lines.extend(str(fact) for fact in facts.base.sorted())
         lines.append("% derived")
-    lines.extend(str(fact) for fact in derived.sorted())
+    lines.extend(str(fact) for fact in facts.derived.sorted())
     _write_out("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     assets = _assets(args)
-    sample = load_sample(args.sample, column_map=args.column_map)
+    sample = _sample(args)
     hypothesis = _hypothesis(args.hypothesis)
-    base = events_to_facts(sample)
-    derived = evaluate(assets.program, base).facts
-    problem = build_problem(
-        derived, sample, assets.domain, assets.capabilities, assets.mapping, hypothesis
-    )
+    facts = infer_facts(sample, assets)
     if args.dump_problem:
+        problem = hypothesis_problem(facts, assets, hypothesis)
         _write_out(render_problem(problem), args.out)
         return 0
-    task = ground_task(assets.domain, problem)
-    limits = Limits(k=args.k, wall_time=args.time_limit, memory=args.memory_limit)
-    planset = find_top_k(task, limits)
+    task, planset = hypothesis_plans(facts, assets, hypothesis, _config(args).limits)
     chunks = [f"; status = {planset.status}\n"]
     for i, plan in enumerate(planset.plans, start=1):
         chunks.append(f"; plan {i}\n{render_plan(task, plan)}")
@@ -166,23 +161,16 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
-    assets = _assets(args)
-    sample = load_sample(args.sample, column_map=args.column_map)
-    report = identify_threats(sample, assets, _config(args))
+    report = identify_threats(_sample(args), _assets(args), _config(args))
     _write_out(report_to_json(report), args.out)
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     assets = _assets(args)
-    sample = load_sample(args.sample, column_map=args.column_map)
+    sample = _sample(args)
     hypothesis = _hypothesis(args.hypothesis)
-    base = events_to_facts(sample)
-    derived = evaluate(assets.program, base).facts
-    problem = build_problem(
-        derived, sample, assets.domain, assets.capabilities, assets.mapping, hypothesis
-    )
-    task = ground_task(assets.domain, problem)
+    task = hypothesis_task(infer_facts(sample, assets), assets, hypothesis)
     try:
         plan = parse_plan_text(task, Path(args.plan_file).read_text(encoding="utf-8"))
     except ValueError as exc:
@@ -230,9 +218,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         raise InputError("no .jsonl or .csv samples found")
     reports, summary = batch_hunt(
         paths,
+        assets=_assets(args),
         config=_config(args),
-        root=args.assets,
-        overrides=_overrides(args),
         workers=args.workers,
         report_dir=args.reports,
     )

@@ -13,15 +13,6 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import InputError
-from .inference.rules import RulePack, parse_rule_pack
-from .planning_model.model import DomainModel
-from .planning_model.pddl import parse_domain
-from .planning_model.state import (
-    CapabilityTable,
-    MappingTable,
-    load_capability_table,
-    load_mapping_table,
-)
 from .vocab import ASSET_ROOT_ENV
 
 __all__ = [
@@ -34,11 +25,6 @@ __all__ = [
     "EXTENDED_ACTIONS",
     "asset_text",
     "corpus_paths",
-    "load_default_domain",
-    "load_default_rules",
-    "load_default_capabilities",
-    "load_default_mapping",
-    "indicator_map_text",
 ]
 
 DOMAIN_FILE = "threat-domain.pddl"
@@ -88,22 +74,3 @@ def corpus_paths(root: Path | None = None) -> list[Path]:
         raise InputError(f"corpus directory {corpus} is missing")
     return sorted(p for p in corpus.iterdir() if p.suffix in (".jsonl", ".csv"))
 
-
-def load_default_domain(root: Path | None = None) -> DomainModel:
-    return parse_domain(asset_text(DOMAIN_FILE, root))
-
-
-def load_default_rules(root: Path | None = None) -> RulePack:
-    return parse_rule_pack(asset_text(RULES_FILE, root))
-
-
-def load_default_capabilities(root: Path | None = None) -> CapabilityTable:
-    return load_capability_table(asset_text(CAPABILITIES_FILE, root))
-
-
-def load_default_mapping(root: Path | None = None) -> MappingTable:
-    return load_mapping_table(asset_text(STATE_MAP_FILE, root))
-
-
-def indicator_map_text(root: Path | None = None) -> str:
-    return asset_text(INDICATOR_MAP_FILE, root)

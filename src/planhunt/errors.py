@@ -5,9 +5,17 @@ to exit code 1; anything else escaping the pipeline is an internal fault and
 maps to exit code 2.
 """
 
+import copyreg
+
 
 class PlanHuntError(Exception):
     """Base class for all library errors."""
+
+    def __reduce__(self):
+        # Most subclasses take other __init__ arguments than the message kept
+        # in self.args, so unpickling (say, in a batch's parent process)
+        # rebuilds without __init__ and restores the attributes as state.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InputError(PlanHuntError):
@@ -156,25 +164,7 @@ class GroundingExplosion(PlanHuntError):
         super().__init__(f"ground-action limit exceeded ({limit})")
 
 
-# --- planner ------------------------------------------------------------------
-
-class CapExceeded(PlanHuntError):
-    """The exhaustive enumerator hit its hard exploration cap."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        super().__init__(f"enumeration cap exceeded ({cap})")
-
-
 # --- hunt ---------------------------------------------------------------------
-
-class UnknownActionKind(InputError):
-    """A plan step whose schema has no indicator-mapping row."""
-
-    def __init__(self, action: str):
-        self.action = action
-        super().__init__(f"no indicator mapping for action {action!r}")
-
 
 class DuplicateSampleId(InputError):
     def __init__(self, sample_id: str):

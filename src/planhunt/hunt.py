@@ -7,6 +7,10 @@ is translated into indicator-of-compromise records. A hypothesis counts as
 a possible threat exactly when at least one plan was found; optional
 confirmation then audits the checkable indicators against the derived
 facts.
+
+``infer_facts``, ``hypothesis_problem``, ``hypothesis_task`` and
+``hypothesis_plans`` are the one path from a sample to its plans; the
+hunt, batch and single-stage CLI commands all go through them.
 """
 
 import csv
@@ -24,9 +28,14 @@ from .inference.engine import StratifiedProgram, evaluate, match_body, stratify
 from .inference.rules import Atom, Literal, RulePack, Var, parse_body, render_body
 from .planner import Limits, Plan, PlanSet, find_top_k
 from .planning_model.ground import GroundedTask, ground_task
-from .planning_model.model import DomainModel, ThreatHypothesis, default_catalog
+from .planning_model.model import (
+    DomainModel,
+    ProblemInstance,
+    ThreatHypothesis,
+    default_catalog,
+)
 from .planning_model.state import CapabilityTable, MappingTable, build_problem
-from .telemetry import Fact, FactBase, SampleRecord, events_to_facts, load_sample, unknown_tokens
+from .telemetry import FactBase, SampleRecord, events_to_facts, load_sample, unknown_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -37,11 +46,16 @@ __all__ = [
     "HuntReport",
     "HuntAssets",
     "HuntConfig",
+    "SampleFacts",
     "BatchSummary",
     "parse_indicator_map",
     "construct_indicators",
     "patterns_for_cve",
     "confirm_threat",
+    "infer_facts",
+    "hypothesis_problem",
+    "hypothesis_task",
+    "hypothesis_plans",
     "identify_threats",
     "report_to_json",
     "aggregate",
@@ -267,6 +281,8 @@ class HuntAssets:
     capabilities: CapabilityTable
     mapping: MappingTable
     indicator_specs: tuple[IndicatorSpec, ...]
+    # Whether the extended producer actions were dropped from ``domain``.
+    strict_domain: bool = False
 
     @classmethod
     def load(
@@ -301,6 +317,7 @@ class HuntAssets:
             capabilities=load_capability_table(text(defaults.CAPABILITIES_FILE)),
             mapping=load_mapping_table(text(defaults.STATE_MAP_FILE)),
             indicator_specs=parse_indicator_map(text(defaults.INDICATOR_MAP_FILE)),
+            strict_domain=strict_domain,
         )
 
 
@@ -308,7 +325,6 @@ class HuntAssets:
 class HuntConfig:
     limits: Limits = field(default_factory=Limits)
     catalog: tuple[ThreatHypothesis, ...] = field(default_factory=default_catalog)
-    strict_domain: bool = False
     confirm: bool = False
     # Wall-clock budget across a sample's whole catalog; None means four
     # planner budgets.
@@ -320,6 +336,48 @@ class HuntConfig:
         return 4.0 * self.limits.wall_time
 
 
+@dataclass(frozen=True)
+class SampleFacts:
+    """A sample with its extensional facts and the facts derived from them."""
+
+    sample: SampleRecord
+    base: FactBase
+    derived: FactBase
+
+
+def infer_facts(sample: SampleRecord, assets: HuntAssets) -> SampleFacts:
+    """Extract the sample's facts and run the rule program over them."""
+    base = events_to_facts(sample)
+    return SampleFacts(sample, base, evaluate(assets.program, base).facts)
+
+
+def hypothesis_problem(
+    facts: SampleFacts, assets: HuntAssets, hypothesis: ThreatHypothesis
+) -> ProblemInstance:
+    """The planning problem one hypothesis poses over a sample's facts."""
+    return build_problem(
+        facts.derived, facts.sample, assets.domain, assets.capabilities,
+        assets.mapping, hypothesis,
+    )
+
+
+def hypothesis_task(
+    facts: SampleFacts, assets: HuntAssets, hypothesis: ThreatHypothesis
+) -> GroundedTask:
+    return ground_task(assets.domain, hypothesis_problem(facts, assets, hypothesis))
+
+
+def hypothesis_plans(
+    facts: SampleFacts,
+    assets: HuntAssets,
+    hypothesis: ThreatHypothesis,
+    limits: Limits,
+) -> tuple[GroundedTask, PlanSet]:
+    """Ground one hypothesis and enumerate its top-k plans."""
+    task = hypothesis_task(facts, assets, hypothesis)
+    return task, find_top_k(task, limits)
+
+
 def identify_threats(
     sample: SampleRecord, assets: HuntAssets, config: HuntConfig | None = None
 ) -> HuntReport:
@@ -328,15 +386,9 @@ def identify_threats(
     start = time.monotonic()
     deadline = start + config.sample_budget()
 
-    base = events_to_facts(sample)
+    facts = infer_facts(sample, assets)
     flagged = unknown_tokens(sample, assets.pack.token_table)
-    derived = evaluate(assets.program, base).facts
-
-    combined = FactBase()
-    for fact in base:
-        combined.add(fact)
-    for fact in derived:
-        combined.add(fact)
+    combined = FactBase([*facts.base, *facts.derived])
 
     findings: list[ThreatFinding] = []
     for hypothesis in config.catalog:
@@ -353,15 +405,10 @@ def identify_threats(
                 )
             )
             continue
-        problem = build_problem(
-            derived, sample, assets.domain, assets.capabilities,
-            assets.mapping, hypothesis,
-        )
-        task = ground_task(assets.domain, problem)
         limits = replace(
             config.limits, wall_time=min(config.limits.wall_time, remaining)
         )
-        planset = find_top_k(task, limits)
+        task, planset = hypothesis_plans(facts, assets, hypothesis, limits)
         findings.append(
             _finding_from_planset(
                 hypothesis, task, planset, assets, combined, config
@@ -371,7 +418,7 @@ def identify_threats(
         sample_id=sample.sample_id,
         unknown_tokens=tuple(flagged),
         findings=tuple(findings),
-        strict_domain=config.strict_domain,
+        strict_domain=assets.strict_domain,
         confirm=config.confirm,
         k=config.limits.k,
         wall_time_s=time.monotonic() - start,
@@ -523,57 +570,51 @@ def summary_to_csv(summary: BatchSummary) -> str:
     return out.getvalue()
 
 
-# Worker-process state: assets are rebuilt once per worker, not per sample.
+def _hunt_path(path: Path, assets: HuntAssets, config: HuntConfig) -> HuntReport:
+    return identify_threats(load_sample(path), assets, config)
+
+
+# Worker-process state: assets and config arrive once per worker, not per sample.
 _WORKER: dict = {}
 
 
-def _init_worker(root: str | None, overrides: dict[str, str], config: HuntConfig) -> None:
-    _WORKER["assets"] = HuntAssets.load(
-        Path(root) if root else None,
-        {k: Path(v) for k, v in overrides.items()},
-        strict_domain=config.strict_domain,
-    )
+def _init_worker(assets: HuntAssets, config: HuntConfig) -> None:
+    _WORKER["assets"] = assets
     _WORKER["config"] = config
 
 
-def _worker_run(path: str) -> HuntReport:
-    sample = load_sample(path)
-    return identify_threats(sample, _WORKER["assets"], _WORKER["config"])
+def _worker_run(path: Path) -> HuntReport:
+    return _hunt_path(path, _WORKER["assets"], _WORKER["config"])
 
 
 def batch_hunt(
     paths: list[Path],
+    assets: HuntAssets | None = None,
     config: HuntConfig | None = None,
-    root: Path | None = None,
-    overrides: dict[str, Path] | None = None,
     workers: int = 1,
     report_dir: Path | None = None,
 ) -> tuple[list[HuntReport], BatchSummary]:
     """Hunt over many samples, optionally in parallel worker processes.
 
-    Reports come back sorted by sample id regardless of worker scheduling;
-    two samples with the same id abort the batch. When ``report_dir`` is
-    given, per-sample reports (without wall times) and summary.csv are
-    written there.
+    ``assets`` defaults to the bundled set. Reports come back sorted by
+    sample id regardless of worker scheduling; two samples with the same id
+    abort the batch. When ``report_dir`` is given, per-sample reports
+    (without wall times) and summary.csv are written there.
     """
+    assets = assets or HuntAssets.load()
     config = config or HuntConfig()
-    overrides = overrides or {}
     if workers < 1:
         raise ValueError("workers must be at least 1")
 
     if workers == 1:
-        assets = HuntAssets.load(root, overrides, strict_domain=config.strict_domain)
-        reports = [
-            identify_threats(load_sample(path), assets, config) for path in paths
-        ]
+        reports = [_hunt_path(path, assets, config) for path in paths]
     else:
-        str_overrides = {k: str(v) for k, v in overrides.items()}
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(str(root) if root else None, str_overrides, config),
+            initargs=(assets, config),
         ) as pool:
-            reports = list(pool.map(_worker_run, [str(p) for p in paths]))
+            reports = list(pool.map(_worker_run, paths))
 
     seen: dict[str, int] = {}
     for report in reports:

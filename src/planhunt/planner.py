@@ -8,20 +8,13 @@ continues through goal states so longer plans that pass through them are
 found too. No state-level dominance pruning is applied: with the
 simple-path constraint such pruning can drop valid plans, and shipped task
 sizes do not need it.
-
-``oracle_enumerate`` is the trusted reference: a depth-first walk of every
-simple action sequence (optionally cost-bounded), filtered to valid plans
-and sorted by the same order. It shares no search machinery with
-``find_top_k`` and works on atom sets instead of bitmasks.
 """
 
 import heapq
 import time
-from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import CapExceeded
-from .planning_model.ground import GroundedTask, eval_ast
+from .planning_model.ground import GroundedTask
 
 __all__ = [
     "Limits",
@@ -30,7 +23,6 @@ __all__ = [
     "ValidationResult",
     "find_top_k",
     "validate_plan",
-    "oracle_enumerate",
     "render_plan",
     "parse_plan_text",
 ]
@@ -40,12 +32,11 @@ GIB = 2**30
 
 @dataclass(frozen=True)
 class Limits:
-    """Enumeration budget: plan count, wall clock, memory, optional cost cap."""
+    """Enumeration budget: plan count, wall clock, memory."""
 
     k: int = 10
     wall_time: float = 3600.0
     memory: int = 8 * GIB
-    max_plan_cost: int | None = None
 
 
 @dataclass(frozen=True)
@@ -61,7 +52,7 @@ class PlanSet:
     """Enumeration result. status:
     complete        every simple plan was enumerated (at most k existed)
     truncated_k     k plans returned, candidate paths remained
-    truncated_limit memory or cost budget cut enumeration short
+    truncated_limit the memory budget cut enumeration short
     timed_out       the wall clock expired
     no_plan         exhaustive search found nothing
     """
@@ -94,7 +85,6 @@ def find_top_k(task: GroundedTask, limits: Limits | None = None) -> PlanSet:
     expanded = 0
     longest = 0
     status: str | None = None
-    cost_clipped = False
 
     while heap:
         if time.monotonic() > deadline:
@@ -119,23 +109,14 @@ def find_top_k(task: GroundedTask, limits: Limits | None = None) -> PlanSet:
             successor = (state & ~action.delete) | action.add
             if successor in visited:
                 continue
-            next_cost = cost + action.cost
-            if limits.max_plan_cost is not None and next_cost > limits.max_plan_cost:
-                cost_clipped = True
-                continue
             next_seq = seq + (index,)
             if len(next_seq) > longest:
                 longest = len(next_seq)
-            heapq.heappush(heap, (next_cost, next_seq, successor))
+            heapq.heappush(heap, (cost + action.cost, next_seq, successor))
 
     if status is None:
         # Frontier exhausted below k plans.
-        if cost_clipped:
-            status = "truncated_limit"
-        elif plans:
-            status = "complete"
-        else:
-            status = "no_plan"
+        status = "complete" if plans else "no_plan"
     return PlanSet(
         plans=tuple(plans),
         status=status,
@@ -206,94 +187,6 @@ def _lowest_bit(mask: int) -> int:
 
 def _render_atom(atom: tuple[str, tuple[str, ...]]) -> str:
     return "(" + " ".join((atom[0],) + atom[1]) + ")"
-
-
-def oracle_enumerate(
-    task: GroundedTask,
-    cost_bound: int | None = None,
-    k: int = 10,
-    cap: int = 10**6,
-) -> PlanSet:
-    """Exhaustively enumerate simple plans by depth-first search.
-
-    Every simple action sequence whose cost stays within ``cost_bound`` (if
-    given) is considered; valid plans are ranked by (cost, lexicographic
-    index sequence) and the first k returned. Sequences provably outside
-    the current top k (strictly costlier than the k-th best so far) are
-    skipped, which never changes the returned plans. Raises CapExceeded
-    after ``cap`` node visits.
-
-    Status: ``truncated_k`` when enumeration saw more valid plans than k,
-    ``no_plan`` when none was found, ``complete`` otherwise. Completeness
-    is relative to ``cost_bound`` when one is given, and cost pruning may
-    hide strictly-costlier plans beyond the k-th; neither affects the
-    returned plans.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    actions = task.actions
-    init_atoms = set(task.init_atoms)
-    found: list[tuple[int, tuple[int, ...]]] = []
-    visits = 0
-
-    def apply_atoms(atoms: frozenset, index: int) -> frozenset:
-        action = actions[index]
-        return frozenset((atoms - action.del_atoms) | action.add_atoms)
-
-    def applicable_atoms(atoms: frozenset, index: int) -> bool:
-        action = actions[index]
-        return action.pre_pos_atoms <= atoms and not (action.pre_neg_atoms & atoms)
-
-    root = frozenset(init_atoms)
-    # Stack rows: (state, path, cost, child action index to try next).
-    stack: list[list] = [[root, (), 0, 0]]
-    path_states: set[frozenset] = {root}
-
-    while stack:
-        row = stack[-1]
-        atoms, seq, cost, next_child = row
-        if next_child == 0:
-            visits += 1
-            if visits > cap:
-                raise CapExceeded(cap)
-            if (cost_bound is None or cost <= cost_bound) and eval_ast(
-                task.goal_ast, atoms
-            ):
-                insort(found, (cost, seq))
-                if len(found) > k + 1:
-                    # Keep one extra entry so truncation is detectable.
-                    found.pop()
-        pushed = False
-        for index in range(next_child, len(actions)):
-            if not applicable_atoms(atoms, index):
-                continue
-            next_cost = cost + actions[index].cost
-            if cost_bound is not None and next_cost > cost_bound:
-                continue
-            if len(found) >= k and next_cost > found[k - 1][0]:
-                # Strictly costlier than the k-th best: cannot enter the
-                # top k, and extensions never get cheaper.
-                continue
-            successor = apply_atoms(atoms, index)
-            if successor in path_states:
-                continue
-            row[3] = index + 1
-            stack.append([successor, seq + (index,), next_cost, 0])
-            path_states.add(successor)
-            pushed = True
-            break
-        if not pushed:
-            stack.pop()
-            path_states.discard(atoms)
-
-    plans = tuple(Plan(steps=seq, cost=cost) for cost, seq in found[:k])
-    if not plans:
-        status = "no_plan"
-    elif len(found) > k:
-        status = "truncated_k"
-    else:
-        status = "complete"
-    return PlanSet(plans=plans, status=status, expanded=visits)
 
 
 # --- plan text ---------------------------------------------------------------------

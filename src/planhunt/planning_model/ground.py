@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from ..errors import GroundingExplosion
 from .model import (
-    ActionSchema,
     DomainModel,
     FAnd,
     FAtom,
@@ -28,7 +27,7 @@ from .model import (
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["GroundAction", "GroundedTask", "ground_task", "formula_to_ast", "eval_ast"]
+__all__ = ["GroundAction", "GroundedTask", "ground_task", "formula_to_ast"]
 
 DEFAULT_ACTION_LIMIT = 10**6
 # DNF size guard: disjunct count per schema beyond this is a modeling error.
@@ -53,10 +52,6 @@ class GroundAction:
     pre_neg: int
     add: int
     delete: int
-    pre_pos_atoms: frozenset[GroundAtom]
-    pre_neg_atoms: frozenset[GroundAtom]
-    add_atoms: frozenset[GroundAtom]
-    del_atoms: frozenset[GroundAtom]
 
     def render(self) -> str:
         if self.args:
@@ -78,32 +73,12 @@ class GroundedTask:
     atom_index: dict[GroundAtom, int]
     actions: tuple[GroundAction, ...]
     init: int
-    init_atoms: frozenset[GroundAtom]
     goal_ast: GoalAst
     domain_name: str = ""
     problem_name: str = ""
 
-    def applicable(self, state: int, action: GroundAction) -> bool:
-        return (state & action.pre_pos) == action.pre_pos and not (
-            state & action.pre_neg
-        )
-
-    def apply(self, state: int, action: GroundAction) -> int:
-        return (state & ~action.delete) | action.add
-
     def satisfies_goal(self, state: int) -> bool:
         return eval_ast_mask(self.goal_ast, state, self.atom_index)
-
-    def state_atoms(self, state: int) -> frozenset[GroundAtom]:
-        return frozenset(
-            atom for i, atom in enumerate(self.atoms) if state >> i & 1
-        )
-
-    def mask(self, atoms) -> int:
-        out = 0
-        for atom in atoms:
-            out |= 1 << self.atom_index[atom]
-        return out
 
     def find_action(self, name: str, args: tuple[str, ...]) -> int | None:
         for i, action in enumerate(self.actions):
@@ -124,8 +99,9 @@ class GroundedTask:
         """Build a task from symbolic pieces (used directly by test task
         generators; ground_task goes through here too).
 
-        ``action_specs`` rows: (name, schema, args, disjunct, pre_pos_atoms,
-        pre_neg_atoms, add_atoms, del_atoms, cost).
+        ``action_specs`` rows: (name, schema, args, disjunct, pre_pos,
+        pre_neg, add, delete, cost), the four middle entries being atom
+        collections that become the action's bitmasks.
         """
         atoms = tuple(atoms)
         index = {atom: i for i, atom in enumerate(atoms)}
@@ -147,21 +123,15 @@ class GroundedTask:
                 pre_neg=mask(pre_neg),
                 add=mask(add),
                 delete=mask(delete),
-                pre_pos_atoms=frozenset(pre_pos),
-                pre_neg_atoms=frozenset(pre_neg),
-                add_atoms=frozenset(add),
-                del_atoms=frozenset(delete),
             )
             for name, schema, args, disjunct, pre_pos, pre_neg, add, delete, cost
             in action_specs
         )
-        init_atoms = frozenset(init_atoms)
         return cls(
             atoms=atoms,
             atom_index=index,
             actions=actions,
             init=mask(init_atoms),
-            init_atoms=init_atoms,
             goal_ast=goal_ast,
             domain_name=domain_name,
             problem_name=problem_name,
@@ -218,24 +188,6 @@ def formula_to_ast(formula: Formula, binding: dict[str, str] | None = None) -> G
             return ("false",)
         return ("or", tuple(formula_to_ast(p, binding) for p in formula.parts))
     raise TypeError(f"unknown formula node {formula!r}")
-
-
-def eval_ast(ast: GoalAst, atoms: frozenset[GroundAtom] | set[GroundAtom]) -> bool:
-    """Evaluate a goal AST against a set-of-atoms state."""
-    tag = ast[0]
-    if tag == "atom":
-        return ast[1] in atoms
-    if tag == "not":
-        return not eval_ast(ast[1], atoms)
-    if tag == "and":
-        return all(eval_ast(p, atoms) for p in ast[1])
-    if tag == "or":
-        return any(eval_ast(p, atoms) for p in ast[1])
-    if tag == "true":
-        return True
-    if tag == "false":
-        return False
-    raise ValueError(f"unknown ast node {tag!r}")
 
 
 def eval_ast_mask(ast: GoalAst, state: int, index: dict[GroundAtom, int]) -> bool:

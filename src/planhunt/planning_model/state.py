@@ -14,7 +14,7 @@ from pathlib import Path
 
 from ..errors import InputError, MalformedRecord, UnmappedPredicate
 from ..telemetry import FactBase, SampleRecord
-from ..vocab import ACCOUNT, APP, FACTOR, SENSORS
+from ..vocab import ACCOUNT, FACTOR, SENSORS
 from .model import (
     DomainModel,
     FAtom,
@@ -171,17 +171,14 @@ def load_mapping_table(source: str | Path) -> MappingTable:
 
 def construct_initial_state(
     derived: FactBase,
-    sample: SampleRecord,
     capabilities: CapabilityTable,
     mapping: MappingTable,
 ) -> frozenset[GroundAtom]:
     """Union of mapped derived facts and the static capability atoms.
 
     Every derived predicate must be mapped or explicitly ignored; anything
-    else raises UnmappedPredicate. The sample is accepted for symmetry with
-    the rest of the per-sample pipeline (its facts arrive via ``derived``).
+    else raises UnmappedPredicate.
     """
-    del sample  # facts already flowed through inference
     atoms: set[GroundAtom] = set(capabilities.atoms())
     for fact in derived.sorted():
         atom = mapping.map_fact(fact.predicate, fact.args)
@@ -207,7 +204,7 @@ def build_problem(
     hypothesis: ThreatHypothesis,
 ) -> ProblemInstance:
     """Assemble the per-sample planning problem for one hypothesis."""
-    init = construct_initial_state(derived, sample, capabilities, mapping)
+    init = construct_initial_state(derived, capabilities, mapping)
 
     objects: dict[str, str] = {hypothesis.app: "app"}
     for sensor in SENSORS:

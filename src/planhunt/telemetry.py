@@ -11,8 +11,8 @@ Two input layouts are supported:
   ``permissions, intents, sample_id`` name columns read from the first data
   row (list cells are ``;``-separated).
 
-Facts use the textual syntax ``pred(arg1,...,argN).`` with one statement per
-line; bare ``pred.`` is the zero-argument form. Integer arguments stay
+Facts render as ``pred(arg1,...,argN).``; bare ``pred.`` is the
+zero-argument form. Integer arguments stay
 integers; every other argument is a lowercase token. A field the source did
 not report becomes the reserved constant ``wildcard``.
 """
@@ -21,10 +21,10 @@ import csv
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ArityConflict, MalformedRecord, RuleSyntaxError
+from .errors import ArityConflict, MalformedRecord
 from .vocab import (
     APP,
     DECLARED_INTENT,
@@ -42,22 +42,14 @@ __all__ = [
     "FactBase",
     "load_sample",
     "events_to_facts",
-    "parse_facts",
-    "facts_to_text",
     "unknown_tokens",
 ]
 
 Arg = str | int
 
-_TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*(?:-[a-z0-9_]+)*\Z")
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 # Prefixes commonly carried by platform permission/intent identifiers.
 _STRIP_PREFIXES = ("android.permission.", "android.intent.action.", "android.intent.")
-
-_FACT_LINE_RE = re.compile(
-    r"(?P<pred>[a-z][a-zA-Z0-9_]*(?:-[a-zA-Z0-9_]+)*)"
-    r"(?:\((?P<args>[^()]*)\))?\s*\.\s*(?:%.*)?\Z"
-)
 
 
 def _normalize_token(value: object) -> Arg:
@@ -387,43 +379,3 @@ def unknown_tokens(
         logger.warning("sample %s: unknown tokens %s", sample.sample_id, result)
     return result
 
-
-# --- fact text syntax ---------------------------------------------------------
-
-
-def parse_facts(text: str) -> FactBase:
-    """Parse ``pred(arg,...).`` lines into a FactBase.
-
-    ``%`` starts a comment; blank lines are skipped. Raises RuleSyntaxError
-    with line/column on malformed statements and ArityConflict on
-    inconsistent predicate use.
-    """
-    base = FactBase()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip() if raw.lstrip().startswith("%") else raw.strip()
-        if not line:
-            continue
-        match = _FACT_LINE_RE.match(line)
-        if match is None:
-            raise RuleSyntaxError(lineno, 1, f"not a fact statement: {line!r}")
-        args_text = match.group("args")
-        args: list[Arg] = []
-        if args_text is not None:
-            if args_text.strip() == "":
-                raise RuleSyntaxError(lineno, 1, "empty argument list; drop the parens")
-            for piece in args_text.split(","):
-                piece = piece.strip()
-                if _INT_RE.match(piece):
-                    args.append(int(piece))
-                elif _TOKEN_RE.match(piece):
-                    args.append(piece)
-                else:
-                    col = line.index(piece) + 1 if piece and piece in line else 1
-                    raise RuleSyntaxError(lineno, col, f"bad argument {piece!r}")
-        base.add(Fact(match.group("pred"), tuple(args)))
-    return base
-
-
-def facts_to_text(base: FactBase) -> str:
-    """Render a FactBase in the fact syntax, one statement per line, sorted."""
-    return "\n".join(str(fact) for fact in base.sorted()) + ("\n" if len(base) else "")

@@ -5,7 +5,7 @@ reference evaluator and plans are counted with the exhaustive enumerator,
 so the only shared code is parsing and grounding. Rerun after deliberate
 corpus or asset edits:
 
-    python tests/oracles/gen_expected_summary.py
+    PYTHONPATH=src python tests/oracles/gen_expected_summary.py
 """
 
 import sys
@@ -13,11 +13,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
+from oracles.enumerate import oracle_enumerate
 from oracles.naive_datalog import evaluate_naive
 
 from planhunt import defaults
 from planhunt.hunt import HuntAssets
-from planhunt.planner import oracle_enumerate
 from planhunt.planning_model.ground import ground_task
 from planhunt.planning_model.model import default_catalog
 from planhunt.planning_model.state import build_problem

@@ -1,4 +1,4 @@
-"""Random grounded tasks for planner equivalence and contract tests.
+"""Random grounded tasks and transition helpers for planner tests.
 
 Generated tasks are monotone-biased (actions mostly add atoms, deletes are
 rare), which keeps simple-path spaces enumerable, and goals are drawn from
@@ -12,7 +12,19 @@ import random
 
 from planhunt.planning_model.ground import GroundedTask
 
-__all__ = ["random_task", "dijkstra_cost"]
+__all__ = ["random_task", "dijkstra_cost", "applicable", "apply", "state_atoms"]
+
+
+def applicable(state: int, action) -> bool:
+    return (state & action.pre_pos) == action.pre_pos and not state & action.pre_neg
+
+
+def apply(state: int, action) -> int:
+    return (state & ~action.delete) | action.add
+
+
+def state_atoms(task: GroundedTask, state: int) -> frozenset:
+    return frozenset(atom for i, atom in enumerate(task.atoms) if state >> i & 1)
 
 
 def _random_goal(rng: random.Random, atoms, pool):
@@ -91,9 +103,9 @@ def dijkstra_cost(task: GroundedTask) -> int | None:
         if task.satisfies_goal(state):
             return cost
         for action in task.actions:
-            if not task.applicable(state, action):
+            if not applicable(state, action):
                 continue
-            succ = task.apply(state, action)
+            succ = apply(state, action)
             total = cost + action.cost
             if total < best.get(succ, total + 1):
                 best[succ] = total

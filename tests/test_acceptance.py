@@ -12,16 +12,17 @@ from pathlib import Path
 import pytest
 
 from planhunt.defaults import corpus_paths
-from planhunt.errors import CapExceeded, NegationCycle
+from planhunt.errors import NegationCycle
 from planhunt.hunt import HuntAssets, HuntConfig, batch_hunt, identify_threats
 from planhunt.inference.engine import evaluate, stratify
 from planhunt.inference.rules import parse_rule_pack
-from planhunt.planner import Limits, find_top_k, oracle_enumerate, validate_plan
+from planhunt.planner import Limits, find_top_k, validate_plan
 from planhunt.planning_model.ground import ground_task
 from planhunt.planning_model.model import ThreatHypothesis, default_catalog
 from planhunt.planning_model.state import build_problem
 from planhunt.telemetry import Fact, events_to_facts, load_sample
 
+from oracles.enumerate import CapExceeded, oracle_enumerate
 from oracles.naive_datalog import evaluate_naive
 from taskgen import dijkstra_cost, random_task
 from test_engine import PACKS, build_pack, random_base
@@ -105,9 +106,8 @@ def test_criterion_2_pivot_chain_case_study():
 
 def test_criterion_3_restricted_domain_has_no_fraud_permission_plans():
     strict_assets = HuntAssets.load(strict_domain=True)
-    strict_config = HuntConfig(strict_domain=True)
     for path in corpus_paths():
-        report = identify_threats(load_sample(path), strict_assets, strict_config)
+        report = identify_threats(load_sample(path), strict_assets, HuntConfig())
         (finding,) = [
             f for f in report.findings if f.label == "financial_fraud/permission"
         ]

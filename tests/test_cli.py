@@ -200,6 +200,41 @@ class TestBatch:
         assert main(["batch", str(empty)]) == 1
         assert "no .jsonl or .csv samples found" in capsys.readouterr().err
 
+    def test_malformed_sample_fails_alike_in_a_worker_pool(self, tmp_path, capsys):
+        target = self.corpus_subset(tmp_path, ["clean_demo.jsonl"])
+        (target / "bad.jsonl").write_text('{"type": "event", "ts": 1, "pid": "p1"}\n')
+        errs = []
+        for workers in ("1", "2"):
+            assert main(["batch", str(target), "--workers", workers]) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert "error: line 1: event missing 'syscall'" in errs[0]
+
+
+class TestSinglePipelinePath:
+    """plan and validate reach the same tasks and plans as hunt."""
+
+    @pytest.mark.parametrize("path", defaults.corpus_paths(), ids=lambda p: p.stem)
+    def test_plan_and_validate_agree_with_hunt(self, path, tmp_path, capsys):
+        assert main(["hunt", str(path)]) == 0
+        findings = json.loads(capsys.readouterr().out)["findings"]
+        assert len(findings) == 4
+        plan_file = tmp_path / "candidate.plan"
+        for finding in findings:
+            label = f"{finding['threat']}/{finding['mechanism']}"
+            assert main(["plan", str(path), label]) == 0
+            header, *chunks = capsys.readouterr().out.split("; plan ")
+            assert header == f"; status = {finding['planner_status']}\n", label
+            plans = []
+            for number, chunk in enumerate(chunks, start=1):
+                text = chunk.removeprefix(f"{number}\n")
+                *steps, cost = text.splitlines()
+                plans.append({"cost": int(cost.removeprefix("; cost = ")), "steps": steps})
+                plan_file.write_text(text)
+                assert main(["validate", str(path), label, str(plan_file)]) == 0
+                assert capsys.readouterr().out.startswith("valid:"), (label, number)
+            assert plans == finding["plans"], label
+
 
 class TestParser:
     def test_version_flag(self, capsys):

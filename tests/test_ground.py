@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from oracles.enumerate import eval_ast
 from oracles.lifted_search import ExplorationCap, explore, optimal_cost
 from planhunt.errors import GroundingExplosion
 from planhunt.planning_model import (
@@ -28,12 +29,12 @@ from planhunt.planning_model import (
 )
 from planhunt.planning_model.ground import (
     GroundedTask,
-    eval_ast,
     eval_ast_mask,
     formula_to_ast,
     ground_task,
 )
 from planhunt.planning_model.model import ActionSchema
+from taskgen import applicable, apply, state_atoms
 
 WALK_DOMAIN = """
 (define (domain walkabout)
@@ -90,7 +91,7 @@ class TestGrounding:
         # fact are gone; the satisfied literal stays in the precondition.
         assert task.find_action("walk", ("y", "x")) is None
         walk = task.actions[0]
-        assert ("link", ("x", "y")) in walk.pre_pos_atoms
+        assert ("link", ("x", "y")) in state_atoms(task, walk.pre_pos)
 
     def test_unreachable_atoms_are_outside_the_universe(self):
         task = walk_task()
@@ -106,15 +107,15 @@ class TestGrounding:
     def test_transition_semantics(self):
         task = walk_task()
         walk = task.actions[0]
-        assert task.applicable(task.init, walk)
-        after = task.apply(task.init, walk)
-        assert task.state_atoms(after) == frozenset(
+        assert applicable(task.init, walk)
+        after = apply(task.init, walk)
+        assert state_atoms(task, after) == frozenset(
             {("at", ("y",)), ("link", ("x", "y")), ("lit", ("z",))}
         )
-        assert not task.applicable(after, walk)
+        assert not applicable(after, walk)
         assert not task.satisfies_goal(after)
         finish = task.actions[3]
-        assert task.satisfies_goal(task.apply(after, finish))
+        assert task.satisfies_goal(apply(after, finish))
 
     def test_render_and_find_action(self):
         task = walk_task()
@@ -175,8 +176,8 @@ class TestReachabilityFiltering:
     def test_unreachable_negative_literals_and_deletes_drop(self):
         task = self.task()
         (go,) = [a for a in task.actions if a.schema == "go"]
-        assert go.pre_neg_atoms == frozenset()
-        assert go.del_atoms == frozenset()
+        assert go.pre_neg == 0
+        assert go.delete == 0
         assert ("ghost", ()) not in task.atom_index
 
     def test_self_contradictory_disjunct_never_grounds(self):
@@ -196,7 +197,7 @@ class TestReachabilityFiltering:
             "(define (problem p) (:domain free) (:goal (a)))", domain
         )
         task = ground_task(domain, problem)
-        assert task.applicable(task.init, task.actions[0])
+        assert applicable(task.init, task.actions[0])
 
 
 class TestGoalAst:
@@ -215,12 +216,12 @@ class TestGoalAst:
         states = [task.init]
         for state in states:
             for action in task.actions:
-                if task.applicable(state, action):
-                    succ = task.apply(state, action)
+                if applicable(state, action):
+                    succ = apply(state, action)
                     if succ not in states:
                         states.append(succ)
         for state in states:
-            atoms = task.state_atoms(state)
+            atoms = state_atoms(task, state)
             for ast in self.CASES:
                 assert eval_ast(ast, atoms) == eval_ast_mask(
                     ast, state, task.atom_index
@@ -316,14 +317,14 @@ def explore_task(task: GroundedTask, cap: int = 20000):
             continue
         assert len(graph) < cap
         successors = {
-            task.apply(state, action)
+            apply(state, action)
             for action in task.actions
-            if task.applicable(state, action)
+            if applicable(state, action)
         }
         graph[state] = successors
         frontier.extend(succ for succ in successors if succ not in graph)
     return {
-        task.state_atoms(state): {task.state_atoms(s) for s in successors}
+        state_atoms(task, state): {state_atoms(task, s) for s in successors}
         for state, successors in graph.items()
     }
 
@@ -339,9 +340,9 @@ def task_optimal_cost(task: GroundedTask) -> int | None:
         if task.satisfies_goal(state):
             return cost
         for action in task.actions:
-            if not task.applicable(state, action):
+            if not applicable(state, action):
                 continue
-            succ = task.apply(state, action)
+            succ = apply(state, action)
             total = cost + action.cost
             if total < best.get(succ, total + 1):
                 best[succ] = total

@@ -118,17 +118,12 @@ def tiny_task(args=("app", "cve_x"), disjunct=None):
         pre_neg=0,
         add=1,
         delete=0,
-        pre_pos_atoms=frozenset(),
-        pre_neg_atoms=frozenset(),
-        add_atoms=frozenset({atom}),
-        del_atoms=frozenset(),
     )
     return GroundedTask(
         atoms=(atom,),
         atom_index={atom: 0},
         actions=(action,),
         init=0,
-        init_atoms=frozenset(),
         goal_ast=("atom", atom),
     )
 
@@ -457,6 +452,17 @@ class TestBatchHunt:
 
 
 class TestAssetLoading:
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_report_flag_follows_the_assets(self, strict, tmp_path):
+        assets = HuntAssets.load(strict_domain=strict)
+        assert assets.strict_domain is strict
+        report = hunt("fraud_demo", assets)
+        assert report.strict_domain is strict
+        assert ("financial_fraud/permission" in report.possible_threats) is not strict
+        batch_hunt([CORPUS / "fraud_demo.jsonl"], assets, workers=2, report_dir=tmp_path)
+        for text in (report_to_json(report), (tmp_path / "fraud_demo.json").read_text()):
+            assert json.loads(text)["meta"]["strict_domain"] is strict
+
     def test_strict_domain_drops_extended_actions(self):
         assets = HuntAssets.load(strict_domain=True)
         names = [a.name for a in assets.domain.actions]

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from planhunt.defaults import load_default_domain
+from planhunt.hunt import HuntAssets
 from planhunt.errors import (
     PddlSyntaxError,
     UndeclaredObject,
@@ -330,7 +330,7 @@ class TestRendering:
 
 class TestBundledDomain:
     def test_parses_with_expected_surface(self):
-        domain = load_default_domain()
+        domain = HuntAssets.load().domain
         assert domain.name == "android-threats"
         assert [a.name for a in domain.actions] == [
             "surveillance-via-permission",

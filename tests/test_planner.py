@@ -4,12 +4,11 @@ import random
 
 import pytest
 
-from planhunt.errors import CapExceeded
+from oracles.enumerate import CapExceeded, oracle_enumerate
 from planhunt.planner import (
     Limits,
     Plan,
     find_top_k,
-    oracle_enumerate,
     parse_plan_text,
     render_plan,
     validate_plan,
@@ -99,16 +98,6 @@ class TestFindTopK:
         assert result.status == "truncated_limit"
         assert result.plans == ()
         assert result.expanded == 0
-
-    def test_cost_cap_unreachable(self):
-        result = find_top_k(chain_task(), Limits(k=10, max_plan_cost=1))
-        assert result.plans == ()
-        assert result.status == "truncated_limit"
-
-    def test_cost_cap_partial(self):
-        result = find_top_k(chain_task(), Limits(k=10, max_plan_cost=2))
-        assert list(result.plans) == CHAIN_PLANS[:2]
-        assert result.status == "truncated_limit"
 
 
 class TestValidatePlan:

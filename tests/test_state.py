@@ -2,11 +2,6 @@
 
 import pytest
 
-from planhunt.defaults import (
-    load_default_capabilities,
-    load_default_domain,
-    load_default_mapping,
-)
 from planhunt.errors import InputError, MalformedRecord, UnmappedPredicate
 from planhunt.planning_model import (
     FAtom,
@@ -17,6 +12,7 @@ from planhunt.planning_model import (
     load_capability_table,
     load_mapping_table,
 )
+from planhunt.hunt import HuntAssets
 from planhunt.telemetry import Fact, FactBase, SampleRecord
 
 CAPS_TEXT = """
@@ -32,6 +28,11 @@ perm-granted/2          (perm-granted $1 $2)
 swapped/2               (pair $2 $1)
 ignore bookkeeping/0
 """
+
+
+@pytest.fixture(scope="module")
+def assets():
+    return HuntAssets.load()
 
 
 def sample(sample_id="s1"):
@@ -116,7 +117,7 @@ class TestInitialState:
         derived = FactBase(
             [Fact("exploited", ("cve_1",)), Fact("bookkeeping", ())]
         )
-        init = construct_initial_state(derived, sample(), capabilities, mapping)
+        init = construct_initial_state(derived, capabilities, mapping)
         assert init == frozenset(
             {
                 ("exploited", ("cve_1",)),
@@ -131,7 +132,7 @@ class TestInitialState:
         mapping = load_mapping_table(MAP_TEXT)
         derived = FactBase([Fact("mystery", ("x",))])
         with pytest.raises(UnmappedPredicate):
-            construct_initial_state(derived, sample(), capabilities, mapping)
+            construct_initial_state(derived, capabilities, mapping)
 
 
 class TestGoalAndProblem:
@@ -147,10 +148,8 @@ class TestGoalAndProblem:
         with pytest.raises(ValueError):
             ThreatHypothesis("surveillance", "magic")
 
-    def test_build_problem_objects(self):
-        domain = load_default_domain()
-        capabilities = load_default_capabilities()
-        mapping = load_default_mapping()
+    def test_build_problem_objects(self, assets):
+        domain, capabilities, mapping = assets.domain, assets.capabilities, assets.mapping
         derived = FactBase([Fact("exploited", ("cve_2016_5195",))])
         problem = build_problem(
             derived, sample(), domain, capabilities, mapping,
@@ -164,10 +163,8 @@ class TestGoalAndProblem:
         assert problem.name == "hunt-s1-surveillance-permission"
         assert ("exploited", ("cve_2016_5195",)) in problem.init
 
-    def test_build_problem_types_unknown_objects_from_schema(self):
-        domain = load_default_domain()
-        capabilities = load_default_capabilities()
-        mapping = load_default_mapping()
+    def test_build_problem_types_unknown_objects_from_schema(self, assets):
+        domain, capabilities, mapping = assets.domain, assets.capabilities, assets.mapping
         derived = FactBase([Fact("exploited", ("cve_9999_0001",))])
         problem = build_problem(
             derived, sample(), domain, capabilities, mapping,
@@ -177,8 +174,8 @@ class TestGoalAndProblem:
         # exploited predicate's parameter type.
         assert problem.objects["cve_9999_0001"] == "vuln"
 
-    def test_build_problem_rejects_undeclared_predicates(self):
-        domain = load_default_domain()
+    def test_build_problem_rejects_undeclared_predicates(self, assets):
+        domain = assets.domain
         mapping = load_mapping_table("haunted/1 (haunted $1)\n")
         capabilities = load_capability_table("")
         derived = FactBase([Fact("haunted", ("app",))])
@@ -189,8 +186,8 @@ class TestGoalAndProblem:
             )
         assert "undeclared predicate" in str(err.value)
 
-    def test_build_problem_rejects_arity_mismatch(self):
-        domain = load_default_domain()
+    def test_build_problem_rejects_arity_mismatch(self, assets):
+        domain = assets.domain
         mapping = load_mapping_table("exploited/2 (exploited $1 $2)\n")
         capabilities = load_capability_table("")
         derived = FactBase([Fact("exploited", ("cve_1", "extra"))])
@@ -201,12 +198,12 @@ class TestGoalAndProblem:
             )
         assert "arity" in str(err.value)
 
-    def test_build_problem_rejects_type_clash(self):
-        domain = load_default_domain()
+    def test_build_problem_rejects_type_clash(self, assets):
+        domain = assets.domain
         # camera is a sensor in the problem template, but perm-granted's
         # first slot wants an app.
         mapping = load_mapping_table("perm-granted/2 (perm-granted $2 $1)\n")
-        capabilities = load_default_capabilities()
+        capabilities = assets.capabilities
         derived = FactBase([Fact("perm-granted", ("camera", "camera"))])
         with pytest.raises(InputError) as err:
             build_problem(

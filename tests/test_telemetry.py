@@ -1,18 +1,15 @@
-"""Telemetry loading, normalization, and the fact text syntax."""
+"""Telemetry loading, normalization, and fact construction."""
 
 import json
 
 import pytest
-from hypothesis import given, strategies as st
 
-from planhunt.errors import ArityConflict, MalformedRecord, RuleSyntaxError
+from planhunt.errors import ArityConflict, MalformedRecord
 from planhunt.telemetry import (
     Fact,
     FactBase,
     events_to_facts,
-    facts_to_text,
     load_sample,
-    parse_facts,
     unknown_tokens,
 )
 
@@ -165,42 +162,3 @@ class TestFactConstruction:
         # Wildcards (unreported fields) are never flagged.
         assert unknown_tokens(sample, table) == ["object:gizmo", "syscall:frobnicate"]
 
-
-class TestFactText:
-    def test_render_and_parse(self):
-        base = FactBase([Fact("edge", ("a", "b")), Fact("flag",), Fact("n", (3,))])
-        text = facts_to_text(base)
-        assert "flag." in text.splitlines()
-        assert parse_facts(text) == base
-
-    def test_trailing_comment_and_blank_lines(self):
-        base = parse_facts("\nedge(a,b). % observed twice\n\n% full-line comment\n")
-        assert base == FactBase([Fact("edge", ("a", "b"))])
-
-    @pytest.mark.parametrize("line", ["Edge(a).", "p(A).", "p()", "p(a)", "p(a,)."])
-    def test_rejects_bad_statements(self, line):
-        with pytest.raises(RuleSyntaxError):
-            parse_facts(line)
-
-    def test_arity_conflict_across_lines(self):
-        with pytest.raises(ArityConflict):
-            parse_facts("p(a).\np(a,b).\n")
-
-
-tokens = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True)
-arguments = st.one_of(tokens, st.integers(min_value=-99, max_value=999))
-
-
-@given(
-    st.lists(
-        st.tuples(tokens, st.lists(arguments, max_size=4)),
-        max_size=12,
-    )
-)
-def test_fact_text_round_trip(rows):
-    base = FactBase()
-    for predicate, args in rows:
-        if base.arity.get(predicate, len(args)) != len(args):
-            continue  # FactBase enforces one arity per predicate
-        base.add(Fact(predicate, tuple(args)))
-    assert parse_facts(facts_to_text(base)) == base
