@@ -309,7 +309,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (PlanHuntError, FileNotFoundError) as exc:
-        logger.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:  # pragma: no cover - defensive

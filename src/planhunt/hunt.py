@@ -624,6 +624,9 @@ def batch_hunt(
             raise DuplicateSampleId(sample_id)
     reports.sort(key=lambda r: r.sample_id)
     summary = aggregate(reports)
+    flagged = sum(1 for report in reports if report.unknown_tokens)
+    if flagged:
+        logger.warning("batch: %d of %d samples have unknown tokens", flagged, len(reports))
 
     if report_dir is not None:
         report_dir.mkdir(parents=True, exist_ok=True)

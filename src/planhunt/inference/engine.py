@@ -2,13 +2,15 @@
 
 Stratification condenses the predicate dependency graph; a negative edge
 inside a strongly connected component means the program has no perfect
-model and raises NegationCycle. Evaluation runs semi-naive within each
-stratum: after one naive round, rules only re-fire with at least one
-current-stratum body atom restricted to the facts new in the last round.
+model and raises NegationCycle. Each rule's body order is planned once, at
+stratification. Evaluation runs semi-naive within each stratum: after one
+naive round, rules only re-fire with at least one current-stratum body atom
+restricted to the facts new in the last round.
 """
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import (
     ArityConflict,
@@ -27,12 +29,20 @@ __all__ = ["StratifiedProgram", "DerivedFacts", "stratify", "evaluate", "match_b
 DEFAULT_FACT_LIMIT = 10**6
 
 
+class PlannedRule(NamedTuple):
+    """A rule, its body order, and its positive current-stratum atoms."""
+
+    rule: Rule
+    plan: tuple[tuple[str, int], ...]
+    recursive: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class StratifiedProgram:
-    """Rules grouped into dense strata; lower strata never depend on higher."""
+    """Planned rules in dense strata; lower strata never depend on higher."""
 
     pack: RulePack
-    strata: tuple[tuple[Rule, ...], ...]
+    strata: tuple[tuple[PlannedRule, ...], ...]
     stratum_of: dict[str, int]
 
 
@@ -66,15 +76,14 @@ def stratify(pack: RulePack) -> StratifiedProgram:
                 if component_of[dst] == comp:
                     raise NegationCycle(tuple(preds))
 
-    # Longest-path layering over the condensation; sparse levels compressed.
+    # Longest-path layering over the condensation. Tarjan numbers each
+    # component after every component it reaches, so descending numbers
+    # are a topological order.
     level: dict[int, int] = {comp: 0 for comp in members}
-    order = _topo_order(members, component_of, pos_edges, neg_edges)
-    for comp in order:
+    for comp in sorted(members, reverse=True):
         for src in members[comp]:
             for dst in pos_edges[src]:
-                target = component_of[dst]
-                if target != comp:
-                    level[target] = max(level[target], level[comp])
+                level[component_of[dst]] = max(level[component_of[dst]], level[comp])
             for dst in neg_edges[src]:
                 level[component_of[dst]] = max(level[component_of[dst]], level[comp] + 1)
 
@@ -85,7 +94,10 @@ def stratify(pack: RulePack) -> StratifiedProgram:
         strata[pred_level[rule.head.predicate]].append(rule)
     return StratifiedProgram(
         pack=pack,
-        strata=tuple(tuple(group) for group in strata),
+        strata=tuple(
+            tuple(_plan_rule(rule, {r.head.predicate for r in group}) for rule in group)
+            for group in strata
+        ),
         stratum_of=pred_level,
     )
 
@@ -143,33 +155,6 @@ def _condense(
     return component_of
 
 
-def _topo_order(
-    members: dict[int, list[str]],
-    component_of: dict[str, int],
-    pos_edges: dict[str, set[str]],
-    neg_edges: dict[str, set[str]],
-) -> list[int]:
-    indegree = {comp: 0 for comp in members}
-    succs: dict[int, set[int]] = {comp: set() for comp in members}
-    for src_comp, preds in members.items():
-        for src in preds:
-            for dst in pos_edges[src] | neg_edges[src]:
-                dst_comp = component_of[dst]
-                if dst_comp != src_comp and dst_comp not in succs[src_comp]:
-                    succs[src_comp].add(dst_comp)
-                    indegree[dst_comp] += 1
-    ready = sorted(comp for comp, deg in indegree.items() if deg == 0)
-    order: list[int] = []
-    while ready:
-        comp = ready.pop(0)
-        order.append(comp)
-        for nxt in sorted(succs[comp]):
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                ready.append(nxt)
-    return order
-
-
 # --- evaluation -------------------------------------------------------------------
 
 
@@ -200,44 +185,26 @@ def evaluate(
         relations.setdefault(pred, set())
 
     derived_total = 0
-    for stratum_index, rules in enumerate(program.strata):
-        local = {
-            rule.head.predicate
-            for rule in rules
-        }
-        plans = [_plan_rule(rule, local) for rule in rules]
-
-        # Naive first round over everything known so far. Each firing is
-        # materialized before insertion so relations stay stable under the
-        # generator's iteration.
-        delta: dict[str, set[tuple]] = {p: set() for p in local}
-        for rule, plan in plans:
-            for args in list(_fire(rule, plan, relations, None, None)):
-                if args not in relations[rule.head.predicate]:
-                    relations[rule.head.predicate].add(args)
-                    delta[rule.head.predicate].add(args)
-                    derived_total += 1
-        _check_budget(derived_total, max_derived)
-
-        # Semi-naive rounds: one body atom ranges over the last delta.
-        while any(delta.values()):
-            fresh: dict[str, set[tuple]] = {p: set() for p in local}
-            for rule, plan in plans:
-                recursive_positions = [
-                    i
-                    for i, item in enumerate(rule.body)
-                    if isinstance(item, Literal)
-                    and not item.negated
-                    and item.atom.predicate in local
+    for stratum_index, planned in enumerate(program.strata):
+        # The first round (no delta yet) is naive over everything known so
+        # far; in later rounds one recursive body atom ranges over the last
+        # round's delta. Each firing is materialized before insertion so
+        # relations stay stable under the generator's iteration.
+        delta: dict[str, set[tuple]] | None = None
+        while delta is None or any(delta.values()):
+            fresh: dict[str, set[tuple]] = {p.rule.head.predicate: set() for p in planned}
+            for rule, plan, recursive in planned:
+                sources = [(None, None)] if delta is None else [
+                    (i, delta[rule.body[i].atom.predicate])
+                    for i in recursive
+                    if delta[rule.body[i].atom.predicate]
                 ]
-                for position in recursive_positions:
-                    pred = rule.body[position].atom.predicate
-                    if not delta[pred]:
-                        continue
-                    for args in list(_fire(rule, plan, relations, position, delta[pred])):
-                        if args not in relations[rule.head.predicate]:
-                            relations[rule.head.predicate].add(args)
-                            fresh[rule.head.predicate].add(args)
+                head = rule.head.predicate
+                for position, rows in sources:
+                    for args in list(_fire(rule, plan, relations, position, rows)):
+                        if args not in relations[head]:
+                            relations[head].add(args)
+                            fresh[head].add(args)
                             derived_total += 1
             _check_budget(derived_total, max_derived)
             delta = fresh
@@ -257,29 +224,27 @@ def _check_budget(total: int, limit: int) -> None:
         raise ResourceLimit(limit)
 
 
-def _plan_rule(rule: Rule, local: set[str]) -> tuple[Rule, list[tuple[str, int]]]:
+def _plan_rule(rule: Rule, local: set[str]) -> PlannedRule:
     """Order body items for evaluation: each positive atom in written order,
-    with comparisons and negations placed as soon as their variables bind."""
+    with comparisons and negations placed as soon as their variables bind.
+    Positive atoms over ``local`` predicates are the recursive positions."""
     pending: list[tuple[int, BodyItem]] = list(enumerate(rule.body))
     plan: list[tuple[str, int]] = []  # ("atom" | "filter", body index)
     bound: set[str] = set()
 
     def flush_filters() -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for i, item in list(pending):
-                if isinstance(item, Literal) and not item.negated:
-                    continue
-                needs = (
-                    item.variables()
-                    if isinstance(item, Comparison)
-                    else item.atom.variables()
-                )
-                if needs <= bound:
-                    plan.append(("filter", i))
-                    pending.remove((i, item))
-                    progressed = True
+        # Filters bind nothing, so one pass places every ready filter.
+        for i, item in list(pending):
+            if isinstance(item, Literal) and not item.negated:
+                continue
+            needs = (
+                item.variables()
+                if isinstance(item, Comparison)
+                else item.atom.variables()
+            )
+            if needs <= bound:
+                plan.append(("filter", i))
+                pending.remove((i, item))
 
     flush_filters()
     for i, item in list(pending):
@@ -296,12 +261,17 @@ def _plan_rule(rule: Rule, local: set[str]) -> tuple[Rule, list[tuple[str, int]]
             plan.append(("filter", i))
             pending.remove((i, item))
     assert not pending, f"unbound residue in rule: {rule}"
-    return rule, plan
+    recursive = tuple(
+        i
+        for i, item in enumerate(rule.body)
+        if isinstance(item, Literal) and not item.negated and item.atom.predicate in local
+    )
+    return PlannedRule(rule, tuple(plan), recursive)
 
 
 def _fire(
     rule: Rule,
-    plan: list[tuple[str, int]],
+    plan: tuple[tuple[str, int], ...],
     relations: dict[str, set[tuple]],
     delta_position: int | None,
     delta_relation: set[tuple] | None,
@@ -408,7 +378,7 @@ def match_body(body: tuple[BodyItem, ...], base: FactBase) -> bool:
         relations.setdefault(fact.predicate, set()).add(fact.args)
     probe = Rule(Atom("__match__"), body)
     try:
-        _, plan = _plan_rule(probe, set())
+        plan = _plan_rule(probe, set()).plan
     except AssertionError:
         # A malformed pattern (filter variable never bound) cannot match.
         return False

@@ -38,6 +38,7 @@ __all__ = [
     "Rule",
     "RulePack",
     "parse_rule_pack",
+    "rule_pack",
     "parse_body",
     "render_body",
 ]
@@ -378,6 +379,13 @@ def parse_rule_pack(text: str) -> RulePack:
     )
 
 
+def rule_pack(rules: "list[Rule] | tuple[Rule, ...]") -> RulePack:
+    """A pack over generated rules, each predicate declared by its use."""
+    declared: dict[str, tuple[int, str]] = {}
+    _infer_declarations(rules, declared)
+    return RulePack(rules=tuple(rules), declared=declared, token_table={})
+
+
 def _iter_atoms(rule: Rule):
     yield rule.head, False
     for item in rule.body:
@@ -397,7 +405,7 @@ def _check_arities(rules: list[Rule], declared: dict[str, tuple[int, str]]) -> N
 
 
 def _infer_declarations(
-    rules: list[Rule], declared: dict[str, tuple[int, str]]
+    rules: "list[Rule] | tuple[Rule, ...]", declared: dict[str, tuple[int, str]]
 ) -> None:
     """Fill in declarations for undeclared predicates and check kinds.
 

@@ -1,19 +1,25 @@
 """Typed grounding: schemas x objects -> propositional task.
 
-Disjunctive preconditions are compiled at the lifted level into DNF; each
-disjunct becomes its own ground action (identical effects) whose name gains
-a ``~orN`` suffix when a schema has more than one disjunct. Ground actions
-whose static precondition literals fail in the initial state are pruned
-(static = predicate never occurring in any effect), and the atom universe
-is restricted to delete-relaxed reachable atoms, which also drops actions
-that can never fire and negative literals that can never be false.
+Grounding is a rule program evaluated by ``inference.engine``: each domain
+compiles once into Datalog exploration rules (Helmert, "Concise
+finite-domain representations for PDDL planning tasks", AIJ 2009) whose
+model is the delete-relaxed reachable atoms and the actions that can fire
+under the relaxation, so its cost follows that output, not the typed
+bindings. Disjunctive preconditions are compiled at the lifted level into
+DNF; each disjunct becomes its own ground action (identical effects) whose
+name gains a ``~orN`` suffix when a schema has more than one disjunct.
+Static precondition literals (predicate never occurring in any effect) must
+hold in the initial state, and negative literals and deletes over atoms
+that can never become true are dropped.
 """
 
-import itertools
 import logging
 from dataclasses import dataclass
 
-from ..errors import GroundingExplosion
+from ..errors import GroundingExplosion, ResourceLimit
+from ..inference.engine import StratifiedProgram, evaluate, stratify
+from ..inference.rules import Atom, Literal, Rule, Var, rule_pack
+from ..telemetry import Fact, FactBase
 from .model import (
     DomainModel,
     FAnd,
@@ -27,7 +33,7 @@ from .model import (
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["GroundAction", "GroundedTask", "ground_task", "formula_to_ast"]
+__all__ = ["GroundAction", "GroundedTask", "explore_domain", "ground_task", "formula_to_ast"]
 
 DEFAULT_ACTION_LIMIT = 10**6
 # DNF size guard: disjunct count per schema beyond this is a modeling error.
@@ -74,8 +80,6 @@ class GroundedTask:
     actions: tuple[GroundAction, ...]
     init: int
     goal_ast: GoalAst
-    domain_name: str = ""
-    problem_name: str = ""
 
     def satisfies_goal(self, state: int) -> bool:
         return eval_ast_mask(self.goal_ast, state, self.atom_index)
@@ -87,15 +91,7 @@ class GroundedTask:
         return None
 
     @classmethod
-    def assemble(
-        cls,
-        atoms,
-        action_specs,
-        init_atoms,
-        goal_ast: GoalAst,
-        domain_name: str = "",
-        problem_name: str = "",
-    ) -> "GroundedTask":
+    def assemble(cls, atoms, action_specs, init_atoms, goal_ast: GoalAst) -> "GroundedTask":
         """Build a task from symbolic pieces (used directly by test task
         generators; ground_task goes through here too).
 
@@ -133,8 +129,6 @@ class GroundedTask:
             actions=actions,
             init=mask(init_atoms),
             goal_ast=goal_ast,
-            domain_name=domain_name,
-            problem_name=problem_name,
         )
 
 
@@ -168,25 +162,20 @@ def _dnf(formula: Formula) -> list[list[tuple[FAtom, bool]]]:
     raise TypeError(f"unknown formula node {formula!r}")
 
 
-def formula_to_ast(formula: Formula, binding: dict[str, str] | None = None) -> GoalAst:
-    """Ground a formula into the plain-data goal AST."""
-    binding = binding or {}
-
-    def ground_atom(atom: FAtom) -> GroundAtom:
-        return (atom.predicate, tuple(binding.get(a, a) for a in atom.args))
-
+def formula_to_ast(formula: Formula) -> GoalAst:
+    """Turn a ground formula into the plain-data goal AST."""
     if isinstance(formula, FAtom):
-        return ("atom", ground_atom(formula))
+        return ("atom", (formula.predicate, formula.args))
     if isinstance(formula, FNot):
-        return ("not", ("atom", ground_atom(formula.atom)))
+        return ("not", ("atom", (formula.atom.predicate, formula.atom.args)))
     if isinstance(formula, FAnd):
         if not formula.parts:
             return ("true",)
-        return ("and", tuple(formula_to_ast(p, binding) for p in formula.parts))
+        return ("and", tuple(formula_to_ast(p) for p in formula.parts))
     if isinstance(formula, FOr):
         if not formula.parts:
             return ("false",)
-        return ("or", tuple(formula_to_ast(p, binding) for p in formula.parts))
+        return ("or", tuple(formula_to_ast(p) for p in formula.parts))
     raise TypeError(f"unknown formula node {formula!r}")
 
 
@@ -212,119 +201,164 @@ def eval_ast_mask(ast: GoalAst, state: int, index: dict[GroundAtom, int]) -> boo
 
 # --- grounding ---------------------------------------------------------------------
 
+# Generated predicate names hold a space, which no PDDL name can contain.
+INIT, TYPE = "init {}", "type {}"
+
+
+@dataclass(frozen=True)
+class Exploration:
+    """A domain's grounding rule program and what decoding its model needs."""
+
+    program: StratifiedProgram
+    fluents: frozenset[str]  # predicates some effect mentions
+    # applicability predicate -> (schema index, disjunct or 0, pre+, pre-)
+    actions: dict[str, tuple[int, int, list[FAtom], list[FAtom]]]
+
+
+def explore_domain(domain: DomainModel) -> Exploration:
+    """Compile a domain into its grounding rule program.
+
+    Each fluent predicate copies its init facts from an INIT relation;
+    static ones (no effect mentions them) are the init facts themselves.
+    Each schema disjunct gets one applicability rule whose body joins its
+    positive literals as written, one type literal per parameter, its static
+    negative literals and negated guards against contradictory bindings;
+    fluent negative literals and deletes are relaxed away. Each add effect
+    gets one rule deriving its atom from the applicability predicate.
+    """
+    arity = {a.predicate: len(a.args) for s in domain.actions for a in (*s.add, *s.delete)}
+    static = set(domain.predicates) - set(arity)
+    rules: list[Rule] = []
+    for predicate, count in arity.items():
+        args = tuple(Var(f"X{i}") for i in range(count))
+        rules.append(Rule(Atom(predicate, args), (Literal(Atom(INIT.format(predicate), args)),)))
+    actions = {}
+    for index, schema in enumerate(domain.actions):
+        params = tuple(p.name for p in schema.parameters)
+        typing = [FAtom(TYPE.format(p.type), (p.name,)) for p in schema.parameters]
+        disjuncts = _dnf(schema.precondition)
+        for d_index, disjunct in enumerate(disjuncts, start=1):
+            positive = [atom for atom, negated in disjunct if not negated]
+            negative = [atom for atom, negated in disjunct if negated]
+            # An add and a delete of one atom, or a fluent atom needed both
+            # true and false, exclude a binding before relaxation.
+            clashes = [(a, e) for a in schema.add for e in schema.delete]
+            clashes += [(p, n) for p in positive for n in negative if p.predicate not in static]
+            unifiers = [u for pair in clashes if (u := _unify(*pair)) is not None]
+            if {} in unifiers:
+                continue  # contradictory under every binding
+            head = _atom(FAtom(f"applicable {index} {d_index}", params))
+            body = [Literal(_atom(a)) for a in (*positive, *typing)]
+            body += [Literal(_atom(a), negated=True) for a in negative if a.predicate in static]
+            guards = [_guard(f"{head.predicate} clash {g}", schema, u) for g, u in enumerate(unifiers)]
+            rules += [guard for guard, _ in guards]
+            body += [negation for _, negation in guards]
+            rules.append(Rule(head, tuple(dict.fromkeys(body))))
+            rules += [Rule(_atom(a), (Literal(head),)) for a in schema.add]
+            label = d_index if len(disjuncts) > 1 else 0
+            actions[head.predicate] = (index, label, positive, negative)
+    return Exploration(
+        program=stratify(rule_pack(rules)),
+        fluents=frozenset(arity),
+        actions=actions,
+    )
+
+
+def _atom(atom: FAtom) -> Atom:
+    """A schema atom as a rule atom; parameters ("?x") become variables."""
+    return Atom(atom.predicate, tuple(Var(a) if a.startswith("?") else a for a in atom.args))
+
+
+def _unify(left: FAtom, right: FAtom) -> dict[str, str] | None:
+    """Most general unifier of two schema atoms, mapping each parameter it
+    binds to its representative (a parameter or an object); None when no
+    binding makes the atoms equal."""
+    if left.predicate != right.predicate:
+        return None
+    subst: dict[str, str] = {}
+
+    def find(term: str) -> str:
+        while term in subst:
+            term = subst[term]
+        return term
+
+    for a, b in zip(left.args, right.args):
+        a, b = sorted((find(a), find(b)), key=lambda term: not term.startswith("?"))
+        if a != b and not a.startswith("?"):
+            return None  # two different objects
+        if a != b:
+            subst[a] = b
+    return {name: find(name) for name in subst}
+
+
+def _guard(name: str, schema, unifier: dict[str, str]) -> tuple[Rule, Literal]:
+    """A rule deriving the bindings a unifier describes, over only the
+    parameters it constrains, and the literal that excludes them."""
+    involved = [p for p in schema.parameters if p.name in {*unifier, *unifier.values()}]
+    head = _atom(FAtom(name, tuple(unifier.get(p.name, p.name) for p in involved)))
+    body = [Literal(Atom(TYPE.format(p.type), (t,))) for p, t in zip(involved, head.args)]
+    negation = Literal(Atom(name, tuple(Var(p.name) for p in involved)), negated=True)
+    return Rule(head, tuple(dict.fromkeys(body))), negation
+
 
 def ground_task(
     domain: DomainModel,
     problem: ProblemInstance,
     max_ground_actions: int = DEFAULT_ACTION_LIMIT,
 ) -> GroundedTask:
-    objects: dict[str, str] = dict(domain.constants)
-    objects.update(problem.objects)
+    """Ground a problem by evaluating its domain's exploration program.
 
-    # Alphabetical object order per type drives deterministic binding order.
-    def objects_of(type_name: str) -> list[str]:
-        return sorted(
-            obj for obj, t in objects.items() if domain.types.is_subtype(t, type_name)
-        )
+    Raises GroundingExplosion when the program derives more than
+    ``max_ground_actions`` facts; each ground action is one of them.
+    """
+    exploration = domain.exploration
+    objects = {**domain.constants, **problem.objects}
+    base = FactBase(
+        Fact(INIT.format(pred) if pred in exploration.fluents else pred, args)
+        for pred, args in problem.init
+    )
+    for type_name in {p.type for schema in domain.actions for p in schema.parameters}:
+        for obj, obj_type in objects.items():
+            if domain.types.is_subtype(obj_type, type_name):
+                base.add(Fact(TYPE.format(type_name), (obj,)))
+    try:
+        model = evaluate(exploration.program, base, max_ground_actions).facts
+    except ResourceLimit as exc:
+        raise GroundingExplosion(max_ground_actions) from exc
 
-    static_preds = _static_predicates(domain)
-    init = frozenset(problem.init)
+    reachable: set[GroundAtom] = set(problem.init)
+    found = []
+    for fact in model:
+        if fact.predicate in exploration.fluents:
+            reachable.add((fact.predicate, fact.args))
+        elif fact.predicate in exploration.actions:
+            found.append((fact.args, exploration.actions[fact.predicate]))
+    # Objects sort alphabetically, so (schema, binding, disjunct) order is the
+    # binding order of a product over typed object pools.
+    found.sort(key=lambda row: (row[1][0], row[0], row[1][1]))
 
-    candidates: list[tuple[str, str, tuple[str, ...], int | None, list, list, list, list, int]] = []
-    budget = 0
-    for schema in domain.actions:
-        disjuncts = _dnf(schema.precondition)
-        pools = [objects_of(p.type) for p in schema.parameters]
-        combos = 1
-        for pool in pools:
-            combos *= len(pool)
-        budget += combos * len(disjuncts)
-        if budget > max_ground_actions:
-            raise GroundingExplosion(max_ground_actions)
-        suffix_needed = len(disjuncts) > 1
-        for assignment in itertools.product(*pools):
-            binding = {
-                p.name: obj for p, obj in zip(schema.parameters, assignment)
-            }
-            add = [_bind(atom, binding) for atom in schema.add]
-            delete = [_bind(atom, binding) for atom in schema.delete]
-            if set(add) & set(delete):
-                continue  # contradictory instantiation
-            for d_index, disjunct in enumerate(disjuncts, start=1):
-                pre_pos: list[GroundAtom] = []
-                pre_neg: list[GroundAtom] = []
-                ok = True
-                seen: set[tuple[GroundAtom, bool]] = set()
-                for atom, negated in disjunct:
-                    ground = _bind(atom, binding)
-                    if (ground, negated) in seen:
-                        continue
-                    seen.add((ground, negated))
-                    if (ground, not negated) in seen:
-                        ok = False  # p and (not p) in one disjunct
-                        break
-                    # Static literals are resolved against init right away.
-                    if atom.predicate in static_preds:
-                        holds = ground in init
-                        if holds == negated:
-                            ok = False
-                            break
-                    (pre_neg if negated else pre_pos).append(ground)
-                if not ok:
-                    continue
-                name = schema.name + (f"~or{d_index}" if suffix_needed else "")
-                candidates.append(
-                    (
-                        name,
-                        schema.name,
-                        assignment,
-                        d_index if suffix_needed else None,
-                        pre_pos,
-                        pre_neg,
-                        add,
-                        delete,
-                        schema.cost,
-                    )
-                )
-
-    # Delete-relaxed reachability over the static-pruned candidates.
-    reachable: set[GroundAtom] = set(init)
-    alive = [False] * len(candidates)
-    changed = True
-    while changed:
-        changed = False
-        for i, cand in enumerate(candidates):
-            if alive[i]:
-                continue
-            if all(atom in reachable for atom in cand[4]):
-                alive[i] = True
-                new_atoms = [a for a in cand[6] if a not in reachable]
-                if new_atoms:
-                    reachable.update(new_atoms)
-                changed = True
-
-    surviving = []
-    for i, cand in enumerate(candidates):
-        if not alive[i]:
-            continue
-        name, schema_name, args, disjunct, pre_pos, pre_neg, add, delete, cost = cand
+    specs = []
+    for args, (index, disjunct, positive, negative) in found:
+        schema = domain.actions[index]
+        binding = {p.name: obj for p, obj in zip(schema.parameters, args)}
         # An unreachable negated atom can never become true, so the literal
         # always holds and is dropped; same for deletes of unreachable atoms.
-        pre_neg = [a for a in pre_neg if a in reachable]
-        delete = [a for a in delete if a in reachable]
-        surviving.append(
-            (name, schema_name, args, disjunct, pre_pos, pre_neg, add, delete, cost)
+        specs.append(
+            (
+                schema.name + (f"~or{disjunct}" if disjunct else ""),
+                schema.name,
+                args,
+                disjunct or None,
+                [_bind(atom, binding) for atom in positive],
+                [a for atom in negative if (a := _bind(atom, binding)) in reachable],
+                [_bind(atom, binding) for atom in schema.add],
+                [a for atom in schema.delete if (a := _bind(atom, binding)) in reachable],
+                schema.cost,
+            )
         )
 
-    atoms = tuple(sorted(reachable))
-    goal_ast = formula_to_ast(problem.goal)
     task = GroundedTask.assemble(
-        atoms,
-        surviving,
-        init,
-        goal_ast,
-        domain_name=domain.name,
-        problem_name=problem.name,
+        tuple(sorted(reachable)), specs, problem.init, formula_to_ast(problem.goal)
     )
     logger.debug(
         "grounded %s/%s: %d atoms, %d actions",
@@ -338,13 +372,3 @@ def ground_task(
 
 def _bind(atom: FAtom, binding: dict[str, str]) -> GroundAtom:
     return (atom.predicate, tuple(binding.get(a, a) for a in atom.args))
-
-
-def _static_predicates(domain: DomainModel) -> set[str]:
-    dynamic = set()
-    for schema in domain.actions:
-        for atom in schema.add:
-            dynamic.add(atom.predicate)
-        for atom in schema.delete:
-            dynamic.add(atom.predicate)
-    return set(domain.predicates) - dynamic

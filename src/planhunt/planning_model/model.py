@@ -1,6 +1,7 @@
 """Typed STRIPS model: types, predicates, formulas, actions, problems."""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..errors import UndeclaredType
 from ..vocab import APP, MECHANISMS, THREATS
@@ -56,9 +57,6 @@ class TypeHierarchy:
                 return True
             current = self._parent[current]
         return False
-
-    def names(self) -> list[str]:
-        return sorted(self._parent)
 
 
 @dataclass(frozen=True)
@@ -127,6 +125,13 @@ class DomainModel:
     predicates: dict[str, PredicateSchema]
     constants: dict[str, str]  # object -> type
     actions: tuple[ActionSchema, ...]
+
+    @cached_property
+    def exploration(self):
+        """The grounding rule program, compiled on first use."""
+        from .ground import explore_domain  # ground imports this module
+
+        return explore_domain(self)
 
     def without_actions(self, names: tuple[str, ...]) -> "DomainModel":
         """A copy with the named actions removed (strict-domain mode)."""

@@ -19,7 +19,6 @@ not report becomes the reserved constant ``wildcard``.
 
 import csv
 import json
-import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,8 +31,6 @@ from .vocab import (
     INVOKED,
     WILDCARD,
 )
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "TelemetryEvent",
@@ -143,9 +140,6 @@ class FactBase:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FactBase) and self._facts == other._facts
-
-    def by_predicate(self, predicate: str) -> list[Fact]:
-        return [f for f in self._facts if f.predicate == predicate]
 
     def sorted(self) -> list[Fact]:
         return sorted(self._facts, key=lambda f: (f.predicate, tuple(map(str, f.args))))
@@ -351,7 +345,7 @@ def unknown_tokens(
     """Flag event vocabulary not present in a rule pack's token table.
 
     Unknown tokens are preserved in the fact base; this reports them as
-    ``class:token`` strings for logging and report metadata.
+    ``class:token`` strings for report metadata.
     """
     flagged: set[str] = set()
     vocab_syscall = token_table.get("syscall")
@@ -374,8 +368,5 @@ def unknown_tokens(
             and event.mode not in vocab_mode
         ):
             flagged.add(f"mode:{event.mode}")
-    result = sorted(flagged)
-    if result:
-        logger.warning("sample %s: unknown tokens %s", sample.sample_id, result)
-    return result
+    return sorted(flagged)
 

@@ -1,10 +1,14 @@
 """Command-line behavior: subcommands, output shapes, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import planhunt
 from planhunt import defaults
 from planhunt.cli import main
 
@@ -67,6 +71,22 @@ class TestPlan:
     def test_unparseable_hypothesis(self, capsys):
         assert main(["plan", sample("pivot_demo.jsonl"), "surveillance"]) == 1
         assert "threat/mechanism" in capsys.readouterr().err
+
+    def test_input_error_is_printed_once(self):
+        # A separate interpreter: under pytest the root logger already has
+        # handlers, so a log line would not reach stderr in-process.
+        src = str(Path(planhunt.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "planhunt.cli", "plan", sample("pivot_demo.jsonl"), "bogus"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stderr == (
+            "error: hypothesis must look like threat/mechanism, got 'bogus'\n"
+        )
 
     def test_unknown_hypothesis_parts(self, capsys):
         assert main(["plan", sample("pivot_demo.jsonl"), "surveillance/magic"]) == 1

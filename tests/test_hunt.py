@@ -1,6 +1,7 @@
 """Indicator construction, confirmation, per-sample reports, batch mode."""
 
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -449,6 +450,18 @@ class TestBatchHunt:
     def test_worker_count_validated(self):
         with pytest.raises(ValueError):
             batch_hunt([], workers=0)
+
+    def test_unknown_tokens_stay_out_of_the_sample_log(self, assets, caplog):
+        with caplog.at_level(logging.WARNING):
+            report = hunt("big_mix_demo", assets)
+        assert report.unknown_tokens
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+    def test_batch_logs_unknown_tokens_once(self, assets, caplog):
+        with caplog.at_level(logging.WARNING):
+            batch_hunt(corpus_paths(), assets)
+        lines = [r.getMessage() for r in caplog.records if "unknown tokens" in r.getMessage()]
+        assert lines == ["batch: 1 of 20 samples have unknown tokens"]
 
 
 class TestAssetLoading:

@@ -138,7 +138,7 @@ class TestFactConstruction:
         base = events_to_facts(load_sample(write_jsonl(tmp_path, "s.jsonl", records)))
         assert len(base) == 3
         assert base.arity["invoked"] == 7
-        invoked = base.by_predicate("invoked")[0]
+        (invoked,) = [f for f in base if f.predicate == "invoked"]
         assert invoked.args == (1, "mmap", "p1", "wildcard", "wildcard", "wildcard", 0)
         assert Fact("declared_permission", ("app", "camera")) in base
         assert Fact("declared_intent", ("app", "shipped")) in base
