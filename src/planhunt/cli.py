@@ -6,7 +6,8 @@ facts, ``plan`` shows planning problems and plans for one hypothesis,
 and ``batch`` processes whole directories with worker processes.
 
 Exit codes: 0 success, 1 bad input (malformed samples, rules, domains,
-missing files), 2 unexpected errors.
+missing files), 2 unexpected errors. ``batch`` still reports the samples it
+could hunt when others fail, and prints one error line per failed sample.
 """
 
 import argparse
@@ -229,7 +230,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     sys.stdout.write(csv_text)
     detected = [r.sample_id for r in reports if r.possible_threats]
     logger.info("detected samples: %s", ", ".join(detected) or "none")
-    return 0
+    for name, message in summary.failures:
+        print(f"error: {message} ({name})", file=sys.stderr)
+    return 1 if summary.failures else 0
 
 
 # --- entry point ----------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import defaults
-from .errors import DuplicateSampleId, InputError
+from .errors import DuplicateSampleId, InputError, PlanHuntError
 from .inference.engine import StratifiedProgram, evaluate, match_body, stratify
 from .inference.rules import Atom, Literal, RulePack, Var, parse_body, render_body
 from .planner import Limits, Plan, PlanSet, find_top_k
@@ -527,6 +527,8 @@ class BatchSummary:
     detected: int
     timed_out: int
     clean: int
+    # (file name, message) per sample that could not be hunted, in path order.
+    failures: tuple[tuple[str, str], ...] = ()
 
 
 def aggregate(reports: list[HuntReport]) -> BatchSummary:
@@ -570,8 +572,15 @@ def summary_to_csv(summary: BatchSummary) -> str:
     return out.getvalue()
 
 
-def _hunt_path(path: Path, assets: HuntAssets, config: HuntConfig) -> HuntReport:
-    return identify_threats(load_sample(path), assets, config)
+def _hunt_path(
+    path: Path, assets: HuntAssets, config: HuntConfig
+) -> HuntReport | tuple[str, str]:
+    """Hunt one sample file; a sample that cannot be loaded or hunted comes
+    back as (file name, message), so it does not sink the batch."""
+    try:
+        return identify_threats(load_sample(path), assets, config)
+    except (PlanHuntError, OSError) as exc:
+        return path.name, str(exc)
 
 
 # Worker-process state: assets and config arrive once per worker, not per sample.
@@ -583,7 +592,7 @@ def _init_worker(assets: HuntAssets, config: HuntConfig) -> None:
     _WORKER["config"] = config
 
 
-def _worker_run(path: Path) -> HuntReport:
+def _worker_run(path: Path) -> HuntReport | tuple[str, str]:
     return _hunt_path(path, _WORKER["assets"], _WORKER["config"])
 
 
@@ -598,8 +607,10 @@ def batch_hunt(
 
     ``assets`` defaults to the bundled set. Reports come back sorted by
     sample id regardless of worker scheduling; two samples with the same id
-    abort the batch. When ``report_dir`` is given, per-sample reports
-    (without wall times) and summary.csv are written there.
+    abort the batch. A sample that fails to load or hunt is left out of the
+    reports and listed in ``BatchSummary.failures``. When ``report_dir`` is
+    given, per-sample reports (without wall times) and summary.csv are
+    written there.
     """
     assets = assets or HuntAssets.load()
     config = config or HuntConfig()
@@ -607,14 +618,16 @@ def batch_hunt(
         raise ValueError("workers must be at least 1")
 
     if workers == 1:
-        reports = [_hunt_path(path, assets, config) for path in paths]
+        outcomes = [_hunt_path(path, assets, config) for path in paths]
     else:
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
             initargs=(assets, config),
         ) as pool:
-            reports = list(pool.map(_worker_run, paths))
+            outcomes = list(pool.map(_worker_run, paths))
+    reports = [o for o in outcomes if isinstance(o, HuntReport)]
+    failures = tuple(o for o in outcomes if not isinstance(o, HuntReport))
 
     seen: dict[str, int] = {}
     for report in reports:
@@ -623,7 +636,7 @@ def batch_hunt(
         if count > 1:
             raise DuplicateSampleId(sample_id)
     reports.sort(key=lambda r: r.sample_id)
-    summary = aggregate(reports)
+    summary = replace(aggregate(reports), failures=failures)
     flagged = sum(1 for report in reports if report.unknown_tokens)
     if flagged:
         logger.warning("batch: %d of %d samples have unknown tokens", flagged, len(reports))
@@ -635,9 +648,10 @@ def batch_hunt(
             out.write_text(report_to_json(report, include_wall_time=False), encoding="utf-8")
         (report_dir / "summary.csv").write_text(summary_to_csv(summary), encoding="utf-8")
     logger.info(
-        "batch: %d samples, %d detected, %d timed out",
+        "batch: %d samples, %d detected, %d timed out, %d failed",
         summary.samples,
         summary.detected,
         summary.timed_out,
+        len(failures),
     )
     return reports, summary

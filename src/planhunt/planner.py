@@ -8,13 +8,19 @@ continues through goal states so longer plans that pass through them are
 found too. No state-level dominance pruning is applied: with the
 simple-path constraint such pruning can drop valid plans, and shipped task
 sizes do not need it.
+
+Before searching, a goal that no state over the task's atom universe can
+satisfy (``may_hold``) is answered ``no_plan`` with no expansion, whatever
+the budget. A grounded task's universe is its delete-relaxed reachable atom
+set, so most impossible hypotheses are settled this way instead of by
+exhausting every simple path.
 """
 
 import heapq
 import time
 from dataclasses import dataclass
 
-from .planning_model.ground import GroundedTask
+from .planning_model.ground import GroundedTask, may_hold
 
 __all__ = [
     "Limits",
@@ -54,7 +60,10 @@ class PlanSet:
     truncated_k     k plans returned, candidate paths remained
     truncated_limit the memory budget cut enumeration short
     timed_out       the wall clock expired
-    no_plan         exhaustive search found nothing
+    no_plan         exhaustive search found nothing, or no state over the
+                    task's atoms meets the goal (for a grounded task: the
+                    goal is delete-relaxed unreachable), proved without
+                    search with expanded 0
     """
 
     plans: tuple[Plan, ...]
@@ -75,6 +84,8 @@ def find_top_k(task: GroundedTask, limits: Limits | None = None) -> PlanSet:
     limits = limits or Limits()
     if limits.k < 1:
         raise ValueError("k must be at least 1")
+    if not may_hold(task.goal_ast, task.atom_index):
+        return PlanSet(plans=(), status="no_plan")
     start = time.monotonic()
     deadline = start + limits.wall_time
 

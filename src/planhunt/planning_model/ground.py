@@ -33,7 +33,14 @@ from .model import (
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["GroundAction", "GroundedTask", "explore_domain", "ground_task", "formula_to_ast"]
+__all__ = [
+    "GroundAction",
+    "GroundedTask",
+    "explore_domain",
+    "ground_task",
+    "formula_to_ast",
+    "may_hold",
+]
 
 DEFAULT_ACTION_LIMIT = 10**6
 # DNF size guard: disjunct count per schema beyond this is a modeling error.
@@ -192,6 +199,30 @@ def eval_ast_mask(ast: GoalAst, state: int, index: dict[GroundAtom, int]) -> boo
         return all(eval_ast_mask(p, state, index) for p in ast[1])
     if tag == "or":
         return any(eval_ast_mask(p, state, index) for p in ast[1])
+    if tag == "true":
+        return True
+    if tag == "false":
+        return False
+    raise ValueError(f"unknown ast node {tag!r}")
+
+
+def may_hold(ast: GoalAst, index: dict[GroundAtom, int]) -> bool:
+    """False only when no state over the universe ``index`` satisfies ``ast``.
+
+    Atoms outside the universe are false in every state, so a goal that
+    needs one of them cannot hold. A grounded task's universe is its
+    delete-relaxed reachable atom set, so this is the relaxed reachability
+    verdict on the goal. ``not`` is answered conservatively.
+    """
+    tag = ast[0]
+    if tag == "atom":
+        return ast[1] in index
+    if tag == "not":
+        return ast[1] != ("true",)
+    if tag == "and":
+        return all(may_hold(p, index) for p in ast[1])
+    if tag == "or":
+        return any(may_hold(p, index) for p in ast[1])
     if tag == "true":
         return True
     if tag == "false":

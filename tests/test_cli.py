@@ -230,6 +230,25 @@ class TestBatch:
         assert errs[0] == errs[1]
         assert "error: line 1: event missing 'syscall'" in errs[0]
 
+    def test_malformed_sample_leaves_the_rest_reported(self, tmp_path, capsys):
+        good = self.corpus_subset(tmp_path, ["camera_perm_demo.jsonl", "clean_demo.jsonl"])
+        assert main(["batch", str(good), "--reports", str(tmp_path / "good")]) == 0
+        expected_out = capsys.readouterr().out
+        expected = {p.name: p.read_bytes() for p in (tmp_path / "good").iterdir()}
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        for path in good.iterdir():
+            (mixed / path.name).write_bytes(path.read_bytes())
+        (mixed / "bad.jsonl").write_text('{"type": "event", "ts": 1, "pid": "p1"}\n')
+        for workers in ("1", "2"):
+            reports = tmp_path / f"reports{workers}"
+            code = main(["batch", str(mixed), "--workers", workers, "--reports", str(reports)])
+            assert code == 1
+            out, err = capsys.readouterr()
+            assert out == expected_out
+            assert err == "error: line 1: event missing 'syscall' (bad.jsonl)\n"
+            assert {p.name: p.read_bytes() for p in reports.iterdir()} == expected
+
 
 class TestSinglePipelinePath:
     """plan and validate reach the same tasks and plans as hunt."""

@@ -447,6 +447,19 @@ class TestBatchHunt:
         with pytest.raises(DuplicateSampleId):
             batch_hunt([first, second])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_samples_are_listed_in_path_order(self, tmp_path, workers):
+        bad = tmp_path / "a_bad.jsonl"
+        bad.write_text('{"type": "event", "ts": 1, "pid": "p1"}\n')
+        missing = tmp_path / "z_missing.jsonl"
+        good = CORPUS / "camera_perm_demo.jsonl"
+        reports, summary = batch_hunt([missing, good, bad], workers=workers)
+        assert [r.sample_id for r in reports] == ["camera_perm_demo"]
+        assert summary.samples == 1
+        assert [name for name, _ in summary.failures] == ["z_missing.jsonl", "a_bad.jsonl"]
+        assert str(missing) in summary.failures[0][1]
+        assert summary.failures[1][1] == "line 1: event missing 'syscall'"
+
     def test_worker_count_validated(self):
         with pytest.raises(ValueError):
             batch_hunt([], workers=0)
