@@ -24,7 +24,13 @@ from pathlib import Path
 
 from . import defaults
 from .errors import DuplicateSampleId, InputError, PlanHuntError
-from .inference.engine import StratifiedProgram, evaluate, match_body, stratify
+from .inference.engine import (
+    Relations,
+    StratifiedProgram,
+    evaluate,
+    match_body,
+    stratify,
+)
 from .inference.rules import Atom, Literal, RulePack, Var, parse_body, render_body
 from .planner import Limits, Plan, PlanSet, find_top_k
 from .planning_model.ground import GroundedTask, ground_task
@@ -213,25 +219,31 @@ _AUDIT_PREDICATES = {
 }
 
 
-def confirm_threat(records: tuple[IoCRecord, ...], base: FactBase) -> bool:
-    """Audit the checkable records against extensional plus derived facts."""
+def confirm_threat(records: tuple[IoCRecord, ...], relations: Relations) -> bool:
+    """Audit the checkable records against ``relations``, the store of a
+    sample's extensional plus derived facts.
+
+    Each syscall-pattern record needs one of its alternatives to match,
+    each permission or surface audit its fact; api-call records pass. Every
+    check is one ``match_body`` call on the same store, so the indexes one
+    check builds serve the next."""
     for record in records:
         detail = record.detail_dict()
         if record.kind == "syscall-pattern":
             alternatives = detail.get("patterns", "").split(" | ")
             if not any(
-                alt and match_body(parse_body(alt), base) for alt in alternatives
+                alt and match_body(parse_body(alt), relations) for alt in alternatives
             ):
                 return False
         elif record.kind == "permission-audit":
             probe = (Literal(Atom("perm-granted", (Var("A"), detail["sensor"]))),)
-            if not match_body(probe, base):
+            if not match_body(probe, relations):
                 return False
         elif record.kind in _AUDIT_PREDICATES:
             probe = (
                 Literal(Atom(_AUDIT_PREDICATES[record.kind], (detail["app"],))),
             )
-            if not match_body(probe, base):
+            if not match_body(probe, relations):
                 return False
     return True
 
@@ -388,7 +400,7 @@ def identify_threats(
 
     facts = infer_facts(sample, assets)
     flagged = unknown_tokens(sample, assets.pack.token_table)
-    combined = FactBase([*facts.base, *facts.derived])
+    relations = Relations([*facts.base, *facts.derived])
 
     findings: list[ThreatFinding] = []
     for hypothesis in config.catalog:
@@ -411,7 +423,7 @@ def identify_threats(
         task, planset = hypothesis_plans(facts, assets, hypothesis, limits)
         findings.append(
             _finding_from_planset(
-                hypothesis, task, planset, assets, combined, config
+                hypothesis, task, planset, assets, relations, config
             )
         )
     return HuntReport(
@@ -430,7 +442,7 @@ def _finding_from_planset(
     task: GroundedTask,
     planset: PlanSet,
     assets: HuntAssets,
-    combined: FactBase,
+    relations: Relations,
     config: HuntConfig,
 ) -> ThreatFinding:
     if planset.plans:
@@ -453,7 +465,7 @@ def _finding_from_planset(
     confirmation = CONFIRM_NOT_ATTEMPTED
     if config.confirm and status == STATUS_POSSIBLE:
         confirmed = any(
-            confirm_threat(records, combined) for records in indicators
+            confirm_threat(records, relations) for records in indicators
         )
         confirmation = CONFIRM_CONFIRMED if confirmed else CONFIRM_UNCONFIRMED
 

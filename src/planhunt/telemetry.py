@@ -45,6 +45,7 @@ __all__ = [
 Arg = str | int
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
+_UNSAFE_TOKEN_RE = re.compile(r"[^a-z0-9_-]")
 # Prefixes commonly carried by platform permission/intent identifiers.
 _STRIP_PREFIXES = ("android.permission.", "android.intent.action.", "android.intent.")
 
@@ -65,7 +66,7 @@ def _normalize_token(value: object) -> Arg:
         if lowered.startswith(prefix):
             lowered = lowered[len(prefix):]
             break
-    token = re.sub(r"[^a-z0-9_-]", "_", lowered).strip("_-")
+    token = _UNSAFE_TOKEN_RE.sub("_", lowered).strip("_-")
     if not token or not token[0].isalpha():
         token = "x_" + token
     return token

@@ -1,9 +1,14 @@
 """Stratified evaluation against the naive reference evaluator."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planhunt
 from planhunt.errors import (
     ArityConflict,
     ComparisonTypeError,
@@ -11,7 +16,7 @@ from planhunt.errors import (
     NegationCycle,
     ResourceLimit,
 )
-from planhunt.inference.engine import evaluate, match_body, stratify
+from planhunt.inference.engine import Relations, evaluate, match_body, stratify
 from planhunt.inference.rules import parse_body, parse_rule_pack
 from planhunt.telemetry import Fact, FactBase
 
@@ -227,11 +232,13 @@ class TestEvaluationContract:
 
 
 class TestMatchBody:
-    BASE = FactBase(
-        [
-            Fact("invoked", (1, "open", "p1", "wildcard", "file", "read", 0)),
-            Fact("invoked", (4, "read", "p1", "wildcard", "buffer", "read", 0)),
-        ]
+    BASE = Relations(
+        FactBase(
+            [
+                Fact("invoked", (1, "open", "p1", "wildcard", "file", "read", 0)),
+                Fact("invoked", (4, "read", "p1", "wildcard", "buffer", "read", 0)),
+            ]
+        )
     )
 
     def test_pattern_matches(self):
@@ -258,3 +265,26 @@ class TestMatchBody:
 
     def test_unbindable_comparison_cannot_match(self):
         assert not match_body(parse_body("T1 < T2"), self.BASE)
+
+    def test_unbound_filter_cannot_match_under_optimize(self):
+        # ``python -O`` strips assert statements; a filter variable that
+        # never binds must still fail the match there.
+        src = str(Path(planhunt.__file__).resolve().parents[1])
+        script = (
+            "from planhunt.inference.engine import Relations, match_body\n"
+            "from planhunt.inference.rules import parse_body\n"
+            "from planhunt.telemetry import Fact\n"
+            "row = (1, 'open', 'p1', 'wildcard', 'file', 'read', 0)\n"
+            "store = Relations([Fact('invoked', row)])\n"
+            "for body in ('T1 < T2', 'invoked(T, open, P, _, file, read, 0), X != P'):\n"
+            "    print(match_body(parse_body(body), store))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\nFalse\n"

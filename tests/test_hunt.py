@@ -31,6 +31,7 @@ from planhunt.hunt import (
     report_to_json,
     summary_to_csv,
 )
+from planhunt.inference.engine import Relations
 from planhunt.planner import Plan
 from planhunt.planning_model.ground import GroundAction, GroundedTask
 from planhunt.telemetry import Fact, FactBase, load_sample
@@ -177,13 +178,15 @@ class TestConstructIndicators:
 
 
 class TestConfirmThreat:
-    BASE = FactBase(
-        [
-            Fact("invoked", (1, "sendmsg", "p1", "wildcard", "socket", "write", 0)),
-            Fact("invoked", (2, "recvmsg", "p1", "wildcard", "socket", "read", 0)),
-            Fact("perm-granted", ("app", "camera")),
-            Fact("notification-accessible", ("app",)),
-        ]
+    BASE = Relations(
+        FactBase(
+            [
+                Fact("invoked", (1, "sendmsg", "p1", "wildcard", "socket", "write", 0)),
+                Fact("invoked", (2, "recvmsg", "p1", "wildcard", "socket", "read", 0)),
+                Fact("perm-granted", ("app", "camera")),
+                Fact("notification-accessible", ("app",)),
+            ]
+        )
     )
 
     def syscall_record(self, patterns):
