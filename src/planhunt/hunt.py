@@ -18,6 +18,7 @@ import io
 import json
 import logging
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -31,7 +32,7 @@ from .inference.engine import (
     match_body,
     stratify,
 )
-from .inference.rules import Atom, Literal, RulePack, Var, parse_body, render_body
+from .inference.rules import Atom, BodyItem, Literal, RulePack, Var, render_body
 from .planner import Limits, Plan, PlanSet, find_top_k
 from .planning_model.ground import GroundedTask, ground_task
 from .planning_model.model import (
@@ -56,7 +57,7 @@ __all__ = [
     "BatchSummary",
     "parse_indicator_map",
     "construct_indicators",
-    "patterns_for_cve",
+    "cve_patterns",
     "confirm_threat",
     "infer_facts",
     "hypothesis_problem",
@@ -124,43 +125,48 @@ def parse_indicator_map(text: str) -> tuple[IndicatorSpec, ...]:
     return tuple(specs)
 
 
+# (rendered text, body) of each rule body whose satisfaction lifts one CVE.
+Patterns = tuple[tuple[str, tuple[BodyItem, ...]], ...]
+
+
 @dataclass(frozen=True)
 class IoCRecord:
-    """One indicator: what to look for, and which plan step produced it."""
+    """One indicator: what to look for, and which plan step produced it.
+    A syscall-pattern record carries the bodies its ``patterns`` detail
+    renders, in the same order."""
 
     kind: str
     detail: tuple[tuple[str, str], ...]
     source_step: int
     source_cve: str | None = None
+    bodies: tuple[tuple[BodyItem, ...], ...] = field(default=(), compare=False)
 
     def detail_dict(self) -> dict[str, str]:
         return dict(self.detail)
 
 
-def patterns_for_cve(pack: RulePack, cve: str) -> list[str]:
-    """Rule-body texts whose satisfaction lifts ``exploited(cve)``.
+def cve_patterns(pack: RulePack) -> dict[str, Patterns]:
+    """The rule bodies whose satisfaction lifts ``exploited(cve)``, per cve.
 
     A lifting rule whose body is a single evidence predicate expands to
-    that predicate's own rule bodies, so the returned patterns reference
-    telemetry directly.
+    that predicate's own rule bodies, so the patterns reference telemetry
+    directly.
     """
-    patterns: list[str] = []
+    by_head: dict[Atom, list[tuple[BodyItem, ...]]] = {}
     for rule in pack.rules:
-        if rule.head.predicate != "exploited" or rule.head.args != (cve,):
+        by_head.setdefault(rule.head, []).append(rule.body)
+    patterns: dict[str, Patterns] = {}
+    for head, lifting in by_head.items():
+        if head.predicate != "exploited" or len(head.args) != 1:
             continue
-        body = rule.body
-        if (
-            len(body) == 1
-            and isinstance(body[0], Literal)
-            and not body[0].negated
-            and not body[0].atom.args
-        ):
-            evidence = body[0].atom.predicate
-            for inner in pack.rules:
-                if inner.head.predicate == evidence:
-                    patterns.append(render_body(inner.body))
-            continue
-        patterns.append(render_body(body))
+        bodies: list[tuple[BodyItem, ...]] = []
+        for body in lifting:
+            evidence = body[0] if len(body) == 1 else None
+            if isinstance(evidence, Literal) and not evidence.negated and not evidence.atom.args:
+                bodies += by_head.get(evidence.atom, [])
+            else:
+                bodies.append(body)
+        patterns[head.args[0]] = tuple((render_body(body), body) for body in bodies)
     return patterns
 
 
@@ -168,9 +174,10 @@ def construct_indicators(
     task: GroundedTask,
     plan: Plan,
     specs: tuple[IndicatorSpec, ...],
-    pack: RulePack,
+    patterns: dict[str, Patterns],
 ) -> tuple[IoCRecord, ...]:
-    """Expand each plan step through the indicator templates.
+    """Expand each plan step through the indicator templates; a
+    syscall-pattern record gets its CVE's ``patterns``.
 
     Records equal up to their source step are deduplicated, keeping the
     earliest step.
@@ -197,11 +204,11 @@ def construct_indicators(
                 else:
                     detail.append((key, value))
             source_cve = dict(detail).get("cve")
-            if spec.kind == "syscall-pattern" and source_cve:
-                alternatives = patterns_for_cve(pack, source_cve)
-                if alternatives:
-                    detail.append(("patterns", " | ".join(alternatives)))
-            record = IoCRecord(spec.kind, tuple(detail), step, source_cve)
+            alternatives = patterns.get(source_cve, ()) if spec.kind == "syscall-pattern" else ()
+            if alternatives:
+                detail.append(("patterns", " | ".join(text for text, _ in alternatives)))
+            bodies = tuple(body for _, body in alternatives)
+            record = IoCRecord(spec.kind, tuple(detail), step, source_cve, bodies)
             key = (record.kind, record.detail, record.source_cve)
             if key in seen:
                 continue
@@ -223,17 +230,14 @@ def confirm_threat(records: tuple[IoCRecord, ...], relations: Relations) -> bool
     """Audit the checkable records against ``relations``, the store of a
     sample's extensional plus derived facts.
 
-    Each syscall-pattern record needs one of its alternatives to match,
-    each permission or surface audit its fact; api-call records pass. Every
+    Each syscall-pattern record needs one of its bodies to match, each
+    permission or surface audit its fact; api-call records pass. Every
     check is one ``match_body`` call on the same store, so the indexes one
     check builds serve the next."""
     for record in records:
         detail = record.detail_dict()
         if record.kind == "syscall-pattern":
-            alternatives = detail.get("patterns", "").split(" | ")
-            if not any(
-                alt and match_body(parse_body(alt), relations) for alt in alternatives
-            ):
+            if not any(body and match_body(body, relations) for body in record.bodies):
                 return False
         elif record.kind == "permission-audit":
             probe = (Literal(Atom("perm-granted", (Var("A"), detail["sensor"]))),)
@@ -290,6 +294,8 @@ class HuntAssets:
     domain: DomainModel
     pack: RulePack
     program: StratifiedProgram
+    # cve -> the pack's syscall patterns that lift it; see cve_patterns.
+    patterns: dict[str, Patterns]
     capabilities: CapabilityTable
     mapping: MappingTable
     indicator_specs: tuple[IndicatorSpec, ...]
@@ -326,6 +332,7 @@ class HuntAssets:
             domain=domain,
             pack=pack,
             program=stratify(pack),
+            patterns=cve_patterns(pack),
             capabilities=load_capability_table(text(defaults.CAPABILITIES_FILE)),
             mapping=load_mapping_table(text(defaults.STATE_MAP_FILE)),
             indicator_specs=parse_indicator_map(text(defaults.INDICATOR_MAP_FILE)),
@@ -406,16 +413,9 @@ def identify_threats(
     for hypothesis in config.catalog:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
-            findings.append(
-                ThreatFinding(
-                    threat=hypothesis.threat,
-                    mechanism=hypothesis.mechanism,
-                    status=STATUS_TIMED_OUT,
-                    planner_status=STATUS_TIMED_OUT,
-                    plans=(),
-                    indicators=(),
-                )
-            )
+            findings.append(ThreatFinding(
+                hypothesis.threat, hypothesis.mechanism, STATUS_TIMED_OUT, STATUS_TIMED_OUT, (), ()
+            ))
             continue
         limits = replace(
             config.limits, wall_time=min(config.limits.wall_time, remaining)
@@ -459,7 +459,7 @@ def _finding_from_planset(
             (plan.cost, tuple(task.actions[i].render() for i in plan.steps))
         )
         indicators.append(
-            construct_indicators(task, plan, assets.indicator_specs, assets.pack)
+            construct_indicators(task, plan, assets.indicator_specs, assets.patterns)
         )
 
     confirmation = CONFIRM_NOT_ATTEMPTED
@@ -641,10 +641,7 @@ def batch_hunt(
     reports = [o for o in outcomes if isinstance(o, HuntReport)]
     failures = tuple(o for o in outcomes if not isinstance(o, HuntReport))
 
-    seen: dict[str, int] = {}
-    for report in reports:
-        seen[report.sample_id] = seen.get(report.sample_id, 0) + 1
-    for sample_id, count in seen.items():
+    for sample_id, count in Counter(report.sample_id for report in reports).items():
         if count > 1:
             raise DuplicateSampleId(sample_id)
     reports.sort(key=lambda r: r.sample_id)

@@ -16,11 +16,29 @@ on its index, a fully bound one a single membership test; a literal with
 none, and the delta atom, are scanned. ``evaluate`` builds one store per
 call. ``match_body`` checks a body against a store the caller builds, so
 the confirmation checks of one sample share one store and its indexes.
+
+Lone timestamps. An event rule such as ``h :- e(T1, P), f(T2, P), T1 < T2``
+needs only some ``T1`` below ``T2``, so of the ``e`` rows sharing a ``P``
+only the one with the least ``T1`` can matter. The planner marks a
+positive atom for this per-group minimum (Soufflé's ``min`` aggregate,
+applied where it is sound: Jordan, Scholz & Subotić, CAV 2016) when a
+variable ``T`` in it occurs nowhere else in the rule but once, as the
+lesser side of one order comparison, and the atom repeats no variable.
+The atom then reads a minimum index: per value of its bound positions, one
+row per distinct value of its other variables that the rule uses
+elsewhere, the one with the least integer ``T``; rows whose ``T`` is not
+an integer are all kept, so the comparison still raises on them. Any
+``T`` below the other side implies the least one is, so the rule derives
+the same heads, and an event rule's join grows with its rows, not with
+the product of its two atoms' rows.
 """
 
 import logging
+from collections import Counter
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from ..errors import (
@@ -48,14 +66,22 @@ __all__ = [
 DEFAULT_FACT_LIMIT = 10**6
 
 
+# (group positions, timestamp position) of an atom read through a minimum
+# index; None for a plain lookup.
+Least = tuple[tuple[int, ...], int] | None
+PlanStep = tuple[int, tuple[int, ...], Least]
+
+
 class PlannedRule(NamedTuple):
     """A rule, its body order, and its positive current-stratum atoms.
 
     Each plan step is (body index, argument positions bound when the
-    literal runs); a comparison's positions are empty."""
+    literal runs, minimum); a comparison's positions are empty, and the
+    minimum is set only on an atom marked for the lone-timestamp
+    rewrite."""
 
     rule: Rule
-    plan: tuple[tuple[int, tuple[int, ...]], ...]
+    plan: tuple[PlanStep, ...]
     recursive: tuple[int, ...]
 
 
@@ -184,14 +210,17 @@ class Relations:
     """The rows of each predicate, with hash indexes on bound positions.
 
     An index maps the values at some argument positions to the rows holding
-    them. It is built on the first lookup by those positions, and every
-    later ``add`` updates it, so the store can grow while rules read it.
+    them. A minimum index keeps, per such key, only the row with the least
+    integer at a timestamp position for each distinct value at its group
+    positions, plus every row whose timestamp is not an integer. Each index
+    is built on the first lookup by its positions, and every later ``add``
+    updates it, so the store can grow while rules read it.
     """
 
     def __init__(self, facts: Iterable[Fact] = ()):
         self._rows: dict[str, set[tuple]] = {}
         self._arity: dict[str, int] = {}
-        self._indexes: dict[str, dict[tuple[int, ...], dict[tuple, list[tuple]]]] = {}
+        self._indexes: dict[str, dict[tuple[tuple[int, ...], Least], _Index]] = {}
         for fact in facts:
             self.add(fact.predicate, fact.args)
 
@@ -208,40 +237,94 @@ class Relations:
         elif row in rows:
             return False
         rows.add(row)
-        for positions, index in self._indexes[predicate].items():
-            _file(index, positions, row)
+        for index in self._indexes[predicate].values():
+            index.file((row,))
         return True
 
     def lookup(
-        self, predicate: str, positions: tuple[int, ...], key: tuple
+        self,
+        predicate: str,
+        positions: tuple[int, ...],
+        key: tuple,
+        least: Least = None,
     ) -> Collection[tuple]:
-        """The rows whose values at ``positions`` (ascending) equal ``key``."""
+        """The rows whose values at ``positions`` (ascending) equal ``key``;
+        with ``least`` = (group positions, timestamp position), only those
+        a minimum index keeps."""
         rows = self._rows.get(predicate)
-        if not rows or not positions:
-            return rows or ()
-        if len(positions) == self._arity[predicate]:
-            return (key,) if key in rows else ()
+        if not rows:
+            return ()
+        if least is None:
+            if not positions:
+                return rows
+            if len(positions) == self._arity[predicate]:
+                return (key,) if key in rows else ()
         indexes = self._indexes[predicate]
-        index = indexes.get(positions)
+        index = indexes.get((positions, least))
         if index is None:
-            index = indexes[positions] = {}
+            index = indexes[positions, least] = _Index(positions, least)
+            index.file(rows)
+        bucket = index.buckets.get(key)
+        if bucket is None:
+            return ()
+        return bucket if least is None else bucket.values()
+
+
+def _getter(positions: tuple[int, ...]):
+    """A function from a row to the tuple of its values at ``positions``."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (i,) = positions
+        return lambda row: (row[i],)
+    return lambda row: ()
+
+
+# Keys the rows of a minimum index whose timestamp is not an integer apart
+# from every group of values.
+_NOT_INT = object()
+
+
+class _Index:
+    """The buckets of one index: per key, a list of rows, or for a minimum
+    index a dict from group values (or ``_NOT_INT`` and the row) to a row."""
+
+    __slots__ = ("key", "group", "ts", "buckets")
+
+    def __init__(self, positions: tuple[int, ...], least: Least):
+        self.key = _getter(positions)
+        self.group = None if least is None else _getter(least[0])
+        self.ts = None if least is None else least[1]
+        self.buckets: dict[tuple, list[tuple] | dict[tuple, tuple]] = {}
+
+    def file(self, rows: Iterable[tuple]) -> None:
+        key_of, buckets = self.key, self.buckets
+        if self.group is None:
             for row in rows:
-                _file(index, positions, row)
-        return index.get(key, ())
-
-
-def _file(
-    index: dict[tuple, list[tuple]], positions: tuple[int, ...], row: tuple
-) -> None:
-    key = tuple([row[i] for i in positions])
-    bucket = index.get(key)
-    # Not setdefault, whose default list is built and dropped on every
-    # call: that churn raised the peak RSS of repeated 300-event hunts by
-    # about 0.5 MB.
-    if bucket is None:
-        index[key] = [row]
-    else:
-        bucket.append(row)
+                key = key_of(row)
+                bucket = buckets.get(key)
+                # Not setdefault, whose default list is built and dropped
+                # on every call: that churn raised the peak RSS of repeated
+                # 300-event hunts by about 0.5 MB.
+                if bucket is None:
+                    buckets[key] = [row]
+                else:
+                    bucket.append(row)
+            return
+        group_of, ts = self.group, self.ts
+        for row in rows:
+            key = key_of(row)
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = {}
+            value = row[ts]
+            if not isinstance(value, int):
+                bucket[_NOT_INT, row] = row
+                continue
+            group = group_of(row)
+            kept = bucket.get(group)
+            if kept is None or value < kept[ts]:
+                bucket[group] = row
 
 
 # --- evaluation -------------------------------------------------------------------
@@ -313,16 +396,55 @@ def _plan_rule(rule: Rule, local: set[str]) -> PlannedRule:
     Each literal records the argument positions bound when it runs: its
     constants and the variables earlier items bind. Positive atoms over
     ``local`` predicates are the recursive positions. Raises UnsafeRule when
-    a comparison variable never binds."""
+    a comparison variable never binds.
+
+    A positive atom is marked to read a minimum index (see ``Relations``)
+    when it repeats no variable and one of its variables, ``T``, occurs in
+    the rule only there and once more, as the lesser side of an order
+    comparison (``T < X``, ``T <= X``, ``X > T``, ``X >= T``): not in the
+    head, a negation, another atom or another comparison. Its groups are the
+    values of the atom's unbound variables that the rule uses elsewhere.
+    With ``T`` used nowhere else, only whether some ``T`` lies below ``X``
+    matters, and for integers that holds exactly when the least ``T`` of
+    the group does."""
     pending: list[tuple[int, BodyItem]] = list(enumerate(rule.body))
-    plan: list[tuple[int, tuple[int, ...]]] = []
+    plan: list[PlanStep] = []
     bound: set[str] = set()
+    # Occurrences of each variable in the whole rule, and the variables on
+    # the lesser side of an order comparison.
+    terms = list(rule.head.args)
+    lesser: set[str] = set()
+    for item in rule.body:
+        if isinstance(item, Literal):
+            terms += item.atom.args
+            continue
+        terms += (item.lhs, item.rhs)
+        side = item.lhs if item.op in ("<", "<=") else item.rhs
+        if item.op != "!=" and isinstance(side, Var):
+            lesser.add(side.name)
+    uses = Counter(term.name for term in terms if isinstance(term, Var))
 
     def positions(atom: Atom) -> tuple[int, ...]:
         return tuple(
             i for i, term in enumerate(atom.args)
             if not isinstance(term, Var) or term.name in bound
         )
+
+    def least(atom: Atom) -> Least:
+        names = [term.name for term in atom.args if isinstance(term, Var)]
+        if len(names) != len(set(names)):
+            return None
+        for ts, term in enumerate(atom.args):
+            if isinstance(term, Var) and term.name in lesser and uses[term.name] == 2:
+                group = tuple(
+                    i for i, other in enumerate(atom.args)
+                    if isinstance(other, Var)
+                    and other.name not in bound
+                    and i != ts
+                    and uses[other.name] > 1
+                )
+                return group, ts
+        return None
 
     def flush_filters() -> None:
         # Filters bind nothing, so one pass places every ready filter.
@@ -334,13 +456,13 @@ def _plan_rule(rule: Rule, local: set[str]) -> PlannedRule:
             else:
                 needs, bound_positions = item.atom.variables(), positions(item.atom)
             if needs <= bound:
-                plan.append((i, bound_positions))
+                plan.append((i, bound_positions, None))
                 pending.remove((i, item))
 
     flush_filters()
     for i, item in list(pending):
         if isinstance(item, Literal) and not item.negated:
-            plan.append((i, positions(item.atom)))
+            plan.append((i, positions(item.atom), least(item.atom)))
             pending.remove((i, item))
             bound |= item.atom.variables()
             flush_filters()
@@ -349,7 +471,7 @@ def _plan_rule(rule: Rule, local: set[str]) -> PlannedRule:
     # last, as a lookup for any matching fact.
     for i, item in list(pending):
         if isinstance(item, Literal):
-            plan.append((i, positions(item.atom)))
+            plan.append((i, positions(item.atom), None))
             pending.remove((i, item))
     for _i, item in pending:
         raise UnsafeRule(str(rule), min(item.variables() - bound))
@@ -363,22 +485,23 @@ def _plan_rule(rule: Rule, local: set[str]) -> PlannedRule:
 
 def _fire(
     rule: Rule,
-    plan: tuple[tuple[int, tuple[int, ...]], ...],
+    plan: tuple[PlanStep, ...],
     relations: Relations,
     delta_position: int | None,
     delta_relation: set[tuple] | None,
 ):
     """Yield head argument tuples derivable by one rule firing.
 
-    A literal's rows come from the index on its bound positions, or from
-    the delta relation when it is the delta position; they still pass
-    through ``_match``, which checks repeated variables."""
+    A literal's rows come from the index on its bound positions (a minimum
+    index for a marked atom), or from the delta relation when it is the
+    delta position; they still pass through ``_match``, which checks
+    repeated variables."""
 
     def step(plan_index: int, binding: dict[str, object]):
         if plan_index == len(plan):
             yield _substitute(rule.head, binding)
             return
-        body_index, positions = plan[plan_index]
+        body_index, positions, least = plan[plan_index]
         item = rule.body[body_index]
         if isinstance(item, Comparison):
             if _compare(item, binding):
@@ -389,7 +512,7 @@ def _fire(
             rows = delta_relation
         else:
             key = tuple([_resolve(atom.args[i], binding) for i in positions])
-            rows = relations.lookup(atom.predicate, positions, key)
+            rows = relations.lookup(atom.predicate, positions, key, least)
         if not item.negated:
             for row in rows:
                 extended = _match(atom, row, binding)
@@ -464,9 +587,17 @@ def match_body(body: tuple[BodyItem, ...], relations: Relations) -> bool:
     exist). A body whose comparison variable never binds cannot match.
     Lookups build indexes in ``relations``, so checks that share one store
     share its indexes."""
-    probe = Rule(Atom("__match__"), body)
-    try:
-        plan = _plan_rule(probe, set()).plan
-    except UnsafeRule:
+    probe = _planned_probe(body)
+    if probe is None:
         return False
-    return next(_fire(probe, plan, relations, None, None), None) is not None
+    return next(_fire(probe.rule, probe.plan, relations, None, None), None) is not None
+
+
+# Confirmation checks the same few pattern bodies of a pack again and
+# again; a plan depends on the body alone.
+@lru_cache(maxsize=1024)
+def _planned_probe(body: tuple[BodyItem, ...]) -> PlannedRule | None:
+    try:
+        return _plan_rule(Rule(Atom("__match__"), body), set())
+    except UnsafeRule:
+        return None

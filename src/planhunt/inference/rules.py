@@ -468,10 +468,9 @@ def _check_safety(rule: Rule) -> None:
 
 
 def parse_body(text: str) -> tuple[BodyItem, ...]:
-    """Parse a bare body (comma-separated literals, no trailing dot).
-
-    Used to re-match recorded syscall patterns against a fact base; safety
-    is not enforced here since match bodies never bind a head.
+    """Parse a bare body (comma-separated literals, no trailing dot), such
+    as a pattern to check with ``match_body``; safety is not enforced here
+    since match bodies never bind a head.
     """
     parser = _Parser(_tokenize(text))
     if parser.at_end():

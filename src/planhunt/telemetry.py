@@ -72,6 +72,24 @@ def _normalize_token(value: object) -> Arg:
     return token
 
 
+def _token_memo():
+    """``_normalize_token`` memoized for one load. The key holds the type
+    because ``True == 1``: a boolean must not reuse an integer's token."""
+    memo: dict[tuple[type, object], Arg] = {}
+
+    def normalize(value: object) -> Arg:
+        key = (type(value), value)
+        try:
+            token = memo.get(key)
+        except TypeError:  # an unhashable value, such as a JSON list
+            return _normalize_token(value)
+        if token is None:
+            token = memo[key] = _normalize_token(value)
+        return token
+
+    return normalize
+
+
 @dataclass(frozen=True)
 class TelemetryEvent:
     """One observed system call: fields mirror the invoked/7 fact shape."""
@@ -170,6 +188,7 @@ def _load_jsonl(path: Path) -> SampleRecord:
     permissions: list[str] = []
     intents: list[str] = []
     meta: list[tuple[str, str]] = []
+    normalize = _token_memo()
     with path.open(encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -183,11 +202,11 @@ def _load_jsonl(path: Path) -> SampleRecord:
                 raise MalformedRecord(lineno, "record is not an object")
             kind = record.get("type")
             if kind == "event":
-                events.append(_event_from_mapping(record, lineno))
+                events.append(_event_from_mapping(record, lineno, normalize))
             elif kind == "permission":
-                permissions.append(_required_token(record, "name", lineno))
+                permissions.append(_required_token(record, "name", lineno, normalize))
             elif kind == "intent":
-                intents.append(_required_token(record, "action", lineno))
+                intents.append(_required_token(record, "action", lineno, normalize))
             elif kind == "meta":
                 if "sample_id" in record:
                     sample_id = str(record["sample_id"])
@@ -199,16 +218,16 @@ def _load_jsonl(path: Path) -> SampleRecord:
     return _finish_sample(sample_id, events, permissions, intents, meta)
 
 
-def _required_token(record: dict, key: str, lineno: int) -> str:
+def _required_token(record: dict, key: str, lineno: int, normalize) -> str:
     if key not in record:
         raise MalformedRecord(lineno, f"missing field {key!r}")
-    token = _normalize_token(record[key])
+    token = normalize(record[key])
     if isinstance(token, int):
         raise MalformedRecord(lineno, f"field {key!r} must be symbolic")
     return token
 
 
-def _event_from_mapping(record: dict, lineno: int) -> TelemetryEvent:
+def _event_from_mapping(record: dict, lineno: int, normalize) -> TelemetryEvent:
     if "ts" not in record:
         raise MalformedRecord(lineno, "event missing 'ts'")
     if "syscall" not in record:
@@ -219,7 +238,7 @@ def _event_from_mapping(record: dict, lineno: int) -> TelemetryEvent:
         raise MalformedRecord(lineno, "event 'ts' is not an integer") from exc
     if ts < 0:
         raise MalformedRecord(lineno, "event 'ts' is negative")
-    syscall = _normalize_token(record["syscall"])
+    syscall = normalize(record["syscall"])
     if isinstance(syscall, int):
         raise MalformedRecord(lineno, "event 'syscall' must be symbolic")
     if "pid" not in record:
@@ -228,11 +247,11 @@ def _event_from_mapping(record: dict, lineno: int) -> TelemetryEvent:
         return TelemetryEvent(
             ts=ts,
             syscall=syscall,
-            pid=_normalize_token(record["pid"]),
-            tid=_normalize_token(record.get("tid", WILDCARD)),
-            obj=_normalize_token(record.get("object", WILDCARD)),
-            mode=_normalize_token(record.get("mode", WILDCARD)),
-            ret=_normalize_token(record.get("ret", WILDCARD)),
+            pid=normalize(record["pid"]),
+            tid=normalize(record.get("tid", WILDCARD)),
+            obj=normalize(record.get("object", WILDCARD)),
+            mode=normalize(record.get("mode", WILDCARD)),
+            ret=normalize(record.get("ret", WILDCARD)),
         )
     except ValueError as exc:
         raise MalformedRecord(lineno, str(exc)) from exc
@@ -260,6 +279,7 @@ def _load_csv(path: Path, column_map: str | Path | None) -> SampleRecord:
     permissions: list[str] = []
     intents: list[str] = []
     sample_id = path.stem
+    normalize = _token_memo()
     with path.open(encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
@@ -273,7 +293,7 @@ def _load_csv(path: Path, column_map: str | Path | None) -> SampleRecord:
                 column = mapping.get(key)
                 if column is not None and row.get(column, "") != "":
                     record[key] = row[column]
-            events.append(_event_from_mapping(record, rowno))
+            events.append(_event_from_mapping(record, rowno, normalize))
             if rowno == 2:
                 if "sample_id" in mapping and row.get(mapping["sample_id"]):
                     sample_id = str(row[mapping["sample_id"]])
@@ -282,7 +302,7 @@ def _load_csv(path: Path, column_map: str | Path | None) -> SampleRecord:
                     if column and row.get(column):
                         for item in str(row[column]).split(";"):
                             if item.strip():
-                                token = _normalize_token(item)
+                                token = normalize(item)
                                 if not isinstance(token, int):
                                     sink.append(token)
     return _finish_sample(sample_id, events, permissions, intents, [])

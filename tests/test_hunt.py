@@ -27,11 +27,11 @@ from planhunt.hunt import (
     construct_indicators,
     identify_threats,
     parse_indicator_map,
-    patterns_for_cve,
     report_to_json,
     summary_to_csv,
 )
 from planhunt.inference.engine import Relations
+from planhunt.inference.rules import parse_body, render_body
 from planhunt.planner import Plan
 from planhunt.planning_model.ground import GroundAction, GroundedTask
 from planhunt.telemetry import Fact, FactBase, load_sample
@@ -54,6 +54,11 @@ def assets():
 def hunt(name, assets, **kwargs):
     sample = load_sample(CORPUS / f"{name}.jsonl")
     return identify_threats(sample, assets, HuntConfig(**kwargs))
+
+
+def patterns_for_cve(assets, cve):
+    """The rendered texts of the patterns that lift ``cve``."""
+    return [text for text, _body in assets.patterns.get(cve, ())]
 
 
 def by_label(report, label):
@@ -91,20 +96,20 @@ class TestIndicatorMapParsing:
 
 class TestPatternsForCve:
     def test_lifting_rules_expand_to_evidence_bodies(self, assets):
-        patterns = patterns_for_cve(assets.pack, "cve_2016_5195")
+        patterns = patterns_for_cve(assets, "cve_2016_5195")
         assert len(patterns) == 2
         assert all("T1 < T2" in p for p in patterns)
         assert patterns[0].startswith("invoked(T1, finit_module")
 
     def test_single_pattern_cve(self, assets):
-        patterns = patterns_for_cve(assets.pack, "cve_2019_2194")
+        patterns = patterns_for_cve(assets, "cve_2019_2194")
         assert patterns == [
             "invoked(T1, mmap, P, _, device, read_or_write, 0),"
             " invoked(T2, write, P, _, device, write, 0), T1 < T2"
         ]
 
     def test_unknown_cve(self, assets):
-        assert patterns_for_cve(assets.pack, "cve_0000_0000") == []
+        assert patterns_for_cve(assets, "cve_0000_0000") == []
 
 
 def tiny_task(args=("app", "cve_x"), disjunct=None):
@@ -134,7 +139,7 @@ class TestConstructIndicators:
     def test_slot_substitution_and_literals(self, assets):
         task = tiny_task()
         specs = parse_indicator_map("probe api-call api=ping target=$1 via=$2\n")
-        records = construct_indicators(task, Plan((0,), 1), specs, assets.pack)
+        records = construct_indicators(task, Plan((0,), 1), specs, assets.patterns)
         assert records == (
             IoCRecord(
                 "api-call",
@@ -148,7 +153,7 @@ class TestConstructIndicators:
         specs = parse_indicator_map(
             "probe api-call api=ping\nprobe api-call api=ping\n"
         )
-        records = construct_indicators(task, Plan((0,), 1), specs, assets.pack)
+        records = construct_indicators(task, Plan((0,), 1), specs, assets.patterns)
         assert len(records) == 1
         assert records[0].source_step == 0
 
@@ -159,22 +164,33 @@ class TestConstructIndicators:
             "probe@2 clipboard-access app=$1\n"
             "probe api-call api=always\n"
         )
-        records = construct_indicators(task, Plan((0,), 1), specs, assets.pack)
+        records = construct_indicators(task, Plan((0,), 1), specs, assets.patterns)
         assert [r.kind for r in records] == ["clipboard-access", "api-call"]
 
     def test_slot_out_of_range(self, assets):
         task = tiny_task(args=("app",))
         specs = parse_indicator_map("probe api-call via=$2\n")
         with pytest.raises(InputError) as err:
-            construct_indicators(task, Plan((0,), 1), specs, assets.pack)
+            construct_indicators(task, Plan((0,), 1), specs, assets.patterns)
         assert "slot $2" in str(err.value)
 
     def test_syscall_pattern_records_attach_rule_bodies(self, assets):
         task = tiny_task(args=("cve_2019_2103",))
         specs = parse_indicator_map("probe syscall-pattern cve=$1\n")
-        (record,) = construct_indicators(task, Plan((0,), 1), specs, assets.pack)
+        (record,) = construct_indicators(task, Plan((0,), 1), specs, assets.patterns)
         assert record.source_cve == "cve_2019_2103"
         assert "sendmsg" in record.detail_dict()["patterns"]
+
+
+    def test_syscall_pattern_records_carry_the_pack_bodies(self, assets):
+        task = tiny_task(args=("cve_2016_5195",))
+        specs = parse_indicator_map("probe syscall-pattern cve=$1\n")
+        (record,) = construct_indicators(task, Plan((0,), 1), specs, assets.patterns)
+        evidence = [
+            r.body for r in assets.pack.rules if r.head.predicate == "cve_2016_5195_evidence"
+        ]
+        assert list(record.bodies) == evidence
+        assert " | ".join(render_body(b) for b in record.bodies) == DIRTY_PATTERNS
 
 
 class TestConfirmThreat:
@@ -190,8 +206,9 @@ class TestConfirmThreat:
     )
 
     def syscall_record(self, patterns):
+        bodies = tuple(parse_body(text) for text in patterns.split(" | "))
         return IoCRecord(
-            "syscall-pattern", (("cve", "x"), ("patterns", patterns)), 0, "x"
+            "syscall-pattern", (("cve", "x"), ("patterns", patterns)), 0, "x", bodies
         )
 
     def test_matching_pattern(self):

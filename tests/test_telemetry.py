@@ -76,6 +76,16 @@ class TestJsonlLoading:
         assert err.value.line == 2
         assert needle in str(err.value)
 
+    def test_boolean_field_raises_after_an_equal_integer(self, tmp_path):
+        # True == 1: a token memo keyed by the value alone would hand the
+        # boolean the token of the integer loaded before it.
+        records = [dict(EVENT, ret=1, pid=1), dict(EVENT, ts=2, ret=True)]
+        path = write_jsonl(tmp_path, "s.jsonl", records)
+        with pytest.raises(MalformedRecord) as err:
+            load_sample(path)
+        assert err.value.line == 2
+        assert "boolean" in str(err.value)
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text(json.dumps(EVENT) + "\n{nope\n", encoding="utf-8")
