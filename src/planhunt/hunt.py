@@ -357,17 +357,20 @@ class HuntConfig:
 
 @dataclass(frozen=True)
 class SampleFacts:
-    """A sample with its extensional facts and the facts derived from them."""
+    """A sample with its extensional facts, the facts derived from them,
+    and the store that holds both, which confirmation reads."""
 
     sample: SampleRecord
     base: FactBase
     derived: FactBase
+    relations: Relations
 
 
 def infer_facts(sample: SampleRecord, assets: HuntAssets) -> SampleFacts:
     """Extract the sample's facts and run the rule program over them."""
     base = events_to_facts(sample)
-    return SampleFacts(sample, base, evaluate(assets.program, base).facts)
+    model = evaluate(assets.program, base)
+    return SampleFacts(sample, base, model.facts, model.relations)
 
 
 def hypothesis_problem(
@@ -407,7 +410,6 @@ def identify_threats(
 
     facts = infer_facts(sample, assets)
     flagged = unknown_tokens(sample, assets.pack.token_table)
-    relations = Relations([*facts.base, *facts.derived])
 
     findings: list[ThreatFinding] = []
     for hypothesis in config.catalog:
@@ -423,7 +425,7 @@ def identify_threats(
         task, planset = hypothesis_plans(facts, assets, hypothesis, limits)
         findings.append(
             _finding_from_planset(
-                hypothesis, task, planset, assets, relations, config
+                hypothesis, task, planset, assets, facts.relations, config
             )
         )
     return HuntReport(

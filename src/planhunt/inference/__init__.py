@@ -17,6 +17,7 @@ from .engine import (
     StratifiedProgram,
     evaluate,
     match_body,
+    saturate,
     stratify,
 )
 
@@ -35,5 +36,6 @@ __all__ = [
     "StratifiedProgram",
     "evaluate",
     "match_body",
+    "saturate",
     "stratify",
 ]

@@ -11,15 +11,20 @@ name gains a ``~orN`` suffix when a schema has more than one disjunct.
 Static precondition literals (predicate never occurring in any effect) must
 hold in the initial state, and negative literals and deletes over atoms
 that can never become true are dropped.
+
+A problem seeds a ``Relations`` store with rows: its init atoms, and one
+type row per object and parameter type it belongs to, found by walking the
+object's type chain once. ``saturate`` adds the model to that store, and
+the task is decoded from its fluent and applicability rows; no fact
+objects are built on the way.
 """
 
 import logging
 from dataclasses import dataclass
 
 from ..errors import GroundingExplosion, ResourceLimit
-from ..inference.engine import StratifiedProgram, evaluate, stratify
+from ..inference.engine import Relations, StratifiedProgram, saturate, stratify
 from ..inference.rules import Atom, Literal, Rule, Var, rule_pack
-from ..telemetry import Fact, FactBase
 from .model import (
     DomainModel,
     FAnd,
@@ -241,7 +246,10 @@ class Exploration:
     """A domain's grounding rule program and what decoding its model needs."""
 
     program: StratifiedProgram
-    fluents: frozenset[str]  # predicates some effect mentions
+    # fluent predicate (one some effect mentions) -> its INIT relation
+    fluents: dict[str, str]
+    # parameter type -> its TYPE relation
+    types: dict[str, str]
     # applicability predicate -> (schema index, disjunct or 0, pre+, pre-)
     actions: dict[str, tuple[int, int, list[FAtom], list[FAtom]]]
 
@@ -290,7 +298,8 @@ def explore_domain(domain: DomainModel) -> Exploration:
             actions[head.predicate] = (index, label, positive, negative)
     return Exploration(
         program=stratify(rule_pack(rules)),
-        fluents=frozenset(arity),
+        fluents={predicate: INIT.format(predicate) for predicate in arity},
+        types={p.type: TYPE.format(p.type) for s in domain.actions for p in s.parameters},
         actions=actions,
     )
 
@@ -337,33 +346,43 @@ def ground_task(
     problem: ProblemInstance,
     max_ground_actions: int = DEFAULT_ACTION_LIMIT,
 ) -> GroundedTask:
-    """Ground a problem by evaluating its domain's exploration program.
+    """Ground a problem by saturating a store seeded with its rows under
+    its domain's exploration program.
 
-    Raises GroundingExplosion when the program derives more than
-    ``max_ground_actions`` facts; each ground action is one of them.
+    Raises ArityConflict when the init uses a predicate at two arities, or
+    at another arity than the domain, and GroundingExplosion when the
+    program derives more than ``max_ground_actions`` rows; each ground
+    action is one of them.
     """
     exploration = domain.exploration
-    objects = {**domain.constants, **problem.objects}
-    base = FactBase(
-        Fact(INIT.format(pred) if pred in exploration.fluents else pred, args)
-        for pred, args in problem.init
-    )
-    for type_name in {p.type for schema in domain.actions for p in schema.parameters}:
-        for obj, obj_type in objects.items():
-            if domain.types.is_subtype(obj_type, type_name):
-                base.add(Fact(TYPE.format(type_name), (obj,)))
+    relations = Relations()
+    fluents = exploration.fluents
+    for pred, args in problem.init:
+        relations.add(fluents.get(pred, pred), args)
+    # Per object type, the type relations of the parameter types on its chain.
+    typed: dict[str, list[str]] = {}
+    for obj, obj_type in {**domain.constants, **problem.objects}.items():
+        names = typed.get(obj_type)
+        if names is None:
+            names = typed[obj_type] = [
+                exploration.types[t] for t in domain.types.chain(obj_type)
+                if t in exploration.types
+            ]
+        for name in names:
+            relations.add(name, (obj,))
     try:
-        model = evaluate(exploration.program, base, max_ground_actions).facts
+        saturate(exploration.program, relations, max_ground_actions)
     except ResourceLimit as exc:
         raise GroundingExplosion(max_ground_actions) from exc
 
     reachable: set[GroundAtom] = set(problem.init)
-    found = []
-    for fact in model:
-        if fact.predicate in exploration.fluents:
-            reachable.add((fact.predicate, fact.args))
-        elif fact.predicate in exploration.actions:
-            found.append((fact.args, exploration.actions[fact.predicate]))
+    for pred in fluents:
+        reachable.update((pred, args) for args in relations.rows(pred))
+    found = [
+        (args, spec)
+        for pred, spec in exploration.actions.items()
+        for args in relations.rows(pred)
+    ]
     # Objects sort alphabetically, so (schema, binding, disjunct) order is the
     # binding order of a product over typed object pools.
     found.sort(key=lambda row: (row[1][0], row[0], row[1][1]))

@@ -49,14 +49,18 @@ class TypeHierarchy:
         return name in self._parent
 
     def is_subtype(self, name: str, ancestor: str) -> bool:
+        return ancestor in self.chain(name)
+
+    def chain(self, name: str) -> list[str]:
+        """``name`` and its ancestors, up to ``object``."""
         if name not in self._parent:
             raise UndeclaredType(name)
+        out = []
         current: str | None = name
         while current is not None:
-            if current == ancestor:
-                return True
+            out.append(current)
             current = self._parent[current]
-        return False
+        return out
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,12 @@ class TestEvaluationContract:
         with pytest.raises(ComparisonTypeError):
             evaluate(program, FactBase([Fact("v", ("topaz",))]))
 
+    def test_store_rejects_a_second_arity(self):
+        store = Relations([Fact("edge", ("a", "b"))])
+        with pytest.raises(ArityConflict):
+            store.add("edge", ("a", "b", "c"))
+        assert set(store.rows("edge")) == {("a", "b")}
+
     def test_bodyless_rules_fire(self):
         pack = parse_rule_pack("#pred marked/1 intensional\nmarked(origin).\n")
         derived = evaluate(stratify(pack), FactBase()).facts
@@ -263,21 +269,37 @@ class TestMatchBody:
         # negated pattern finds a fact and the body fails.
         assert not match_body(parse_body("not invoked(1, open, p1, _, file, read, 0)"), self.BASE)
 
+    def test_atom_of_another_arity_matches_no_row(self):
+        assert not match_body(parse_body("invoked(T, open, P)"), self.BASE)
+        body = parse_body("invoked(T, open, P, _, file, read, 0), not invoked(T)")
+        assert match_body(body, self.BASE)
+
     def test_unbindable_comparison_cannot_match(self):
         assert not match_body(parse_body("T1 < T2"), self.BASE)
 
     def test_unbound_filter_cannot_match_under_optimize(self):
         # ``python -O`` strips assert statements; a filter variable that
-        # never binds must still fail the match there.
+        # never binds must still fail the match there, a negation's
+        # repeated wildcard must still need equal values, and an order
+        # comparison on a name must still raise.
         src = str(Path(planhunt.__file__).resolve().parents[1])
         script = (
+            "from planhunt.errors import ComparisonTypeError\n"
             "from planhunt.inference.engine import Relations, match_body\n"
             "from planhunt.inference.rules import parse_body\n"
             "from planhunt.telemetry import Fact\n"
-            "row = (1, 'open', 'p1', 'wildcard', 'file', 'read', 0)\n"
-            "store = Relations([Fact('invoked', row)])\n"
-            "for body in ('T1 < T2', 'invoked(T, open, P, _, file, read, 0), X != P'):\n"
+            "rows = [(1, 'open', 'p1', 'wildcard', 'file', 'read', 0),\n"
+            "        (2, 'read', 'p2', 'p2', 'buffer', 'read', 0)]\n"
+            "store = Relations([Fact('invoked', row) for row in rows])\n"
+            "opened = 'invoked(T, open, P, _, file, read, 0)'\n"
+            "for body in ('T1 < T2', opened + ', X != P',\n"
+            "             opened + ', not invoked(_, _, Q, Q, _, _, _)',\n"
+            "             opened + ', not invoked(_, open, Q, Q, _, _, _)'):\n"
             "    print(match_body(parse_body(body), store))\n"
+            "try:\n"
+            "    match_body(parse_body('invoked(T, S, P, _, _, _, 0), S < 2'), store)\n"
+            "except ComparisonTypeError:\n"
+            "    print('raised')\n"
         )
         result = subprocess.run(
             [sys.executable, "-O", "-c", script],
@@ -287,4 +309,4 @@ class TestMatchBody:
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "False\nFalse\n"
+        assert result.stdout == "False\nFalse\nFalse\nTrue\nraised\n"

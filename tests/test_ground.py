@@ -8,12 +8,13 @@ agree on the reachable state graph and the cheapest goal cost.
 import heapq
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 from oracles.enumerate import eval_ast
 from oracles.lifted_search import ExplorationCap, explore, optimal_cost
-from planhunt.errors import GroundingExplosion
+from planhunt.errors import ArityConflict, GroundingExplosion
 from planhunt.planning_model import (
     DomainModel,
     FAnd,
@@ -127,6 +128,21 @@ class TestGrounding:
         problem = parse_problem(WALK_PROBLEM, domain)
         with pytest.raises(GroundingExplosion):
             ground_task(domain, problem, max_ground_actions=3)
+
+    def test_init_arity_conflicts_raise(self):
+        # Grounding seeds its store with rows, not a FactBase, so the store
+        # itself must refuse a predicate at two arities, static (link) or
+        # fluent (at), and the program one at another arity than the domain.
+        domain = parse_domain(WALK_DOMAIN)
+        problem = parse_problem(WALK_PROBLEM, domain)
+        inits = [
+            problem.init | {("link", ("x",))},
+            problem.init | {("at", ("x", "y"))},
+            problem.init - {("lit", ("z",))} | {("lit", ("z", "x"))},
+        ]
+        for init in inits:
+            with pytest.raises(ArityConflict):
+                ground_task(domain, replace(problem, init=init))
 
     def test_dnf_size_guard(self):
         pairs = [(f"p{i}", f"q{i}") for i in range(7)]

@@ -62,11 +62,23 @@ PACK_REPEATED_VARIABLE = (
         "#pred loop/1 intensional",
         "#pred back/2 intensional",
         "#pred pinned/2 intensional",
+        "#pred looped/0 intensional",
+        "#pred diagonal/1 intensional",
+        "#pred bounced/1 intensional",
+        "#pred reflexive/2 intensional",
     ],
     [
         "loop(X) :- edge(X, X).",
         "back(X, Y) :- edge(X, Y), edge(Y, X).",
         "pinned(X, Z) :- edge(X, Y), triple(Y, Z, Z).",
+        # A repeat whose variable the rule reads nowhere else, one of three
+        # occurrences, and one against a variable bound earlier.
+        "looped :- edge(X, X).",
+        "diagonal(X) :- triple(X, X, X).",
+        "bounced(X) :- edge(X, Y), triple(Y, Z, Y).",
+        # The delta atom of a recursive rule repeats a variable.
+        "reflexive(X, Y) :- edge(X, Y).",
+        "reflexive(Y, Y) :- reflexive(X, X), edge(X, Y).",
     ],
 )
 
@@ -85,6 +97,22 @@ PACK_LATE_CONSTANT = (
     ],
 )
 
+# The delta atom of a recursive rule holds a constant and a variable bound
+# before it, or only bound positions; a scan of the delta rows checks them.
+PACK_DELTA_FILTER = (
+    [
+        "#pred edge/2 extensional",
+        "#pred triple/3 extensional",
+        "#pred walk/3 intensional",
+    ],
+    [
+        "walk(X, a, Y) :- triple(X, a, Y).",
+        "walk(X, b, Y) :- edge(X, Y).",
+        "walk(X, a, Z) :- edge(X, Y), walk(Y, a, Z).",
+        "walk(X, c, X) :- walk(X, L, Y), walk(Y, L, X).",
+    ],
+)
+
 # Heads and bodies of rules whose negations keep wildcard variables. The
 # parser refuses such rules, so the engine gets them through ``rule_pack``
 # and the oracle gets the same model through a projection per negation.
@@ -92,6 +120,7 @@ WILDCARD_RULES = [
     ("sink(X)", "edge(X, Y), edge(Y, Z), not edge(Z, _)"),
     ("fresh(X)", "node(X), edge(X, Y), not triple(_, Y, X)"),
     ("plain(X)", "edge(X, Y), node(Y), not triple(Y, W, W)"),
+    ("loopless(X)", "node(X), not edge(W, W)"),
 ]
 WILDCARD_ORACLE = (
     [
@@ -106,10 +135,17 @@ WILDCARD_ORACLE = (
         "hit(Y, X) :- triple(_, Y, X).",
         "plain(X) :- edge(X, Y), node(Y), not twin(Y).",
         "twin(Y) :- triple(Y, W, W).",
+        "loopless(X) :- node(X), not looped.",
+        "looped :- edge(W, W).",
     ],
 )
 
-INDEXED_PACKS = [PACK_RIGHT_RECURSION, PACK_REPEATED_VARIABLE, PACK_LATE_CONSTANT]
+INDEXED_PACKS = [
+    PACK_RIGHT_RECURSION,
+    PACK_REPEATED_VARIABLE,
+    PACK_LATE_CONSTANT,
+    PACK_DELTA_FILTER,
+]
 
 
 def test_indexed_packs_match_the_oracle():
@@ -475,19 +511,33 @@ def test_planner_marks_only_lone_timestamps(order):
 def test_non_integer_timestamp_still_raises():
     # The oracle raises on the text timestamp alone (it cannot sort a
     # column that mixes texts and integers). Evaluation must raise also
-    # where an integer row is the least of the same group; match_body stops
-    # at its first match, so it is checked on the text row alone.
+    # where an integer row is the least of the same group. match_body stops
+    # at its first match, but a minimum index visits the text rows first,
+    # so it raises whichever row was filed first, also when the text row
+    # reaches an index built before it.
     pack = lone_pack(LONE_DIRECTIVES, LONE_RULES, "strict")
     text_row = ("noon", "close", "p1", "wildcard", "file", "read", 0)
+    int_row = (1, *text_row[1:])
     with pytest.raises(ComparisonTypeError):
         evaluate_naive(pack, FactBase([Fact("invoked", text_row)]))
-    for rows in ([text_row], [(1, *text_row[1:]), text_row], [text_row, (1, *text_row[1:])]):
+    for rows in ([text_row], [int_row, text_row], [text_row, int_row]):
         with pytest.raises(ComparisonTypeError):
             evaluate(stratify(pack), FactBase([Fact("invoked", row) for row in rows]))
-    body = parse_body("invoked(T, close, P, _, _, _, 0), T <= 2")
-    assert minima(rule_pack([Rule(Atom("probe"), body)]))
-    with pytest.raises(ComparisonTypeError):
-        match_body(body, Relations([Fact("invoked", text_row)]))
+    bodies = [
+        parse_body("invoked(T, close, P, _, _, _, 0), T <= 2"),
+        parse_body("invoked(T1, close, P, _, _, _, 0), invoked(T2, open, P, _, _, _, 0), T1 < T2"),
+    ]
+    paired = (5, "open", "p1", "wildcard", "file", "read", 0)
+    for body in bodies:
+        assert minima(rule_pack([Rule(Atom("probe"), body)]))
+        for rows in ([text_row], [int_row, text_row], [text_row, int_row]):
+            with pytest.raises(ComparisonTypeError):
+                match_body(body, Relations([Fact("invoked", row) for row in (*rows, paired)]))
+        store = Relations([Fact("invoked", int_row), Fact("invoked", paired)])
+        assert match_body(body, store)
+        store.add("invoked", text_row)
+        with pytest.raises(ComparisonTypeError):
+            match_body(body, store)
 
 
 def test_bundled_pack_marks_the_first_atom_of_each_event_rule():
