@@ -97,6 +97,8 @@ def _assets(args: argparse.Namespace) -> HuntAssets:
 
 
 def _config(args: argparse.Namespace) -> HuntConfig:
+    if args.k < 1:
+        raise InputError(f"-k must be at least 1, got {args.k}")
     return HuntConfig(
         limits=Limits(
             k=args.k,
@@ -199,6 +201,8 @@ def _collect_samples(inputs: list[Path]) -> list[Path]:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise InputError(f"--workers must be at least 1, got {args.workers}")
     if args.seed_corpus is not None:
         target = args.seed_corpus
         target.mkdir(parents=True, exist_ok=True)

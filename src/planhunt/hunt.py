@@ -42,7 +42,7 @@ from .planning_model.model import (
     default_catalog,
 )
 from .planning_model.state import CapabilityTable, MappingTable, build_problem
-from .telemetry import FactBase, SampleRecord, events_to_facts, load_sample, unknown_tokens
+from .telemetry import SampleRecord, events_to_facts, load_sample, unknown_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -343,7 +343,6 @@ class HuntAssets:
 @dataclass(frozen=True)
 class HuntConfig:
     limits: Limits = field(default_factory=Limits)
-    catalog: tuple[ThreatHypothesis, ...] = field(default_factory=default_catalog)
     confirm: bool = False
     # Wall-clock budget across a sample's whole catalog; None means four
     # planner budgets.
@@ -361,8 +360,8 @@ class SampleFacts:
     and the store that holds both, which confirmation reads."""
 
     sample: SampleRecord
-    base: FactBase
-    derived: FactBase
+    base: Relations
+    derived: Relations
     relations: Relations
 
 
@@ -412,7 +411,7 @@ def identify_threats(
     flagged = unknown_tokens(sample, assets.pack.token_table)
 
     findings: list[ThreatFinding] = []
-    for hypothesis in config.catalog:
+    for hypothesis in default_catalog():
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             findings.append(ThreatFinding(

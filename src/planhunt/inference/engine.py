@@ -5,13 +5,13 @@ a caller's store, semi-naive within each stratum: after one naive round, a
 rule only re-fires with one current-stratum body atom restricted to the
 rows new in the last round.
 
-Facts live in a ``Relations`` store: the rows of each predicate plus hash
-indexes per (predicate, bound positions), each built on its first lookup
-and updated by every later add. One store carries a whole sample:
-``evaluate`` seeds it with the extensional facts, saturates it and returns
-it with the derived facts, and confirmation's ``match_body`` calls read the
-same store and its indexes. Grounding seeds a store of its own with rows,
-not facts, and reads its model straight from it.
+Facts live in a ``Relations`` store, the one fact container of the
+pipeline: the rows of each predicate plus hash indexes per (predicate,
+bound positions), each built on its first lookup and updated by every later
+add. Telemetry fills a store with the extensional rows; ``evaluate``
+saturates a copy of it and returns that copy with the derived rows, and
+confirmation's ``match_body`` calls read the same copy and its indexes.
+Grounding seeds a store of its own and reads its model straight from it.
 
 Kernels. A planned rule runs as a kernel, one per delta position (or none,
 for the naive round), compiled from its plan on first use: a chain of
@@ -53,7 +53,6 @@ from ..errors import (
     ResourceLimit,
     UnsafeRule,
 )
-from ..telemetry import Fact, FactBase
 from .rules import Atom, BodyItem, Comparison, Literal, Rule, Var
 from .strata import (
     Least,
@@ -68,6 +67,7 @@ from .strata import (
 logger = logging.getLogger(__name__)
 
 __all__ = [
+    "Fact",
     "StratifiedProgram",
     "DerivedFacts",
     "Relations",
@@ -86,11 +86,25 @@ Kernel = Callable[["Relations", Collection[tuple] | None, Sink], object]
 
 
 @dataclass(frozen=True)
+class Fact:
+    """One row of a predicate, as the store's iteration yields it."""
+
+    predicate: str
+    args: tuple[str | int, ...] = ()
+
+    def __str__(self) -> str:
+        if not self.args:
+            return f"{self.predicate}."
+        rendered = ",".join(str(a) for a in self.args)
+        return f"{self.predicate}({rendered})."
+
+
+@dataclass(frozen=True)
 class DerivedFacts:
     """Output of evaluation: the intensional slice of the perfect model,
     and the store that holds the whole model with its indexes."""
 
-    facts: FactBase
+    facts: "Relations"
     relations: "Relations"
 
 
@@ -108,6 +122,10 @@ class Relations:
     updates it, so the store can grow while rules read it. ``arity`` maps
     each predicate to the arity of its rows; a row of another arity raises
     ArityConflict.
+
+    As a set of facts, the store has one ``Fact`` per row: its length
+    counts rows over all predicates, and two stores are equal when they
+    hold the same rows.
     """
 
     def __init__(self, facts: Iterable[Fact] = ()):
@@ -119,6 +137,31 @@ class Relations:
 
     def rows(self, predicate: str) -> Collection[tuple]:
         return self._rows.get(predicate, ())
+
+    def copy(self) -> "Relations":
+        """A store with the same rows and no indexes."""
+        out = Relations()
+        out._rows = {pred: set(rows) for pred, rows in self._rows.items()}
+        out.arity = dict(self.arity)
+        out._indexes = {pred: {} for pred in self._rows}
+        return out
+
+    def __len__(self) -> int:
+        return sum(map(len, self._rows.values()))
+
+    def __iter__(self):
+        for pred, rows in self._rows.items():
+            for row in rows:
+                yield Fact(pred, row)
+
+    def __contains__(self, fact: Fact) -> bool:
+        return fact.args in self._rows.get(fact.predicate, ())
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Relations) and self._rows == other._rows
+
+    def sorted(self) -> list[Fact]:
+        return sorted(self, key=lambda f: (f.predicate, tuple(map(str, f.args))))
 
     def add(self, predicate: str, row: tuple) -> bool:
         """Store a row; False when it was already there."""
@@ -232,22 +275,23 @@ class _Index:
 
 def evaluate(
     program: StratifiedProgram,
-    base: FactBase,
+    base: Relations,
     max_derived: int = DEFAULT_FACT_LIMIT,
 ) -> DerivedFacts:
-    """Compute the perfect model over ``base``: its intensional facts, and
-    the store holding base and derived rows for later ``match_body`` calls.
+    """Compute the perfect model over ``base``, which is left unchanged:
+    its intensional facts, and a store holding base and derived rows for
+    later ``match_body`` calls.
 
     The base must be arity-consistent with the pack and contain only
     extensional predicates. Raises ResourceLimit past ``max_derived``
     derived facts.
     """
-    relations = Relations(base)
+    relations = base.copy()
     saturate(program, relations, max_derived)
-    out = FactBase()
+    out = Relations()
     for pred in sorted(program.intensional):
         for args in relations.rows(pred):
-            out.add(Fact(pred, args))
+            out.add(pred, args)
     return DerivedFacts(facts=out, relations=relations)
 
 

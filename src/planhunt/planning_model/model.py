@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from ..errors import UndeclaredType
-from ..vocab import APP, MECHANISMS, THREATS
+from ..vocab import MECHANISMS, THREATS
 
 __all__ = [
     "TypeHierarchy",
@@ -161,11 +161,10 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class ThreatHypothesis:
-    """One catalog entry: a threat/mechanism pair for a subject app."""
+    """One catalog entry: a threat/mechanism pair for the subject app."""
 
     threat: str
     mechanism: str
-    app: str = APP
 
     def __post_init__(self):
         if self.threat not in THREATS:
@@ -178,10 +177,8 @@ class ThreatHypothesis:
         return f"{self.threat}/{self.mechanism}"
 
 
-def default_catalog(app: str = APP) -> tuple[ThreatHypothesis, ...]:
+def default_catalog() -> tuple[ThreatHypothesis, ...]:
     """All threat/mechanism combinations, in reporting order."""
     return tuple(
-        ThreatHypothesis(threat, mechanism, app)
-        for threat in THREATS
-        for mechanism in MECHANISMS
+        ThreatHypothesis(threat, mechanism) for threat in THREATS for mechanism in MECHANISMS
     )

@@ -158,7 +158,6 @@ def parse_domain(text: str) -> DomainModel:
     predicates: dict[str, PredicateSchema] = {}
     constants: dict[str, str] = {}
     actions: list[ActionSchema] = []
-    saw_types = False
 
     for section in items[2:]:
         if not isinstance(section, _Node) or not section.items:
@@ -171,7 +170,6 @@ def parse_domain(text: str) -> DomainModel:
                 if req not in SUPPORTED_REQUIREMENTS:
                     raise UnsupportedRequirement(req)
         elif head == ":types":
-            saw_types = True
             for type_name, parent in _parse_typed_list(rest, ":types"):
                 if parent != "object" and not types.known(parent):
                     types.declare(parent, "object")
@@ -203,15 +201,10 @@ def parse_domain(text: str) -> DomainModel:
                 ):
                     raise _err(decl, "only (total-cost) is supported in :functions")
         elif head == ":action":
-            actions.append(
-                _parse_action(section, types, predicates, constants, requirements)
-            )
+            actions.append(_parse_action(section, types, predicates, constants))
         else:
             raise _err(section, f"unknown domain section {head}")
 
-    if not saw_types and ":typing" in requirements:
-        # Typing declared but no :types section: everything is object.
-        pass
     return DomainModel(
         name=name,
         requirements=requirements,
@@ -222,7 +215,7 @@ def parse_domain(text: str) -> DomainModel:
     )
 
 
-def _parse_action(section, types, predicates, constants, requirements) -> ActionSchema:
+def _parse_action(section, types, predicates, constants) -> ActionSchema:
     items = section.items
     if len(items) < 2 or not isinstance(items[1], _Sym):
         raise _err(section, "action needs a name")

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import InputError, MalformedRecord, UnmappedPredicate
-from ..telemetry import FactBase, SampleRecord
-from ..vocab import ACCOUNT, FACTOR, SENSORS
+from ..inference.engine import Relations
+from ..telemetry import SampleRecord
+from ..vocab import ACCOUNT, APP, FACTOR, SENSORS
 from .model import (
     DomainModel,
     FAtom,
@@ -170,7 +171,7 @@ def load_mapping_table(source: str | Path) -> MappingTable:
 
 
 def construct_initial_state(
-    derived: FactBase,
+    derived: Relations,
     capabilities: CapabilityTable,
     mapping: MappingTable,
 ) -> frozenset[GroundAtom]:
@@ -191,12 +192,12 @@ def construct_goal(hypothesis: ThreatHypothesis) -> Formula:
     """The planning goal: the threat-possible atom for this hypothesis."""
     return FAtom(
         THREAT_POSSIBLE,
-        (hypothesis.threat, hypothesis.mechanism, hypothesis.app),
+        (hypothesis.threat, hypothesis.mechanism, APP),
     )
 
 
 def build_problem(
-    derived: FactBase,
+    derived: Relations,
     sample: SampleRecord,
     domain: DomainModel,
     capabilities: CapabilityTable,
@@ -206,7 +207,7 @@ def build_problem(
     """Assemble the per-sample planning problem for one hypothesis."""
     init = construct_initial_state(derived, capabilities, mapping)
 
-    objects: dict[str, str] = {hypothesis.app: "app"}
+    objects: dict[str, str] = {APP: "app"}
     for sensor in SENSORS:
         objects[sensor] = "sensor"
     for cve in capabilities.cves():

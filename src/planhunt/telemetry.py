@@ -1,4 +1,4 @@
-"""Telemetry ingestion: sample files to normalized fact bases.
+"""Telemetry ingestion: sample files to normalized fact stores.
 
 Two input layouts are supported:
 
@@ -23,7 +23,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ArityConflict, MalformedRecord
+from .errors import MalformedRecord
+from .inference.engine import Fact, Relations
 from .vocab import (
     APP,
     DECLARED_INTENT,
@@ -36,7 +37,6 @@ __all__ = [
     "TelemetryEvent",
     "SampleRecord",
     "Fact",
-    "FactBase",
     "load_sample",
     "events_to_facts",
     "unknown_tokens",
@@ -115,55 +115,6 @@ class SampleRecord:
     meta: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class Fact:
-    predicate: str
-    args: tuple[Arg, ...] = ()
-
-    def __str__(self) -> str:
-        if not self.args:
-            return f"{self.predicate}."
-        rendered = ",".join(str(a) for a in self.args)
-        return f"{self.predicate}({rendered})."
-
-
-class FactBase:
-    """A set of ground facts with a per-predicate arity table.
-
-    Adding a fact whose arity disagrees with an earlier use of the same
-    predicate raises ArityConflict.
-    """
-
-    def __init__(self, facts: "list[Fact] | set[Fact] | tuple[Fact, ...] | None" = None):
-        self._facts: set[Fact] = set()
-        self.arity: dict[str, int] = {}
-        for fact in facts or ():
-            self.add(fact)
-
-    def add(self, fact: Fact) -> None:
-        known = self.arity.get(fact.predicate)
-        if known is None:
-            self.arity[fact.predicate] = len(fact.args)
-        elif known != len(fact.args):
-            raise ArityConflict(fact.predicate, len(fact.args), known)
-        self._facts.add(fact)
-
-    def __contains__(self, fact: Fact) -> bool:
-        return fact in self._facts
-
-    def __iter__(self):
-        return iter(self._facts)
-
-    def __len__(self) -> int:
-        return len(self._facts)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FactBase) and self._facts == other._facts
-
-    def sorted(self) -> list[Fact]:
-        return sorted(self._facts, key=lambda f: (f.predicate, tuple(map(str, f.args))))
-
-
 # --- loading ------------------------------------------------------------------
 
 
@@ -232,8 +183,12 @@ def _event_from_mapping(record: dict, lineno: int, normalize) -> TelemetryEvent:
         raise MalformedRecord(lineno, "event missing 'ts'")
     if "syscall" not in record:
         raise MalformedRecord(lineno, "event missing 'syscall'")
+    ts = record["ts"]
+    # int() would take True as 1 and truncate 2.9 to 2.
+    if isinstance(ts, bool) or (isinstance(ts, float) and not ts.is_integer()):
+        raise MalformedRecord(lineno, "event 'ts' is not an integer")
     try:
-        ts = int(record["ts"])
+        ts = int(ts)
     except (TypeError, ValueError) as exc:
         raise MalformedRecord(lineno, "event 'ts' is not an integer") from exc
     if ts < 0:
@@ -329,34 +284,24 @@ def _finish_sample(
 # --- fact construction --------------------------------------------------------
 
 
-def events_to_facts(sample: SampleRecord, app: str = APP) -> FactBase:
-    """Translate a sample into its fact base.
+def events_to_facts(sample: SampleRecord) -> Relations:
+    """Translate a sample into its fact store.
 
-    Every event becomes one invoked/7 fact, every permission one
-    declared_permission/2 fact, every intent one declared_intent/2 fact, so
+    Every event becomes one invoked/7 row, every permission one
+    declared_permission/2 row, every intent one declared_intent/2 row, so
     the result holds exactly ``|events| + |permissions| + |intents|`` facts
     up to duplicates.
     """
-    base = FactBase()
+    base = Relations()
     for event in sample.events:
         base.add(
-            Fact(
-                INVOKED,
-                (
-                    event.ts,
-                    event.syscall,
-                    event.pid,
-                    event.tid,
-                    event.obj,
-                    event.mode,
-                    event.ret,
-                ),
-            )
+            INVOKED,
+            (event.ts, event.syscall, event.pid, event.tid, event.obj, event.mode, event.ret),
         )
     for permission in sample.permissions:
-        base.add(Fact(DECLARED_PERMISSION, (app, permission)))
+        base.add(DECLARED_PERMISSION, (APP, permission))
     for intent in sample.intents:
-        base.add(Fact(DECLARED_INTENT, (app, intent)))
+        base.add(DECLARED_INTENT, (APP, intent))
     return base
 
 
@@ -365,7 +310,7 @@ def unknown_tokens(
 ) -> list[str]:
     """Flag event vocabulary not present in a rule pack's token table.
 
-    Unknown tokens are preserved in the fact base; this reports them as
+    Unknown tokens are preserved in the fact store; this reports them as
     ``class:token`` strings for report metadata.
     """
     flagged: set[str] = set()

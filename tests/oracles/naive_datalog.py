@@ -10,7 +10,7 @@ import itertools
 
 from planhunt.errors import ComparisonTypeError, NegationCycle
 from planhunt.inference.rules import Atom, Comparison, Literal, Rule, RulePack, Var
-from planhunt.telemetry import Fact, FactBase
+from planhunt.inference.engine import Relations
 
 
 def naive_strata(pack: RulePack) -> dict[str, int]:
@@ -124,7 +124,7 @@ def _fire_rule(rule: Rule, relations: dict[str, set[tuple]]) -> set[tuple]:
     return produced
 
 
-def evaluate_naive(pack: RulePack, base: FactBase) -> FactBase:
+def evaluate_naive(pack: RulePack, base: Relations) -> Relations:
     """Return the intensional slice of the perfect model, the slow way."""
     level = naive_strata(pack)
     relations: dict[str, set[tuple]] = {}
@@ -144,10 +144,10 @@ def evaluate_naive(pack: RulePack, base: FactBase) -> FactBase:
             if not grew:
                 break
 
-    out = FactBase()
+    out = Relations()
     intensional = pack.intensional()
     for predicate, rows in relations.items():
         if predicate in intensional:
             for row in rows:
-                out.add(Fact(predicate, row))
+                out.add(predicate, row)
     return out

@@ -275,6 +275,30 @@ class TestSinglePipelinePath:
             assert plans == finding["plans"], label
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hunt", sample("pivot_demo.jsonl"), "-k", "0"],
+        ["plan", sample("pivot_demo.jsonl"), "surveillance/exploit", "-k", "0"],
+        ["batch", sample("pivot_demo.jsonl"), "--workers", "0"],
+    ],
+    ids=["hunt-k", "plan-k", "batch-workers"],
+)
+def test_bad_flag_value_is_an_input_error(argv):
+    src = str(Path(planhunt.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "planhunt.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert "Traceback" not in result.stderr
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

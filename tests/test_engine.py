@@ -16,9 +16,8 @@ from planhunt.errors import (
     NegationCycle,
     ResourceLimit,
 )
-from planhunt.inference.engine import Relations, evaluate, match_body, stratify
+from planhunt.inference.engine import Fact, Relations, evaluate, match_body, stratify
 from planhunt.inference.rules import parse_body, parse_rule_pack
-from planhunt.telemetry import Fact, FactBase
 
 from oracles.naive_datalog import evaluate_naive, naive_strata
 
@@ -90,7 +89,7 @@ def build_pack(directives, rules, order=None):
 
 def random_base(pack, rng):
     """A random extensional base respecting the pack's declared arities."""
-    base = FactBase()
+    base = Relations()
     names = ["a", "b", "c", "d"]
     for predicate in sorted(pack.extensional()):
         arity = pack.arity_of(predicate)
@@ -109,7 +108,7 @@ def random_base(pack, rng):
                 args = (rng.choice(names), rng.randrange(0, 5))
             else:
                 args = tuple(rng.choice(names) for _ in range(arity))
-            base.add(Fact(predicate, args))
+            base.add(predicate, args)
     return base
 
 
@@ -189,21 +188,21 @@ class TestEvaluationContract:
     def test_base_with_intensional_predicate_rejected(self):
         pack = build_pack(*PACK_TRANSITIVE)
         program = stratify(pack)
-        base = FactBase([Fact("path", ("a", "b"))])
+        base = Relations([Fact("path", ("a", "b"))])
         with pytest.raises(DeclarationConflict):
             evaluate(program, base)
 
     def test_base_arity_mismatch_rejected(self):
         pack = build_pack(*PACK_TRANSITIVE)
         program = stratify(pack)
-        base = FactBase([Fact("edge", ("a", "b", "c"))])
+        base = Relations([Fact("edge", ("a", "b", "c"))])
         with pytest.raises(ArityConflict):
             evaluate(program, base)
 
     def test_derived_fact_budget(self):
         pack = build_pack(*PACK_TRANSITIVE)
         program = stratify(pack)
-        base = FactBase(
+        base = Relations(
             [Fact("edge", (f"n{i}", f"n{i+1}")) for i in range(30)]
         )
         with pytest.raises(ResourceLimit):
@@ -216,7 +215,7 @@ class TestEvaluationContract:
         )
         program = stratify(pack)
         with pytest.raises(ComparisonTypeError):
-            evaluate(program, FactBase([Fact("v", ("topaz",))]))
+            evaluate(program, Relations([Fact("v", ("topaz",))]))
 
     def test_store_rejects_a_second_arity(self):
         store = Relations([Fact("edge", ("a", "b"))])
@@ -226,25 +225,59 @@ class TestEvaluationContract:
 
     def test_bodyless_rules_fire(self):
         pack = parse_rule_pack("#pred marked/1 intensional\nmarked(origin).\n")
-        derived = evaluate(stratify(pack), FactBase()).facts
+        derived = evaluate(stratify(pack), Relations()).facts
         assert Fact("marked", ("origin",)) in derived
 
     def test_result_contains_only_intensional_facts(self):
         pack = build_pack(*PACK_TRANSITIVE)
-        base = FactBase([Fact("edge", ("a", "b"))])
+        base = Relations([Fact("edge", ("a", "b"))])
         derived = evaluate(stratify(pack), base).facts
         assert [f for f in derived if f.predicate == "edge"] == []
         assert Fact("path", ("a", "b")) in derived
 
 
+class TestStore:
+    def test_evaluate_leaves_its_base_unchanged(self):
+        pack = build_pack(*PACK_TRANSITIVE)
+        base = Relations([Fact("edge", ("a", "b")), Fact("edge", ("b", "c"))])
+        before = base.sorted()
+        model = evaluate(stratify(pack), base)
+        assert len(base) == 2
+        assert base.sorted() == before
+        assert Fact("path", ("a", "c")) not in base
+        assert Fact("path", ("a", "c")) in model.relations
+        assert len(model.relations) == 5
+
+    def test_store_is_a_set_of_facts(self):
+        facts = [Fact("edge", ("b", "c")), Fact("edge", ("a", "b")), Fact("mark", ())]
+        store = Relations(facts)
+        store.add("edge", ("a", "b"))
+        assert len(store) == 3
+        assert set(store) == set(facts)
+        assert store.sorted() == sorted(facts, key=lambda f: (f.predicate, f.args))
+        assert store == Relations(reversed(facts))
+        assert store != Relations(facts[:2])
+
+    def test_copy_has_the_rows_and_no_indexes(self):
+        store = Relations([Fact("edge", ("a", "b")), Fact("edge", ("a", "c"))])
+        assert len(store.lookup("edge", (0,), ("a",))) == 2
+        copy = store.copy()
+        assert copy == store
+        assert copy._indexes == {"edge": {}}
+        copy.add("edge", ("a", "d"))
+        assert len(store) == 2
+        assert len(store.lookup("edge", (0,), ("a",))) == 2
+        assert len(copy.lookup("edge", (0,), ("a",))) == 3
+        with pytest.raises(ArityConflict):
+            copy.add("edge", ("a",))
+
+
 class TestMatchBody:
     BASE = Relations(
-        FactBase(
-            [
-                Fact("invoked", (1, "open", "p1", "wildcard", "file", "read", 0)),
-                Fact("invoked", (4, "read", "p1", "wildcard", "buffer", "read", 0)),
-            ]
-        )
+        [
+            Fact("invoked", (1, "open", "p1", "wildcard", "file", "read", 0)),
+            Fact("invoked", (4, "read", "p1", "wildcard", "buffer", "read", 0)),
+        ]
     )
 
     def test_pattern_matches(self):

@@ -130,7 +130,7 @@ class TestGrounding:
             ground_task(domain, problem, max_ground_actions=3)
 
     def test_init_arity_conflicts_raise(self):
-        # Grounding seeds its store with rows, not a FactBase, so the store
+        # Grounding seeds its store with rows, not facts, so the store
         # itself must refuse a predicate at two arities, static (link) or
         # fluent (at), and the program one at another arity than the domain.
         domain = parse_domain(WALK_DOMAIN)

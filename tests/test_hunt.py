@@ -34,7 +34,7 @@ from planhunt.inference.engine import Relations
 from planhunt.inference.rules import parse_body, render_body
 from planhunt.planner import Plan
 from planhunt.planning_model.ground import GroundAction, GroundedTask
-from planhunt.telemetry import Fact, FactBase, load_sample
+from planhunt.telemetry import Fact, load_sample
 
 CORPUS = Path("src/planhunt/assets/corpus")
 
@@ -195,14 +195,12 @@ class TestConstructIndicators:
 
 class TestConfirmThreat:
     BASE = Relations(
-        FactBase(
-            [
-                Fact("invoked", (1, "sendmsg", "p1", "wildcard", "socket", "write", 0)),
-                Fact("invoked", (2, "recvmsg", "p1", "wildcard", "socket", "read", 0)),
-                Fact("perm-granted", ("app", "camera")),
-                Fact("notification-accessible", ("app",)),
-            ]
-        )
+        [
+            Fact("invoked", (1, "sendmsg", "p1", "wildcard", "socket", "write", 0)),
+            Fact("invoked", (2, "recvmsg", "p1", "wildcard", "socket", "read", 0)),
+            Fact("perm-granted", ("app", "camera")),
+            Fact("notification-accessible", ("app",)),
+        ]
     )
 
     def syscall_record(self, patterns):

@@ -22,7 +22,7 @@ import pytest
 from planhunt import defaults
 from planhunt.errors import ComparisonTypeError
 from planhunt.inference import engine
-from planhunt.inference.engine import Relations, evaluate, match_body, stratify
+from planhunt.inference.engine import Fact, Relations, evaluate, match_body, stratify
 from planhunt.inference.rules import (
     Atom,
     Literal,
@@ -33,7 +33,6 @@ from planhunt.inference.rules import (
     render_body,
     rule_pack,
 )
-from planhunt.telemetry import Fact, FactBase
 
 from oracles.naive_datalog import evaluate_naive
 from test_engine import build_pack, random_base
@@ -171,7 +170,7 @@ def test_wildcard_negation_after_an_indexed_join():
     heads = {head.split("(")[0] for head, _ in WILDCARD_RULES}
     for _ in range(150):
         base = random_base(oracle_pack, rng)
-        expected = FactBase(f for f in evaluate_naive(oracle_pack, base) if f.predicate in heads)
+        expected = Relations(f for f in evaluate_naive(oracle_pack, base) if f.predicate in heads)
         assert evaluate(program, base).facts == expected, (
             f"divergence on {sorted(str(f) for f in base)}"
         )
@@ -212,7 +211,7 @@ def rule_event_patterns(pack):
 def random_trace(rng, patterns):
     """Up to 150 invoked/7 events on 8 pids, half of them shaped like a
     rule's body atom, plus a few manifest facts."""
-    base = FactBase()
+    base = Relations()
     for _ in range(rng.randrange(0, 151)):
         if rng.random() < 0.5:
             syscall, obj, mode = rng.choice(patterns)
@@ -227,12 +226,12 @@ def random_trace(rng, patterns):
             mode or rng.choice(MODES),
             0 if rng.random() < 0.9 else 1,
         )
-        base.add(Fact("invoked", event))
+        base.add("invoked", event)
     for app in ("app", "other"):
         for permission in rng.sample(PERMISSIONS, rng.randrange(0, 4)):
-            base.add(Fact("declared_permission", (app, permission)))
+            base.add("declared_permission", (app, permission))
         if rng.random() < 0.3:
-            base.add(Fact("declared_intent", (app, "clipboard_changed")))
+            base.add("declared_intent", (app, "clipboard_changed"))
     return base
 
 
@@ -410,7 +409,7 @@ def tied_trace(rng):
     """Up to 60 invoked/7 events on 3 pids with timestamps 0..5, so most
     timestamps are shared; a thread id sometimes equals a pid."""
     pids = ("p1", "p2", "p3")
-    base = FactBase()
+    base = Relations()
     for _ in range(rng.randrange(0, 61)):
         event = (
             rng.randrange(0, 6),
@@ -421,7 +420,7 @@ def tied_trace(rng):
             rng.choice(("read", "write")),
             0 if rng.random() < 0.7 else rng.choice((1, 2)),
         )
-        base.add(Fact("invoked", event))
+        base.add("invoked", event)
     return base
 
 
@@ -478,11 +477,11 @@ def test_recursive_minimum_matches_the_oracle():
     program = stratify(pack)
     multi_hop = 0
     for _ in range(150):
-        base = FactBase()
+        base = Relations()
         for _ in range(rng.randrange(0, 3)):
-            base.add(Fact("start", (rng.choice(nodes), rng.randrange(0, 4))))
+            base.add("start", (rng.choice(nodes), rng.randrange(0, 4)))
         for _ in range(rng.randrange(0, 12)):
-            base.add(Fact("edge", (rng.choice(nodes), rng.choice(nodes), rng.randrange(0, 6))))
+            base.add("edge", (rng.choice(nodes), rng.choice(nodes), rng.randrange(0, 6)))
         fast = evaluate(program, base).facts
         assert fast == evaluate_naive(pack, base), (
             f"divergence on {sorted(str(f) for f in base)}"
@@ -519,10 +518,10 @@ def test_non_integer_timestamp_still_raises():
     text_row = ("noon", "close", "p1", "wildcard", "file", "read", 0)
     int_row = (1, *text_row[1:])
     with pytest.raises(ComparisonTypeError):
-        evaluate_naive(pack, FactBase([Fact("invoked", text_row)]))
+        evaluate_naive(pack, Relations([Fact("invoked", text_row)]))
     for rows in ([text_row], [int_row, text_row], [text_row, int_row]):
         with pytest.raises(ComparisonTypeError):
-            evaluate(stratify(pack), FactBase([Fact("invoked", row) for row in rows]))
+            evaluate(stratify(pack), Relations([Fact("invoked", row) for row in rows]))
     bodies = [
         parse_body("invoked(T, close, P, _, _, _, 0), T <= 2"),
         parse_body("invoked(T1, close, P, _, _, _, 0), invoked(T2, open, P, _, _, _, 0), T1 < T2"),
@@ -564,7 +563,7 @@ def test_bundled_pack_over_tied_traces_in_both_orders():
         derived = 0
         for _ in range(10):
             # Squeeze the timestamps so that most events share one.
-            base = FactBase(
+            base = Relations(
                 Fact(f.predicate, (f.args[0] % 6, *f.args[1:])) if f.predicate == "invoked" else f
                 for f in random_trace(rng, patterns)
             )
@@ -610,7 +609,7 @@ def phased_trace(events):
         + [FIRST_ATOMS[i % 5] for i in range(quarter)]
         + [("openat", "file", "read")] * (events - 2 * quarter)
     )
-    return FactBase(
+    return Relations(
         Fact("invoked", (ts, syscall, f"p{ts % 8}", "t0", obj, mode, 0))
         for ts, (syscall, obj, mode) in enumerate(shapes)
     )

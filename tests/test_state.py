@@ -13,7 +13,8 @@ from planhunt.planning_model import (
     load_mapping_table,
 )
 from planhunt.hunt import HuntAssets
-from planhunt.telemetry import Fact, FactBase, SampleRecord
+from planhunt.inference.engine import Relations
+from planhunt.telemetry import Fact, SampleRecord
 
 CAPS_TEXT = """
 # cve           capability                      argument  source
@@ -114,7 +115,7 @@ class TestInitialState:
     def test_union_of_mapped_and_capability_atoms(self):
         capabilities = load_capability_table(CAPS_TEXT)
         mapping = load_mapping_table(MAP_TEXT)
-        derived = FactBase(
+        derived = Relations(
             [Fact("exploited", ("cve_1",)), Fact("bookkeeping", ())]
         )
         init = construct_initial_state(derived, capabilities, mapping)
@@ -130,7 +131,7 @@ class TestInitialState:
     def test_unmapped_derived_predicate_raises(self):
         capabilities = load_capability_table(CAPS_TEXT)
         mapping = load_mapping_table(MAP_TEXT)
-        derived = FactBase([Fact("mystery", ("x",))])
+        derived = Relations([Fact("mystery", ("x",))])
         with pytest.raises(UnmappedPredicate):
             construct_initial_state(derived, capabilities, mapping)
 
@@ -150,7 +151,7 @@ class TestGoalAndProblem:
 
     def test_build_problem_objects(self, assets):
         domain, capabilities, mapping = assets.domain, assets.capabilities, assets.mapping
-        derived = FactBase([Fact("exploited", ("cve_2016_5195",))])
+        derived = Relations([Fact("exploited", ("cve_2016_5195",))])
         problem = build_problem(
             derived, sample(), domain, capabilities, mapping,
             ThreatHypothesis("surveillance", "permission"),
@@ -165,7 +166,7 @@ class TestGoalAndProblem:
 
     def test_build_problem_types_unknown_objects_from_schema(self, assets):
         domain, capabilities, mapping = assets.domain, assets.capabilities, assets.mapping
-        derived = FactBase([Fact("exploited", ("cve_9999_0001",))])
+        derived = Relations([Fact("exploited", ("cve_9999_0001",))])
         problem = build_problem(
             derived, sample(), domain, capabilities, mapping,
             ThreatHypothesis("surveillance", "exploit"),
@@ -178,7 +179,7 @@ class TestGoalAndProblem:
         domain = assets.domain
         mapping = load_mapping_table("haunted/1 (haunted $1)\n")
         capabilities = load_capability_table("")
-        derived = FactBase([Fact("haunted", ("app",))])
+        derived = Relations([Fact("haunted", ("app",))])
         with pytest.raises(InputError) as err:
             build_problem(
                 derived, sample(), domain, capabilities, mapping,
@@ -190,7 +191,7 @@ class TestGoalAndProblem:
         domain = assets.domain
         mapping = load_mapping_table("exploited/2 (exploited $1 $2)\n")
         capabilities = load_capability_table("")
-        derived = FactBase([Fact("exploited", ("cve_1", "extra"))])
+        derived = Relations([Fact("exploited", ("cve_1", "extra"))])
         with pytest.raises(InputError) as err:
             build_problem(
                 derived, sample(), domain, capabilities, mapping,
@@ -204,7 +205,7 @@ class TestGoalAndProblem:
         # first slot wants an app.
         mapping = load_mapping_table("perm-granted/2 (perm-granted $2 $1)\n")
         capabilities = assets.capabilities
-        derived = FactBase([Fact("perm-granted", ("camera", "camera"))])
+        derived = Relations([Fact("perm-granted", ("camera", "camera"))])
         with pytest.raises(InputError) as err:
             build_problem(
                 derived, sample(), domain, capabilities, mapping,

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from planhunt.errors import ArityConflict, MalformedRecord
+from planhunt.inference.engine import Relations
 from planhunt.telemetry import (
     Fact,
-    FactBase,
     events_to_facts,
     load_sample,
     unknown_tokens,
@@ -86,6 +86,20 @@ class TestJsonlLoading:
         assert err.value.line == 2
         assert "boolean" in str(err.value)
 
+    @pytest.mark.parametrize("ts", [True, 2.9, float("inf")])
+    def test_boolean_or_fractional_timestamp_raises(self, tmp_path, ts):
+        path = write_jsonl(tmp_path, "s.jsonl", [EVENT, dict(EVENT, ts=ts)])
+        with pytest.raises(MalformedRecord) as err:
+            load_sample(path)
+        assert err.value.line == 2
+        assert "event 'ts' is not an integer" in str(err.value)
+
+    def test_whole_number_timestamps_load(self, tmp_path):
+        records = [dict(EVENT, ts=3.0), dict(EVENT, ts="7"), dict(EVENT, ts=5)]
+        sample = load_sample(write_jsonl(tmp_path, "s.jsonl", records))
+        assert [e.ts for e in sample.events] == [3, 5, 7]
+        assert all(type(e.ts) is int for e in sample.events)
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text(json.dumps(EVENT) + "\n{nope\n", encoding="utf-8")
@@ -154,9 +168,9 @@ class TestFactConstruction:
         assert Fact("declared_intent", ("app", "shipped")) in base
 
     def test_arity_conflict(self):
-        base = FactBase([Fact("p", ("a",))])
+        base = Relations([Fact("p", ("a",))])
         with pytest.raises(ArityConflict):
-            base.add(Fact("p", ("a", "b")))
+            base.add("p", ("a", "b"))
 
     def test_unknown_tokens(self, tmp_path):
         records = [
