@@ -6,8 +6,9 @@ facts, ``plan`` shows planning problems and plans for one hypothesis,
 and ``batch`` processes whole directories with worker processes.
 
 Exit codes: 0 success, 1 bad input (malformed samples, rules, domains,
-missing files), 2 unexpected errors. ``batch`` still reports the samples it
-could hunt when others fail, and prints one error line per failed sample.
+unreadable or unwritable paths), 2 unexpected errors. ``batch`` still
+reports the samples it could hunt when others fail, and prints one error
+line per failed sample.
 """
 
 import argparse
@@ -97,8 +98,12 @@ def _assets(args: argparse.Namespace) -> HuntAssets:
 
 
 def _config(args: argparse.Namespace) -> HuntConfig:
-    if args.k < 1:
-        raise InputError(f"-k must be at least 1, got {args.k}")
+    floors = (("-k", args.k, 1), ("--time-limit", args.time_limit, 0),
+              ("--sample-time-limit", args.sample_time_limit, 0),
+              ("--memory-limit", args.memory_limit, 1))
+    for flag, value, least in floors:
+        if value is not None and not value >= least:  # NaN fails too
+            raise InputError(f"{flag} must be at least {least}, got {value}")
     return HuntConfig(
         limits=Limits(
             k=args.k,
@@ -315,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (PlanHuntError, FileNotFoundError) as exc:
+    except (PlanHuntError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:  # pragma: no cover - defensive

@@ -32,7 +32,7 @@ from .inference.engine import (
     match_body,
     stratify,
 )
-from .inference.rules import Atom, BodyItem, Literal, RulePack, Var, render_body
+from .inference.rules import Atom, Literal, Rule, RulePack, Var, render_body
 from .planner import Limits, Plan, PlanSet, find_top_k
 from .planning_model.ground import GroundedTask, ground_task
 from .planning_model.model import (
@@ -125,48 +125,44 @@ def parse_indicator_map(text: str) -> tuple[IndicatorSpec, ...]:
     return tuple(specs)
 
 
-# (rendered text, body) of each rule body whose satisfaction lifts one CVE.
-Patterns = tuple[tuple[str, tuple[BodyItem, ...]], ...]
-
-
 @dataclass(frozen=True)
 class IoCRecord:
-    """One indicator: what to look for, and which plan step produced it.
-    A syscall-pattern record carries the bodies its ``patterns`` detail
-    renders, in the same order."""
+    """One indicator: what to look for, and which plan step produced it."""
 
     kind: str
     detail: tuple[tuple[str, str], ...]
     source_step: int
-    source_cve: str | None = None
-    bodies: tuple[tuple[BodyItem, ...], ...] = field(default=(), compare=False)
 
     def detail_dict(self) -> dict[str, str]:
         return dict(self.detail)
 
 
-def cve_patterns(pack: RulePack) -> dict[str, Patterns]:
-    """The rule bodies whose satisfaction lifts ``exploited(cve)``, per cve.
+def cve_patterns(pack: RulePack) -> dict[str, str]:
+    """Per cve, the `` | ``-joined text of the rule bodies that lift
+    ``exploited(cve)``: the ``patterns`` detail of its syscall-pattern
+    indicators. Confirmation probes the model for ``exploited(cve)``, which
+    holds exactly when one of these bodies matches.
 
     A lifting rule whose body is a single evidence predicate expands to
     that predicate's own rule bodies, so the patterns reference telemetry
-    directly.
+    directly. An ``exploited(X)`` head names no cve and is skipped.
     """
-    by_head: dict[Atom, list[tuple[BodyItem, ...]]] = {}
+    by_head: dict[Atom, list[Rule]] = {}
     for rule in pack.rules:
-        by_head.setdefault(rule.head, []).append(rule.body)
-    patterns: dict[str, Patterns] = {}
+        by_head.setdefault(rule.head, []).append(rule)
+    patterns: dict[str, str] = {}
     for head, lifting in by_head.items():
-        if head.predicate != "exploited" or len(head.args) != 1:
+        if head.predicate != "exploited" or len(head.args) != 1 or isinstance(head.args[0], Var):
             continue
-        bodies: list[tuple[BodyItem, ...]] = []
-        for body in lifting:
-            evidence = body[0] if len(body) == 1 else None
+        rules: list[Rule] = []
+        for rule in lifting:
+            evidence = rule.body[0] if len(rule.body) == 1 else None
             if isinstance(evidence, Literal) and not evidence.negated and not evidence.atom.args:
-                bodies += by_head.get(evidence.atom, [])
+                rules += by_head.get(evidence.atom, [])
             else:
-                bodies.append(body)
-        patterns[head.args[0]] = tuple((render_body(body), body) for body in bodies)
+                rules.append(rule)
+        if rules:
+            patterns[head.args[0]] = " | ".join(render_body(rule.body) for rule in rules)
     return patterns
 
 
@@ -174,7 +170,7 @@ def construct_indicators(
     task: GroundedTask,
     plan: Plan,
     specs: tuple[IndicatorSpec, ...],
-    patterns: dict[str, Patterns],
+    patterns: dict[str, str],
 ) -> tuple[IoCRecord, ...]:
     """Expand each plan step through the indicator templates; a
     syscall-pattern record gets its CVE's ``patterns``.
@@ -203,17 +199,14 @@ def construct_indicators(
                     detail.append((key, action.args[int(slot) - 1]))
                 else:
                     detail.append((key, value))
-            source_cve = dict(detail).get("cve")
-            alternatives = patterns.get(source_cve, ()) if spec.kind == "syscall-pattern" else ()
-            if alternatives:
-                detail.append(("patterns", " | ".join(text for text, _ in alternatives)))
-            bodies = tuple(body for _, body in alternatives)
-            record = IoCRecord(spec.kind, tuple(detail), step, source_cve, bodies)
-            key = (record.kind, record.detail, record.source_cve)
+            cve = dict(detail).get("cve")
+            if spec.kind == "syscall-pattern" and cve in patterns:
+                detail.append(("patterns", patterns[cve]))
+            key = (spec.kind, tuple(detail))
             if key in seen:
                 continue
             seen.add(key)
-            records.append(record)
+            records.append(IoCRecord(spec.kind, tuple(detail), step))
     return tuple(records)
 
 
@@ -227,28 +220,26 @@ _AUDIT_PREDICATES = {
 
 
 def confirm_threat(records: tuple[IoCRecord, ...], relations: Relations) -> bool:
-    """Audit the checkable records against ``relations``, the store of a
-    sample's extensional plus derived facts.
-
-    Each syscall-pattern record needs one of its bodies to match, each
-    permission or surface audit its fact; api-call records pass. Every
-    check is one ``match_body`` call on the same store, so the indexes one
-    check builds serve the next."""
+    """Audit the checkable records against the model ``evaluate`` saturated
+    for a sample, ``relations``, with a one-atom ``match_body`` probe each:
+    ``exploited(cve)`` for a syscall pattern (failing without a cve),
+    ``perm-granted(_, sensor)`` for a permission audit, the app's surface
+    fact for a surface audit; api-call records pass. All probes read one
+    store, so the indexes one builds serve the next."""
     for record in records:
         detail = record.detail_dict()
         if record.kind == "syscall-pattern":
-            if not any(body and match_body(body, relations) for body in record.bodies):
+            if "cve" not in detail:
                 return False
+            atom = Atom("exploited", (detail["cve"],))
         elif record.kind == "permission-audit":
-            probe = (Literal(Atom("perm-granted", (Var("A"), detail["sensor"]))),)
-            if not match_body(probe, relations):
-                return False
+            atom = Atom("perm-granted", (Var("A"), detail["sensor"]))
         elif record.kind in _AUDIT_PREDICATES:
-            probe = (
-                Literal(Atom(_AUDIT_PREDICATES[record.kind], (detail["app"],))),
-            )
-            if not match_body(probe, relations):
-                return False
+            atom = Atom(_AUDIT_PREDICATES[record.kind], (detail["app"],))
+        else:
+            continue
+        if not match_body((Literal(atom),), relations):
+            return False
     return True
 
 
@@ -294,8 +285,8 @@ class HuntAssets:
     domain: DomainModel
     pack: RulePack
     program: StratifiedProgram
-    # cve -> the pack's syscall patterns that lift it; see cve_patterns.
-    patterns: dict[str, Patterns]
+    # cve -> its syscall-pattern indicators' patterns text; see cve_patterns.
+    patterns: dict[str, str]
     capabilities: CapabilityTable
     mapping: MappingTable
     indicator_specs: tuple[IndicatorSpec, ...]
@@ -622,13 +613,15 @@ def batch_hunt(
     sample id regardless of worker scheduling; two samples with the same id
     abort the batch. A sample that fails to load or hunt is left out of the
     reports and listed in ``BatchSummary.failures``. When ``report_dir`` is
-    given, per-sample reports (without wall times) and summary.csv are
-    written there.
+    given, it is created before any sample is hunted, and per-sample
+    reports (without wall times) and summary.csv are written there.
     """
     assets = assets or HuntAssets.load()
     config = config or HuntConfig()
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if report_dir is not None:
+        report_dir.mkdir(parents=True, exist_ok=True)
 
     if workers == 1:
         outcomes = [_hunt_path(path, assets, config) for path in paths]
@@ -652,7 +645,6 @@ def batch_hunt(
         logger.warning("batch: %d of %d samples have unknown tokens", flagged, len(reports))
 
     if report_dir is not None:
-        report_dir.mkdir(parents=True, exist_ok=True)
         for report in reports:
             out = report_dir / f"{report.sample_id}.json"
             out.write_text(report_to_json(report, include_wall_time=False), encoding="utf-8")

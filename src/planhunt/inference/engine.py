@@ -10,7 +10,7 @@ pipeline: the rows of each predicate plus hash indexes per (predicate,
 bound positions), each built on its first lookup and updated by every later
 add. Telemetry fills a store with the extensional rows; ``evaluate``
 saturates a copy of it and returns that copy with the derived rows, and
-confirmation's ``match_body`` calls read the same copy and its indexes.
+confirmation probes that copy's model with one-atom ``match_body`` calls.
 Grounding seeds a store of its own and reads its model straight from it.
 
 Kernels. A planned rule runs as a kernel, one per delta position (or none,
@@ -560,8 +560,8 @@ def _found(head: tuple) -> bool:
     return True
 
 
-# Confirmation checks the same few pattern bodies of a pack again and
-# again; a plan and its kernel depend on the body alone.
+# Confirmation checks the same few one-atom probes again and again; a
+# plan and its kernel depend on the body alone.
 @lru_cache(maxsize=1024)
 def _planned_probe(body: tuple[BodyItem, ...]) -> PlannedRule | None:
     try:

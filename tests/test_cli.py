@@ -281,10 +281,38 @@ class TestSinglePipelinePath:
         ["hunt", sample("pivot_demo.jsonl"), "-k", "0"],
         ["plan", sample("pivot_demo.jsonl"), "surveillance/exploit", "-k", "0"],
         ["batch", sample("pivot_demo.jsonl"), "--workers", "0"],
+        ["hunt", sample("pivot_demo.jsonl"), "--time-limit", "-1"],
+        ["hunt", sample("pivot_demo.jsonl"), "--time-limit", "nan"],
+        ["plan", sample("pivot_demo.jsonl"), "surveillance/exploit", "--sample-time-limit", "-0.5"],
+        ["batch", sample("pivot_demo.jsonl"), "--sample-time-limit", "nan"],
+        ["hunt", sample("pivot_demo.jsonl"), "--memory-limit", "-5"],
+        ["batch", sample("pivot_demo.jsonl"), "--memory-limit", "0"],
     ],
-    ids=["hunt-k", "plan-k", "batch-workers"],
+    ids=[
+        "hunt-k", "plan-k", "batch-workers", "hunt-time-limit", "hunt-time-limit-nan",
+        "plan-sample-time-limit", "batch-sample-time-limit-nan", "hunt-memory-limit",
+        "batch-memory-limit",
+    ],
 )
 def test_bad_flag_value_is_an_input_error(argv):
+    assert_one_error_line(argv)
+
+
+@pytest.mark.parametrize("command", ["hunt-out", "hunt-rules", "batch-reports"])
+def test_unusable_path_is_an_input_error(command, tmp_path):
+    occupied = tmp_path / "occupied"
+    occupied.write_text("")
+    argv = {
+        "hunt-out": ["hunt", sample("pivot_demo.jsonl"), "-o", str(tmp_path)],
+        "hunt-rules": ["hunt", sample("pivot_demo.jsonl"), "--rules", str(tmp_path)],
+        "batch-reports": ["batch", str(CORPUS), "--reports", str(occupied)],
+    }[command]
+    assert_one_error_line(argv)
+
+
+def assert_one_error_line(argv):
+    """Run the CLI in a separate interpreter and check that it exits 1 with
+    a single ``error:`` line and no traceback."""
     src = str(Path(planhunt.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-m", "planhunt.cli", *argv],

@@ -31,7 +31,6 @@ from planhunt.hunt import (
     summary_to_csv,
 )
 from planhunt.inference.engine import Relations
-from planhunt.inference.rules import parse_body, render_body
 from planhunt.planner import Plan
 from planhunt.planning_model.ground import GroundAction, GroundedTask
 from planhunt.telemetry import Fact, load_sample
@@ -58,7 +57,8 @@ def hunt(name, assets, **kwargs):
 
 def patterns_for_cve(assets, cve):
     """The rendered texts of the patterns that lift ``cve``."""
-    return [text for text, _body in assets.patterns.get(cve, ())]
+    text = assets.patterns.get(cve)
+    return [] if text is None else text.split(" | ")
 
 
 def by_label(report, label):
@@ -178,7 +178,7 @@ class TestConstructIndicators:
         task = tiny_task(args=("cve_2019_2103",))
         specs = parse_indicator_map("probe syscall-pattern cve=$1\n")
         (record,) = construct_indicators(task, Plan((0,), 1), specs, assets.patterns)
-        assert record.source_cve == "cve_2019_2103"
+        assert record.detail_dict()["cve"] == "cve_2019_2103"
         assert "sendmsg" in record.detail_dict()["patterns"]
 
 
@@ -186,11 +186,7 @@ class TestConstructIndicators:
         task = tiny_task(args=("cve_2016_5195",))
         specs = parse_indicator_map("probe syscall-pattern cve=$1\n")
         (record,) = construct_indicators(task, Plan((0,), 1), specs, assets.patterns)
-        evidence = [
-            r.body for r in assets.pack.rules if r.head.predicate == "cve_2016_5195_evidence"
-        ]
-        assert list(record.bodies) == evidence
-        assert " | ".join(render_body(b) for b in record.bodies) == DIRTY_PATTERNS
+        assert record.detail_dict()["patterns"] == DIRTY_PATTERNS
 
 
 class TestConfirmThreat:
@@ -204,28 +200,19 @@ class TestConfirmThreat:
     )
 
     def syscall_record(self, patterns):
-        bodies = tuple(parse_body(text) for text in patterns.split(" | "))
-        return IoCRecord(
-            "syscall-pattern", (("cve", "x"), ("patterns", patterns)), 0, "x", bodies
-        )
+        return IoCRecord("syscall-pattern", (("cve", "x"), ("patterns", patterns)), 0)
 
     def test_matching_pattern(self):
+        # The pack's model holds exploited(x): some body lifting x matched.
         record = self.syscall_record(
             "invoked(T1, sendmsg, P, _, socket, write, 0),"
             " invoked(T2, recvmsg, P, _, socket, read, 0), T1 < T2"
         )
-        assert confirm_threat((record,), self.BASE)
+        assert confirm_threat((record,), Relations([*self.BASE, Fact("exploited", ("x",))]))
 
     def test_failing_pattern(self):
         record = self.syscall_record("invoked(T1, ptrace, P, _, file, read, 0)")
         assert not confirm_threat((record,), self.BASE)
-
-    def test_any_alternative_suffices(self):
-        record = self.syscall_record(
-            "invoked(T1, ptrace, P, _, file, read, 0)"
-            " | invoked(T1, recvmsg, P, _, socket, read, 0)"
-        )
-        assert confirm_threat((record,), self.BASE)
 
     def test_permission_audit(self):
         granted = IoCRecord("permission-audit", (("sensor", "camera"),), 0)
@@ -269,7 +256,6 @@ class TestIdentifyThreats:
                 "syscall-pattern",
                 (("cve", "cve_2016_5195"), ("patterns", DIRTY_PATTERNS)),
                 0,
-                "cve_2016_5195",
             ),
             IoCRecord("permission-audit", (("sensor", "camera"),), 0),
         )
@@ -477,6 +463,17 @@ class TestBatchHunt:
         assert [name for name, _ in summary.failures] == ["z_missing.jsonl", "a_bad.jsonl"]
         assert str(missing) in summary.failures[0][1]
         assert summary.failures[1][1] == "line 1: event missing 'syscall'"
+
+    def test_unusable_report_dir_raises_before_any_hunt(self, tmp_path, monkeypatch):
+        hunted = []
+        monkeypatch.setattr(
+            "planhunt.hunt.identify_threats", lambda *args: hunted.append(args)
+        )
+        occupied = tmp_path / "occupied"
+        occupied.write_text("")
+        with pytest.raises(FileExistsError):
+            batch_hunt(self.paths(), report_dir=occupied)
+        assert hunted == []
 
     def test_worker_count_validated(self):
         with pytest.raises(ValueError):
