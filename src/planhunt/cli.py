@@ -226,6 +226,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     paths = _collect_samples(args.inputs)
     if not paths:
         raise InputError("no .jsonl or .csv samples found")
+    if args.summary is not None:
+        # Fail on an unwritable summary path before any sample is hunted.
+        with args.summary.open("a", encoding="utf-8"):
+            pass
     reports, summary = batch_hunt(
         paths,
         assets=_assets(args),

@@ -11,6 +11,9 @@ Two input layouts are supported:
   ``permissions, intents, sample_id`` name columns read from the first data
   row (list cells are ``;``-separated).
 
+Both layouts, and the column mapping file, must be UTF-8: a file that is
+not raises MalformedRecord on the line of its first undecodable byte.
+
 Facts render as ``pred(arg1,...,argN).``; bare ``pred.`` is the
 zero-argument form. Integer arguments stay
 integers; every other argument is a lowercase token. A field the source did
@@ -18,10 +21,12 @@ not report becomes the reserved constant ``wildcard``.
 """
 
 import csv
+import io
 import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import MalformedRecord
 from .inference.engine import Fact, Relations
@@ -48,6 +53,8 @@ _INT_RE = re.compile(r"-?[0-9]+\Z")
 _UNSAFE_TOKEN_RE = re.compile(r"[^a-z0-9_-]")
 # Prefixes commonly carried by platform permission/intent identifiers.
 _STRIP_PREFIXES = ("android.permission.", "android.intent.action.", "android.intent.")
+# The C scanner behind json.loads: one value at an index, no whitespace skip.
+_scan = json.JSONDecoder().scan_once
 
 
 def _normalize_token(value: object) -> Arg:
@@ -73,12 +80,13 @@ def _normalize_token(value: object) -> Arg:
 
 
 def _token_memo():
-    """``_normalize_token`` memoized for one load. The key holds the type
-    because ``True == 1``: a boolean must not reuse an integer's token."""
-    memo: dict[tuple[type, object], Arg] = {}
+    """``_normalize_token`` memoized for one load. A string is its own key;
+    any other key holds the type because ``True == 1``: a boolean must not
+    reuse an integer's token."""
+    memo: dict[object, Arg] = {}
 
     def normalize(value: object) -> Arg:
-        key = (type(value), value)
+        key = value if type(value) is str else (type(value), value)
         try:
             token = memo.get(key)
         except TypeError:  # an unhashable value, such as a JSON list
@@ -90,9 +98,9 @@ def _token_memo():
     return normalize
 
 
-@dataclass(frozen=True)
-class TelemetryEvent:
-    """One observed system call: fields mirror the invoked/7 fact shape."""
+class TelemetryEvent(NamedTuple):
+    """One observed system call, in invoked/7 field order: an event is its
+    own invoked row."""
 
     ts: int
     syscall: str
@@ -133,6 +141,20 @@ def load_sample(path: str | Path, column_map: str | Path | None = None) -> Sampl
     return _load_jsonl(path)
 
 
+def _utf8_lines(path: Path, newline: str | None = None) -> io.StringIO:
+    """The file's text as a stream of lines (universal newlines unless
+    ``newline`` says otherwise). A byte that is not UTF-8 rejects the whole
+    file, as a MalformedRecord on that byte's line."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise MalformedRecord(line, "not valid UTF-8") from None
+    return io.StringIO(text, newline=newline)
+
+
 def _load_jsonl(path: Path) -> SampleRecord:
     sample_id = path.stem
     events: list[TelemetryEvent] = []
@@ -140,8 +162,16 @@ def _load_jsonl(path: Path) -> SampleRecord:
     intents: list[str] = []
     meta: list[tuple[str, str]] = []
     normalize = _token_memo()
-    with path.open(encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
+    for lineno, raw in enumerate(_utf8_lines(path), start=1):
+        # The scanner takes a line that opens with its value and has only
+        # whitespace after it; json.loads of the stripped line gives any
+        # other line (blank, indented, trailing data, bad JSON) its outcome.
+        try:
+            record, stop = _scan(raw, 0)
+            scanned = not raw[stop:].strip()
+        except (StopIteration, json.JSONDecodeError):
+            scanned = False
+        if not scanned:
             line = raw.strip()
             if not line:
                 continue
@@ -149,23 +179,23 @@ def _load_jsonl(path: Path) -> SampleRecord:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(lineno, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(record, dict):
-                raise MalformedRecord(lineno, "record is not an object")
-            kind = record.get("type")
-            if kind == "event":
-                events.append(_event_from_mapping(record, lineno, normalize))
-            elif kind == "permission":
-                permissions.append(_required_token(record, "name", lineno, normalize))
-            elif kind == "intent":
-                intents.append(_required_token(record, "action", lineno, normalize))
-            elif kind == "meta":
-                if "sample_id" in record:
-                    sample_id = str(record["sample_id"])
-                meta.extend(
-                    (str(k), str(v)) for k, v in sorted(record.items()) if k != "type"
-                )
-            else:
-                raise MalformedRecord(lineno, f"unknown record type {kind!r}")
+        if not isinstance(record, dict):
+            raise MalformedRecord(lineno, "record is not an object")
+        kind = record.get("type")
+        if kind == "event":
+            events.append(_event_from_mapping(record, lineno, normalize))
+        elif kind == "permission":
+            permissions.append(_required_token(record, "name", lineno, normalize))
+        elif kind == "intent":
+            intents.append(_required_token(record, "action", lineno, normalize))
+        elif kind == "meta":
+            if "sample_id" in record:
+                sample_id = str(record["sample_id"])
+            meta.extend(
+                (str(k), str(v)) for k, v in sorted(record.items()) if k != "type"
+            )
+        else:
+            raise MalformedRecord(lineno, f"unknown record type {kind!r}")
     return _finish_sample(sample_id, events, permissions, intents, meta)
 
 
@@ -184,13 +214,14 @@ def _event_from_mapping(record: dict, lineno: int, normalize) -> TelemetryEvent:
     if "syscall" not in record:
         raise MalformedRecord(lineno, "event missing 'syscall'")
     ts = record["ts"]
-    # int() would take True as 1 and truncate 2.9 to 2.
-    if isinstance(ts, bool) or (isinstance(ts, float) and not ts.is_integer()):
-        raise MalformedRecord(lineno, "event 'ts' is not an integer")
-    try:
-        ts = int(ts)
-    except (TypeError, ValueError) as exc:
-        raise MalformedRecord(lineno, "event 'ts' is not an integer") from exc
+    if type(ts) is not int:
+        # int() would take True as 1 and truncate 2.9 to 2.
+        if isinstance(ts, bool) or (isinstance(ts, float) and not ts.is_integer()):
+            raise MalformedRecord(lineno, "event 'ts' is not an integer")
+        try:
+            ts = int(ts)
+        except (TypeError, ValueError) as exc:
+            raise MalformedRecord(lineno, "event 'ts' is not an integer") from exc
     if ts < 0:
         raise MalformedRecord(lineno, "event 'ts' is negative")
     syscall = normalize(record["syscall"])
@@ -200,13 +231,13 @@ def _event_from_mapping(record: dict, lineno: int, normalize) -> TelemetryEvent:
         raise MalformedRecord(lineno, "event missing 'pid'")
     try:
         return TelemetryEvent(
-            ts=ts,
-            syscall=syscall,
-            pid=normalize(record["pid"]),
-            tid=normalize(record.get("tid", WILDCARD)),
-            obj=normalize(record.get("object", WILDCARD)),
-            mode=normalize(record.get("mode", WILDCARD)),
-            ret=normalize(record.get("ret", WILDCARD)),
+            ts,
+            syscall,
+            normalize(record["pid"]),
+            normalize(record.get("tid", WILDCARD)),
+            normalize(record.get("object", WILDCARD)),
+            normalize(record.get("mode", WILDCARD)),
+            normalize(record.get("ret", WILDCARD)),
         )
     except ValueError as exc:
         raise MalformedRecord(lineno, str(exc)) from exc
@@ -217,15 +248,14 @@ def _load_csv(path: Path, column_map: str | Path | None) -> SampleRecord:
     if not map_path.is_file():
         raise FileNotFoundError(str(map_path))
     mapping: dict[str, str] = {}
-    with map_path.open(encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise MalformedRecord(lineno, f"column map line has no '=': {line!r}")
-            key, _, value = line.partition("=")
-            mapping[key.strip()] = value.strip()
+    for lineno, raw in enumerate(_utf8_lines(map_path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise MalformedRecord(lineno, f"column map line has no '=': {line!r}")
+        key, _, value = line.partition("=")
+        mapping[key.strip()] = value.strip()
     for required in ("ts", "syscall", "pid"):
         if required not in mapping:
             raise MalformedRecord(0, f"column map missing required key {required!r}")
@@ -235,31 +265,30 @@ def _load_csv(path: Path, column_map: str | Path | None) -> SampleRecord:
     intents: list[str] = []
     sample_id = path.stem
     normalize = _token_memo()
-    with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise MalformedRecord(1, "CSV file has no header row")
-        for key, column in mapping.items():
-            if column not in reader.fieldnames:
-                raise MalformedRecord(1, f"mapped column {column!r} not in header")
-        for rowno, row in enumerate(reader, start=2):
-            record: dict[str, object] = {"type": "event"}
-            for key in ("ts", "syscall", "pid", "tid", "object", "mode", "ret"):
+    reader = csv.DictReader(_utf8_lines(path, newline=""))
+    if reader.fieldnames is None:
+        raise MalformedRecord(1, "CSV file has no header row")
+    for key, column in mapping.items():
+        if column not in reader.fieldnames:
+            raise MalformedRecord(1, f"mapped column {column!r} not in header")
+    for rowno, row in enumerate(reader, start=2):
+        record: dict[str, object] = {"type": "event"}
+        for key in ("ts", "syscall", "pid", "tid", "object", "mode", "ret"):
+            column = mapping.get(key)
+            if column is not None and row.get(column, "") != "":
+                record[key] = row[column]
+        events.append(_event_from_mapping(record, rowno, normalize))
+        if rowno == 2:
+            if "sample_id" in mapping and row.get(mapping["sample_id"]):
+                sample_id = str(row[mapping["sample_id"]])
+            for key, sink in (("permissions", permissions), ("intents", intents)):
                 column = mapping.get(key)
-                if column is not None and row.get(column, "") != "":
-                    record[key] = row[column]
-            events.append(_event_from_mapping(record, rowno, normalize))
-            if rowno == 2:
-                if "sample_id" in mapping and row.get(mapping["sample_id"]):
-                    sample_id = str(row[mapping["sample_id"]])
-                for key, sink in (("permissions", permissions), ("intents", intents)):
-                    column = mapping.get(key)
-                    if column and row.get(column):
-                        for item in str(row[column]).split(";"):
-                            if item.strip():
-                                token = normalize(item)
-                                if not isinstance(token, int):
-                                    sink.append(token)
+                if column and row.get(column):
+                    for item in str(row[column]).split(";"):
+                        if item.strip():
+                            token = normalize(item)
+                            if not isinstance(token, int):
+                                sink.append(token)
     return _finish_sample(sample_id, events, permissions, intents, [])
 
 
@@ -287,17 +316,14 @@ def _finish_sample(
 def events_to_facts(sample: SampleRecord) -> Relations:
     """Translate a sample into its fact store.
 
-    Every event becomes one invoked/7 row, every permission one
+    Every event is its own invoked/7 row, every permission one
     declared_permission/2 row, every intent one declared_intent/2 row, so
     the result holds exactly ``|events| + |permissions| + |intents|`` facts
     up to duplicates.
     """
     base = Relations()
     for event in sample.events:
-        base.add(
-            INVOKED,
-            (event.ts, event.syscall, event.pid, event.tid, event.obj, event.mode, event.ret),
-        )
+        base.add(INVOKED, event)
     for permission in sample.permissions:
         base.add(DECLARED_PERMISSION, (APP, permission))
     for intent in sample.intents:

@@ -249,6 +249,29 @@ class TestBatch:
             assert err == "error: line 1: event missing 'syscall' (bad.jsonl)\n"
             assert {p.name: p.read_bytes() for p in reports.iterdir()} == expected
 
+    def test_non_utf8_sample_leaves_the_rest_reported(self, tmp_path, capsys):
+        good = self.corpus_subset(tmp_path, ["camera_perm_demo.jsonl"])
+        assert main(["batch", str(good), "--reports", str(tmp_path / "good")]) == 0
+        expected_out = capsys.readouterr().out
+        expected = {p.name: p.read_bytes() for p in (tmp_path / "good").iterdir()}
+        (good / "bad.jsonl").write_bytes(b'{"type": "meta"}\r\n{"type": "\xff"}\n')
+        reports = tmp_path / "reports"
+        assert main(["batch", str(good), "--reports", str(reports)]) == 1
+        out, err = capsys.readouterr()
+        assert out == expected_out
+        assert err == "error: line 2: not valid UTF-8 (bad.jsonl)\n"
+        assert {p.name: p.read_bytes() for p in reports.iterdir()} == expected
+
+    def test_bad_summary_path_fails_before_hunting(self, tmp_path, capsys):
+        target = self.corpus_subset(tmp_path, ["camera_perm_demo.jsonl"])
+        reports = tmp_path / "reports"
+        argv = ["batch", str(target), "--reports", str(reports), "--summary", str(tmp_path)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert not reports.exists()
+
 
 class TestSinglePipelinePath:
     """plan and validate reach the same tasks and plans as hunt."""
@@ -298,7 +321,9 @@ def test_bad_flag_value_is_an_input_error(argv):
     assert_one_error_line(argv)
 
 
-@pytest.mark.parametrize("command", ["hunt-out", "hunt-rules", "batch-reports"])
+@pytest.mark.parametrize(
+    "command", ["hunt-out", "hunt-rules", "batch-reports", "batch-summary"]
+)
 def test_unusable_path_is_an_input_error(command, tmp_path):
     occupied = tmp_path / "occupied"
     occupied.write_text("")
@@ -306,8 +331,15 @@ def test_unusable_path_is_an_input_error(command, tmp_path):
         "hunt-out": ["hunt", sample("pivot_demo.jsonl"), "-o", str(tmp_path)],
         "hunt-rules": ["hunt", sample("pivot_demo.jsonl"), "--rules", str(tmp_path)],
         "batch-reports": ["batch", str(CORPUS), "--reports", str(occupied)],
+        "batch-summary": ["batch", str(CORPUS), "--summary", str(tmp_path)],
     }[command]
     assert_one_error_line(argv)
+
+
+def test_non_utf8_sample_is_an_input_error(tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b'{"type": "meta", "note": "caf\xe9"}\n')
+    assert_one_error_line(["hunt", str(bad)])
 
 
 def assert_one_error_line(argv):

@@ -1,6 +1,7 @@
 """Telemetry loading, normalization, and fact construction."""
 
 import json
+import pickle
 
 import pytest
 
@@ -111,6 +112,19 @@ class TestJsonlLoading:
         with pytest.raises(FileNotFoundError):
             load_sample(tmp_path / "absent.jsonl")
 
+    def test_memo_keeps_value_types_apart(self, tmp_path):
+        records = [dict(EVENT, ts=ts, pid=pid) for ts, pid in ((1, 1), (2, 1.0), (3, "1"))]
+        sample = load_sample(write_jsonl(tmp_path, "s.jsonl", records))
+        assert [e.pid for e in sample.events] == [1, "x_1_0", 1]
+        assert [type(e.pid) for e in sample.events] == [int, str, int]
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_bytes(json.dumps(EVENT).encode() + b"\r\n\r{\"type\": \"caf\xe9\"}\n")
+        with pytest.raises(MalformedRecord) as err:
+            load_sample(path)
+        assert (err.value.line, err.value.reason) == (3, "not valid UTF-8")
+
 
 class TestCsvLoading:
     def write_csv(self, tmp_path, body, colmap=None):
@@ -144,6 +158,21 @@ class TestCsvLoading:
         with pytest.raises(MalformedRecord):
             load_sample(path)
 
+    def test_non_utf8_csv_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"time,call,proc\n1,mmap,p1\n2,re\xffad,p1\n")
+        (tmp_path / "t.colmap").write_text("ts=time\nsyscall=call\npid=proc\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord) as err:
+            load_sample(path)
+        assert (err.value.line, err.value.reason) == (3, "not valid UTF-8")
+
+    def test_non_utf8_column_map(self, tmp_path):
+        path = self.write_csv(tmp_path, "time,call,proc\n1,mmap,p1\n")
+        (tmp_path / "t.colmap").write_bytes(b"# caf\xe9\nts=time\n")
+        with pytest.raises(MalformedRecord) as err:
+            load_sample(path)
+        assert (err.value.line, err.value.reason) == (1, "not valid UTF-8")
+
     def test_explicit_column_map_argument(self, tmp_path):
         path = self.write_csv(tmp_path, "time,call,proc\n1,mmap,p1\n")
         other = tmp_path / "other.colmap"
@@ -166,6 +195,23 @@ class TestFactConstruction:
         assert invoked.args == (1, "mmap", "p1", "wildcard", "wildcard", "wildcard", 0)
         assert Fact("declared_permission", ("app", "camera")) in base
         assert Fact("declared_intent", ("app", "shipped")) in base
+
+    def test_each_event_is_its_invoked_row(self, tmp_path):
+        records = [EVENT, dict(EVENT, ts=2, object="file", mode="read", tid=7), dict(EVENT, ts=3)]
+        sample = load_sample(write_jsonl(tmp_path, "s.jsonl", records))
+        assert events_to_facts(sample).rows("invoked") == {tuple(e) for e in sample.events}
+
+    def test_events_are_immutable(self, tmp_path):
+        (event,) = load_sample(write_jsonl(tmp_path, "s.jsonl", [EVENT])).events
+        with pytest.raises(AttributeError):
+            event.pid = "p2"
+
+    def test_sample_survives_pickling(self, tmp_path):
+        records = [EVENT, {"type": "permission", "name": "CAMERA"}, {"type": "meta", "k": 1}]
+        sample = load_sample(write_jsonl(tmp_path, "s.jsonl", records))
+        copy = pickle.loads(pickle.dumps(sample))
+        assert copy == sample
+        assert type(copy.events[0]) is type(sample.events[0])
 
     def test_arity_conflict(self):
         base = Relations([Fact("p", ("a",))])
