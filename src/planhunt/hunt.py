@@ -25,13 +25,7 @@ from pathlib import Path
 
 from . import defaults
 from .errors import DuplicateSampleId, InputError, PlanHuntError
-from .inference.engine import (
-    Relations,
-    StratifiedProgram,
-    evaluate,
-    match_body,
-    stratify,
-)
+from .inference.engine import Relations, StratifiedProgram, evaluate, stratify
 from .inference.rules import Atom, Literal, Rule, RulePack, Var, render_body
 from .planner import Limits, Plan, PlanSet, find_top_k
 from .planning_model.ground import GroundedTask, ground_task
@@ -210,35 +204,39 @@ def construct_indicators(
     return tuple(records)
 
 
-# Indicator kinds checkable against already-captured telemetry; api-call
-# records describe future behavior and stay out of confirmation.
-_AUDIT_PREDICATES = {
-    "notification-access": "notification-accessible",
-    "clipboard-access": "clipboard-readable",
-    "ui-overlay": "login-ui-observed",
+# Per indicator kind checkable against already-captured telemetry, the
+# probe of the model: a predicate and, per argument, the detail field that
+# fills it or None for any value. api-call records describe future behavior
+# and stay out of confirmation.
+_PROBES = {
+    "syscall-pattern": ("exploited", ("cve",)),
+    "permission-audit": ("perm-granted", (None, "sensor")),
+    "notification-access": ("notification-accessible", ("app",)),
+    "clipboard-access": ("clipboard-readable", ("app",)),
+    "ui-overlay": ("login-ui-observed", ("app",)),
 }
+
+# The benchmark traces probes by this name until ROADMAP item 1 repoints it.
+match_body = Relations.holds
 
 
 def confirm_threat(records: tuple[IoCRecord, ...], relations: Relations) -> bool:
     """Audit the checkable records against the model ``evaluate`` saturated
-    for a sample, ``relations``, with a one-atom ``match_body`` probe each:
-    ``exploited(cve)`` for a syscall pattern (failing without a cve),
-    ``perm-granted(_, sensor)`` for a permission audit, the app's surface
-    fact for a surface audit; api-call records pass. All probes read one
-    store, so the indexes one builds serve the next."""
+    for a sample, ``relations``, with one ``holds`` probe each:
+    ``exploited(cve)`` for a syscall pattern, ``perm-granted(_, sensor)``
+    for a permission audit, the app's surface fact for a surface audit. A
+    record without its probe's field fails; api-call records pass. All
+    probes read one store, so the indexes one builds serve the next."""
     for record in records:
-        detail = record.detail_dict()
-        if record.kind == "syscall-pattern":
-            if "cve" not in detail:
-                return False
-            atom = Atom("exploited", (detail["cve"],))
-        elif record.kind == "permission-audit":
-            atom = Atom("perm-granted", (Var("A"), detail["sensor"]))
-        elif record.kind in _AUDIT_PREDICATES:
-            atom = Atom(_AUDIT_PREDICATES[record.kind], (detail["app"],))
-        else:
+        probe = _PROBES.get(record.kind)
+        if probe is None:
             continue
-        if not match_body((Literal(atom),), relations):
+        predicate, fields = probe
+        detail = record.detail_dict()
+        if not all(name in detail for name in fields if name is not None):
+            return False
+        pattern = tuple(None if name is None else detail[name] for name in fields)
+        if not match_body(relations, predicate, pattern):
             return False
     return True
 

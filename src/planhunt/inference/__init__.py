@@ -16,7 +16,6 @@ from .engine import (
     Relations,
     StratifiedProgram,
     evaluate,
-    match_body,
     saturate,
     stratify,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "Relations",
     "StratifiedProgram",
     "evaluate",
-    "match_body",
     "saturate",
     "stratify",
 ]

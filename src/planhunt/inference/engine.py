@@ -10,7 +10,7 @@ pipeline: the rows of each predicate plus hash indexes per (predicate,
 bound positions), each built on its first lookup and updated by every later
 add. Telemetry fills a store with the extensional rows; ``evaluate``
 saturates a copy of it and returns that copy with the derived rows, and
-confirmation probes that copy's model with one-atom ``match_body`` calls.
+confirmation probes that copy's model with ``Relations.holds``.
 Grounding seeds a store of its own and reads its model straight from it.
 
 Kernels. A planned rule runs as a kernel, one per delta position (or none,
@@ -23,8 +23,7 @@ bound one a single membership test, and one with none a scan; the delta
 atom scans the last round's rows and checks its bound positions itself.
 A positive atom binds its new variables in place, one slice assignment per
 row, and checks a repeated variable against its first occurrence; an atom
-that binds nothing only needs some row. Heads go to a sink; a truthy return
-stops the kernel, which is how ``match_body`` stops at its first match.
+that binds nothing only needs some row. Heads go to a sink.
 
 Lone timestamps. An event rule such as ``h :- e(T1, P), f(T2, P), T1 < T2``
 needs only some ``T1`` below ``T2``, so of the ``e`` rows sharing a ``P``
@@ -33,9 +32,8 @@ atom (Soufflé's ``min`` aggregate, applied where it is sound: Jordan,
 Scholz & Subotić, CAV 2016), and the atom reads a minimum index: per value
 of its bound positions, one row per distinct value of its other variables
 that the rule uses elsewhere, the one with the least integer ``T``. Rows
-whose ``T`` is not an integer are all kept, and come first, so the
-comparison raises on them before a kept minimum can end a ``match_body``
-early. Any ``T`` below the other side implies the least one is, so the
+whose ``T`` is not an integer are all kept, so the comparison raises on
+them. Any ``T`` below the other side implies the least one is, so the
 rule derives the same heads, and an event rule's join grows with its rows,
 not with the product of its two atoms' rows.
 """
@@ -43,26 +41,11 @@ not with the product of its two atoms' rows.
 import logging
 from collections.abc import Callable, Collection, Iterable
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import ge, gt, itemgetter, le, lt
 
-from ..errors import (
-    ArityConflict,
-    ComparisonTypeError,
-    DeclarationConflict,
-    ResourceLimit,
-    UnsafeRule,
-)
-from .rules import Atom, BodyItem, Comparison, Literal, Rule, Var
-from .strata import (
-    Least,
-    PlannedRule,
-    PlanStep,
-    StratifiedProgram,
-    plan_rule,
-    stratify,
-    variable_uses,
-)
+from ..errors import ArityConflict, ComparisonTypeError, DeclarationConflict, ResourceLimit
+from .rules import Comparison, Literal, Rule, Var
+from .strata import Least, PlannedRule, PlanStep, StratifiedProgram, stratify, variable_uses
 
 logger = logging.getLogger(__name__)
 
@@ -74,15 +57,14 @@ __all__ = [
     "stratify",
     "saturate",
     "evaluate",
-    "match_body",
 ]
 
 DEFAULT_FACT_LIMIT = 10**6
 
-# A head sink: a truthy return stops the kernel.
-Sink = Callable[[tuple], object]
-# A compiled rule: (store, delta rows or None, sink) -> truthy when stopped.
-Kernel = Callable[["Relations", Collection[tuple] | None, Sink], object]
+# A head sink, called once per derived head.
+Sink = Callable[[tuple], None]
+# A compiled rule: (store, delta rows or None, sink).
+Kernel = Callable[["Relations", Collection[tuple] | None, Sink], None]
 
 
 @dataclass(frozen=True)
@@ -117,7 +99,7 @@ class Relations:
     An index maps the values at some argument positions to the rows holding
     them. A minimum index keeps, per such key, only the row with the least
     integer at a timestamp position for each distinct value at its group
-    positions, plus every row whose timestamp is not an integer. Each index
+    positions, and every row whose timestamp is not an integer. Each index
     is built on the first lookup by its positions, and every later ``add``
     updates it, so the store can grow while rules read it. ``arity`` maps
     each predicate to the arity of its rows; a row of another arity raises
@@ -179,6 +161,15 @@ class Relations:
             index.file((row,))
         return True
 
+    def holds(self, predicate: str, pattern: tuple) -> bool:
+        """Whether some row of ``predicate`` matches ``pattern``, where None
+        matches any value; a pattern of another arity matches no row. The
+        lookup builds or reuses the index on the pattern's bound positions."""
+        if len(pattern) != self.arity.get(predicate, len(pattern)):
+            return False
+        positions = tuple(i for i, value in enumerate(pattern) if value is not None)
+        return bool(self.lookup(predicate, positions, tuple(pattern[i] for i in positions)))
+
     def lookup(
         self,
         predicate: str,
@@ -188,7 +179,7 @@ class Relations:
     ) -> Collection[tuple]:
         """The rows whose values at ``positions`` (ascending) equal ``key``;
         with ``least`` = (group positions, timestamp position), only those
-        a minimum index keeps, the non-integer timestamps first."""
+        a minimum index keeps."""
         rows = self._rows.get(predicate)
         if not rows:
             return ()
@@ -203,12 +194,7 @@ class Relations:
             index = indexes[positions, least] = _Index(positions, least)
             index.file(rows)
         bucket = index.buckets.get(key, ())
-        if least is None:
-            return bucket
-        odd = index.odd.get(key)
-        if odd is None:
-            return bucket.values() if bucket else ()
-        return [*odd, *bucket.values()] if bucket else odd
+        return bucket if least is None or not bucket else bucket.values()
 
 
 def _getter(positions: tuple[int, ...]):
@@ -223,17 +209,15 @@ def _getter(positions: tuple[int, ...]):
 
 class _Index:
     """The buckets of one index: per key, a list of rows, or for a minimum
-    index a dict from group values to a row, with the rows whose timestamp
-    is not an integer apart in ``odd``."""
+    index a dict from group values to a row."""
 
-    __slots__ = ("key", "group", "ts", "buckets", "odd")
+    __slots__ = ("key", "group", "ts", "buckets")
 
     def __init__(self, positions: tuple[int, ...], least: Least):
         self.key = _getter(positions)
         self.group = None if least is None else _getter(least[0])
         self.ts = None if least is None else least[1]
         self.buckets: dict[tuple, list[tuple] | dict[tuple, tuple]] = {}
-        self.odd: dict[tuple, list[tuple]] = {}
 
     def file(self, rows: Iterable[tuple]) -> None:
         key_of, buckets = self.key, self.buckets
@@ -249,22 +233,17 @@ class _Index:
                 else:
                     bucket.append(row)
             return
-        group_of, ts, odd = self.group, self.ts, self.odd
+        group_of, ts = self.group, self.ts
         for row in rows:
             key = key_of(row)
             value = row[ts]
-            if not isinstance(value, int):
-                rest = odd.get(key)
-                if rest is None:
-                    odd[key] = [row]
-                else:
-                    rest.append(row)
-                continue
+            # A row whose timestamp is not an integer is kept under itself,
+            # which no group tuple equals, being longer.
+            group = group_of(row) if isinstance(value, int) else row
             bucket = buckets.get(key)
             if bucket is None:
-                buckets[key] = {group_of(row): row}
+                buckets[key] = {group: row}
                 continue
-            group = group_of(row)
             kept = bucket.get(group)
             if kept is None or value < kept[ts]:
                 bucket[group] = row
@@ -280,7 +259,7 @@ def evaluate(
 ) -> DerivedFacts:
     """Compute the perfect model over ``base``, which is left unchanged:
     its intensional facts, and a store holding base and derived rows for
-    later ``match_body`` calls.
+    later ``holds`` probes.
 
     The base must be arity-consistent with the pack and contain only
     extensional predicates. Raises ResourceLimit past ``max_derived``
@@ -370,8 +349,7 @@ def _compile(rule: Rule, plan: tuple[PlanStep, ...], delta: int | None) -> Kerne
     fill consecutive slots; a variable the rule reads nowhere else gets
     none. Constants get the slots after them, filled in the template each
     call copies. Steps are built from the last one back; each calls the
-    next with (slots, store, delta rows, sink) and returns True once the
-    sink stopped the kernel."""
+    next with (slots, store, delta rows, sink)."""
     uses = variable_uses(rule)
     slot_of: dict[str, int] = {}
     for body_index, _positions, _least in plan:
@@ -396,6 +374,11 @@ def _compile(rule: Rule, plan: tuple[PlanStep, ...], delta: int | None) -> Kerne
             continue
         atom = item.atom
         key = _getter(tuple(ref(atom.args[i]) for i in positions))
+        if item.negated:
+            # A safe rule binds every variable of a negated atom before it
+            # runs, so its key is the whole row.
+            makers.append((_negation_step, atom.predicate, key))
+            continue
         # The variables this atom binds, at their first position, and each
         # repeat as (position, first position).
         first: dict[str, int] = {}
@@ -409,9 +392,6 @@ def _compile(rule: Rule, plan: tuple[PlanStep, ...], delta: int | None) -> Kerne
         same = None
         if repeats:
             same = (_getter(tuple(i for i, _ in repeats)), _getter(tuple(j for _, j in repeats)))
-        if item.negated:
-            makers.append((_negation_step, atom.predicate, positions, key, same))
-            continue
         binds = tuple(i for name, i in first.items() if name in slot_of)
         lo = slot_of[atom.args[binds[0]].name] if binds else 0
         if body_index == delta:
@@ -422,14 +402,14 @@ def _compile(rule: Rule, plan: tuple[PlanStep, ...], delta: int | None) -> Kerne
     head = _getter(tuple(ref(term) for term in rule.head.args))
 
     def step(s, rel, rows, sink):
-        return sink(head(s))
+        sink(head(s))
 
     for make, *spec in reversed(makers):
         step = make(step, *spec)
     template = [None] * len(slot_of) + constants
 
-    def kernel(rel: Relations, rows: Collection[tuple] | None, sink: Sink):
-        return step(template.copy(), rel, rows, sink)
+    def kernel(rel: Relations, rows: Collection[tuple] | None, sink: Sink) -> None:
+        step(template.copy(), rel, rows, sink)
 
     return kernel
 
@@ -438,32 +418,21 @@ def _test_step(nxt, item: Comparison, a: int, b: int):
     if item.op == "!=":
         def step(s, rel, rows, sink):
             if s[a] != s[b]:
-                return nxt(s, rel, rows, sink)
+                nxt(s, rel, rows, sink)
         return step
     pair = itemgetter(a, b)
 
     def step(s, rel, rows, sink):
         # ``_compare`` is looked up on each call, so tests can count calls.
         if _compare(item, pair(s)):
-            return nxt(s, rel, rows, sink)
+            nxt(s, rel, rows, sink)
     return step
 
 
-def _negation_step(nxt, predicate, positions, key, same):
-    # A negation holds only when no row matches; its unbound variables act
-    # as wildcards, and a repeated one needs equal values.
-    if same is None:
-        def step(s, rel, rows, sink):
-            if not rel.lookup(predicate, positions, key(s)):
-                return nxt(s, rel, rows, sink)
-        return step
-    left, right = same
-
+def _negation_step(nxt, predicate, row):
     def step(s, rel, rows, sink):
-        for row in rel.lookup(predicate, positions, key(s)):
-            if left(row) == right(row):
-                return None
-        return nxt(s, rel, rows, sink)
+        if row(s) not in rel.rows(predicate):
+            nxt(s, rel, rows, sink)
     return step
 
 
@@ -478,14 +447,13 @@ def _atom_step(nxt, predicate, positions, key, least, same, lo, binds):
             for row in rel.lookup(predicate, positions, key(s), least):
                 if left(row) == right(row):
                     s[lo:hi] = bind(row)
-                    if nxt(s, rel, rows, sink):
-                        return True
+                    nxt(s, rel, rows, sink)
         return step
     if not binds:
         # Every row leads to the same continuation.
         def step(s, rel, rows, sink):
             if rel.lookup(predicate, positions, key(s), least):
-                return nxt(s, rel, rows, sink)
+                nxt(s, rel, rows, sink)
         return step
     if len(binds) == 1:
         (i,) = binds
@@ -493,16 +461,14 @@ def _atom_step(nxt, predicate, positions, key, least, same, lo, binds):
         def step(s, rel, rows, sink):
             for row in rel.lookup(predicate, positions, key(s), least):
                 s[lo] = row[i]
-                if nxt(s, rel, rows, sink):
-                    return True
+                nxt(s, rel, rows, sink)
         return step
     bind, hi = itemgetter(*binds), lo + len(binds)
 
     def step(s, rel, rows, sink):
         for row in rel.lookup(predicate, positions, key(s), least):
             s[lo:hi] = bind(row)
-            if nxt(s, rel, rows, sink):
-                return True
+            nxt(s, rel, rows, sink)
     return step
 
 
@@ -517,8 +483,7 @@ def _delta_step(nxt, at, key, same, lo, binds):
         for row in rows:
             if at(row) == want and left(row) == right(row):
                 s[lo:hi] = bind(row)
-                if nxt(s, rel, rows, sink):
-                    return True
+                nxt(s, rel, rows, sink)
     return step
 
 
@@ -533,38 +498,3 @@ def _compare(item: Comparison, values: tuple) -> bool:
 
 
 _ORDER = {"<": lt, "<=": le, ">": gt, ">=": ge}
-
-
-def match_body(body: tuple[BodyItem, ...], relations: Relations) -> bool:
-    """Check whether a conjunction of literals has a satisfying binding in
-    ``relations`` alone. Negation is closed-world over the store; variables
-    a negated atom never binds act as wildcards (no matching row may
-    exist). A body whose comparison variable never binds cannot match, nor
-    can an atom whose arity differs from its predicate's rows, and such a
-    negated atom always holds. Lookups build indexes in ``relations``, so
-    checks that share one store share its indexes."""
-    for item in body:
-        if isinstance(item, Literal):
-            arity = len(item.atom.args)
-            if relations.arity.get(item.atom.predicate, arity) != arity:
-                if not item.negated:
-                    return False
-                return match_body(tuple(other for other in body if other != item), relations)
-    probe = _planned_probe(body)
-    if probe is None:
-        return False
-    return bool(_kernel(probe, None)(relations, None, _found))
-
-
-def _found(head: tuple) -> bool:
-    return True
-
-
-# Confirmation checks the same few one-atom probes again and again; a
-# plan and its kernel depend on the body alone.
-@lru_cache(maxsize=1024)
-def _planned_probe(body: tuple[BodyItem, ...]) -> PlannedRule | None:
-    try:
-        return plan_rule(Rule(Atom("__match__"), body), set())
-    except UnsafeRule:
-        return None

@@ -19,7 +19,7 @@ as ordered event patterns while the rule text stays declarative.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import (
     ArityConflict,
@@ -469,8 +469,8 @@ def _check_safety(rule: Rule) -> None:
 
 def parse_body(text: str) -> tuple[BodyItem, ...]:
     """Parse a bare body (comma-separated literals, no trailing dot), such
-    as a pattern to check with ``match_body``; safety is not enforced here
-    since match bodies never bind a head.
+    as the body of a generated rule; safety is not enforced here, as the
+    body has no head yet.
     """
     parser = _Parser(_tokenize(text))
     if parser.at_end():

@@ -182,7 +182,7 @@ def plan_rule(rule: Rule, local: set[str]) -> PlannedRule:
     Each literal records the argument positions bound when it runs: its
     constants and the variables earlier items bind. Positive atoms over
     ``local`` predicates are the recursive positions. Raises UnsafeRule when
-    a comparison variable never binds.
+    a comparison or negation variable never binds.
 
     A positive atom is marked to read a minimum index (see
     ``inference.engine.Relations``) when it repeats no variable and one of
@@ -247,15 +247,9 @@ def plan_rule(rule: Rule, local: set[str]) -> PlannedRule:
             pending.remove((i, item))
             bound |= item.atom.variables()
             flush_filters()
-    # Safety guarantees rules leave no residue. Bare patterns skip the
-    # safety check, so a negation may keep wildcard variables: it runs
-    # last, as a lookup for any matching fact.
-    for i, item in list(pending):
-        if isinstance(item, Literal):
-            plan.append((i, positions(item.atom), None))
-            pending.remove((i, item))
     for _i, item in pending:
-        raise UnsafeRule(str(rule), min(item.variables() - bound))
+        needs = item.atom.variables() if isinstance(item, Literal) else item.variables()
+        raise UnsafeRule(str(rule), min(needs - bound))
     recursive = tuple(
         i
         for i, item in enumerate(rule.body)

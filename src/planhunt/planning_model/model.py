@@ -1,6 +1,6 @@
 """Typed STRIPS model: types, predicates, formulas, actions, problems."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import UndeclaredType

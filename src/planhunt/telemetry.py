@@ -202,7 +202,10 @@ def _load_jsonl(path: Path) -> SampleRecord:
 def _required_token(record: dict, key: str, lineno: int, normalize) -> str:
     if key not in record:
         raise MalformedRecord(lineno, f"missing field {key!r}")
-    token = normalize(record[key])
+    try:
+        token = normalize(record[key])
+    except ValueError as exc:
+        raise MalformedRecord(lineno, str(exc)) from exc
     if isinstance(token, int):
         raise MalformedRecord(lineno, f"field {key!r} must be symbolic")
     return token
@@ -224,7 +227,10 @@ def _event_from_mapping(record: dict, lineno: int, normalize) -> TelemetryEvent:
             raise MalformedRecord(lineno, "event 'ts' is not an integer") from exc
     if ts < 0:
         raise MalformedRecord(lineno, "event 'ts' is negative")
-    syscall = normalize(record["syscall"])
+    try:
+        syscall = normalize(record["syscall"])
+    except ValueError as exc:
+        raise MalformedRecord(lineno, str(exc)) from exc
     if isinstance(syscall, int):
         raise MalformedRecord(lineno, "event 'syscall' must be symbolic")
     if "pid" not in record:

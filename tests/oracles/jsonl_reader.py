@@ -3,9 +3,12 @@
 The reader as it was before the loader decoded lines with the JSON
 scanner: ``json.loads`` on every stripped line, and a token memo keyed by
 (type, value) for every value. ``_load_jsonl``, ``_required_token``,
-``_event_from_mapping`` and ``_token_memo`` are kept unchanged; only the
-sample containers and the token normalizer come from the package, so a
-result compares equal to the loader's.
+``_event_from_mapping`` and ``_token_memo`` are kept as they were, except
+that a boolean ``syscall``, ``name`` or ``action`` raises MalformedRecord
+with its line, as the loader now does: this reader is the reference for
+decoding, not for that error. Only the sample containers and the token
+normalizer come from the package, so a result compares equal to the
+loader's.
 """
 
 import json
@@ -79,7 +82,10 @@ def _load_jsonl(path: Path) -> SampleRecord:
 def _required_token(record: dict, key: str, lineno: int, normalize) -> str:
     if key not in record:
         raise MalformedRecord(lineno, f"missing field {key!r}")
-    token = normalize(record[key])
+    try:
+        token = normalize(record[key])
+    except ValueError as exc:
+        raise MalformedRecord(lineno, str(exc)) from exc
     if isinstance(token, int):
         raise MalformedRecord(lineno, f"field {key!r} must be symbolic")
     return token
@@ -100,7 +106,10 @@ def _event_from_mapping(record: dict, lineno: int, normalize) -> TelemetryEvent:
         raise MalformedRecord(lineno, "event 'ts' is not an integer") from exc
     if ts < 0:
         raise MalformedRecord(lineno, "event 'ts' is negative")
-    syscall = normalize(record["syscall"])
+    try:
+        syscall = normalize(record["syscall"])
+    except ValueError as exc:
+        raise MalformedRecord(lineno, str(exc)) from exc
     if isinstance(syscall, int):
         raise MalformedRecord(lineno, "event 'syscall' must be symbolic")
     if "pid" not in record:

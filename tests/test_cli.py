@@ -19,6 +19,17 @@ def sample(name):
     return str(CORPUS / name)
 
 
+def sensorless_indicator_map(tmp_path):
+    """The bundled indicator map with the surveillance-via-permission
+    permission audit's ``sensor`` field dropped."""
+    text = defaults.asset_text(defaults.INDICATOR_MAP_FILE)
+    line = "surveillance-via-permission permission-audit"
+    assert f"\n{line} sensor=$2\n" in text
+    out = tmp_path / "indicator-map"
+    out.write_text(text.replace(f"\n{line} sensor=$2\n", f"\n{line}\n"))
+    return out
+
+
 class TestInfer:
     def test_derived_facts_only(self, capsys):
         assert main(["infer", sample("dirtycow_demo.jsonl")]) == 0
@@ -109,6 +120,17 @@ class TestHunt:
         }
         assert confirmations["surveillance/permission"] == "confirmed"
         assert confirmations["surveillance/exploit"] == "not_attempted"
+
+    def test_record_without_its_probe_field_is_unconfirmed(self, tmp_path, capsys):
+        indicator_map = sensorless_indicator_map(tmp_path)
+        argv = ["hunt", sample("camera_perm_demo.jsonl"), "--confirm"]
+        assert main([*argv, "--indicator-map", str(indicator_map)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        confirmations = {
+            f["threat"] + "/" + f["mechanism"]: f["confirmation"]
+            for f in payload["findings"]
+        }
+        assert confirmations["surveillance/permission"] == "unconfirmed"
 
     def test_strict_domain_silences_producer_threats(self, capsys):
         assert main(["hunt", sample("fraud_demo.jsonl"), "--strict-domain"]) == 0
@@ -262,6 +284,16 @@ class TestBatch:
         assert err == "error: line 2: not valid UTF-8 (bad.jsonl)\n"
         assert {p.name: p.read_bytes() for p in reports.iterdir()} == expected
 
+    def test_record_without_its_probe_field_leaves_the_batch_whole(self, tmp_path, capsys):
+        indicator_map = sensorless_indicator_map(tmp_path)
+        summary = tmp_path / "summary.csv"
+        argv = ["batch", str(CORPUS), "--confirm", "--summary", str(summary)]
+        assert main([*argv, "--indicator-map", str(indicator_map)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith("threat,mechanism,sample_count,plan_count\n")
+        assert summary.read_text() == out
+
     def test_bad_summary_path_fails_before_hunting(self, tmp_path, capsys):
         target = self.corpus_subset(tmp_path, ["camera_perm_demo.jsonl"])
         reports = tmp_path / "reports"
@@ -334,6 +366,20 @@ def test_unusable_path_is_an_input_error(command, tmp_path):
         "batch-summary": ["batch", str(CORPUS), "--summary", str(tmp_path)],
     }[command]
     assert_one_error_line(argv)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"type": "event", "ts": 1, "syscall": true, "pid": 1}',
+        '{"type": "permission", "name": false}',
+    ],
+    ids=["syscall", "permission-name"],
+)
+def test_boolean_token_is_an_input_error(record, tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(record + "\n")
+    assert_one_error_line(["hunt", str(bad)])
 
 
 def test_non_utf8_sample_is_an_input_error(tmp_path):

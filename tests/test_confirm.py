@@ -3,17 +3,18 @@
 ``confirm_threat`` confirms a syscall-pattern indicator by probing the
 saturated store for ``exploited(cve)``. The check it replaced matched the
 pack's bodies for that CVE against the same store, each alternative on its
-own. ``body_matching_confirm`` below keeps that check as the oracle, and
-the two must agree on every corpus plan under three asset setups and on
-random traces shaped like the pack's event rules.
+own. ``body_matching_confirm`` below keeps that check as the oracle, with the
+reference matcher of ``tests/oracles/match_body.py``, and the two must
+agree on every corpus plan under three asset setups and on random traces
+shaped like the pack's event rules. Every probe goes through the name
+``planhunt.hunt.match_body``, which the benchmark's tracer times.
 """
 
 import random
-from pathlib import Path
 
 import pytest
 
-from planhunt import defaults
+from planhunt import defaults, hunt
 from planhunt.hunt import (
     HuntAssets,
     IoCRecord,
@@ -23,11 +24,12 @@ from planhunt.hunt import (
     hypothesis_plans,
     infer_facts,
 )
-from planhunt.inference.engine import Relations, evaluate, match_body
+from planhunt.inference.engine import Fact, Relations, evaluate
 from planhunt.inference.rules import Literal, Var, parse_rule_pack, render_body
 from planhunt.planner import Limits
 from planhunt.planning_model.model import default_catalog
 from planhunt.telemetry import load_sample
+from oracles.match_body import match_body
 from test_ground_program import CORPUS, unreachable_pivots
 from test_relations import rule_event_patterns
 
@@ -169,3 +171,52 @@ def test_variable_exploited_head_lists_no_patterns():
         "exploited(cve_x) :- seen(y).\n"
     )
     assert cve_patterns(pack) == {"cve_x": "seen(y)"}
+
+
+def test_record_without_its_probe_field_fails():
+    relations = Relations(
+        [Fact("perm-granted", ("app", "camera")), Fact("clipboard-readable", ("app",))]
+    )
+    sensor = IoCRecord("permission-audit", (("sensor", "camera"),), 0)
+    surface = IoCRecord("clipboard-access", (("app", "app"),), 0)
+    api = IoCRecord("api-call", (("api", "sensor-capture"),), 0)
+    assert confirm_threat((sensor, surface, api), relations)
+    for kind in ("syscall-pattern", "permission-audit", "clipboard-access"):
+        assert not confirm_threat((IoCRecord(kind, (("other", "camera"),), 0),), relations)
+
+
+def test_every_probe_goes_through_the_traced_name(bundled, monkeypatch):
+    # The benchmark's tracer wraps hunt.match_body; a probe that bypassed
+    # it would leave the traced probe count reading 0.
+    probe = hunt.match_body
+    results = []
+
+    def counted(*args):
+        results.append(probe(*args))
+        return results[-1]
+
+    monkeypatch.setattr(hunt, "match_body", counted)
+    checkable = {
+        "syscall-pattern", "permission-audit", "notification-access", "clipboard-access",
+        "ui-overlay",
+    }
+    probed = {True: 0, False: 0}
+    for sample_path in CORPUS:
+        facts = infer_facts(load_sample(sample_path), bundled)
+        for hypothesis in default_catalog():
+            task, planset = hypothesis_plans(facts, bundled, hypothesis, Limits())
+            for plan in planset.plans:
+                records = construct_indicators(
+                    task, plan, bundled.indicator_specs, bundled.patterns
+                )
+                results.clear()
+                confirmed = confirm_threat(records, facts.relations)
+                count = sum(record.kind in checkable for record in records)
+                # One probe per checkable record, up to the first that fails.
+                if confirmed:
+                    assert results == [True] * count
+                else:
+                    assert results == [True] * (len(results) - 1) + [False]
+                    assert len(results) <= count
+                probed[confirmed] += len(results)
+    assert min(probed.values()) > 0

@@ -16,9 +16,10 @@ from planhunt.errors import (
     NegationCycle,
     ResourceLimit,
 )
-from planhunt.inference.engine import Fact, Relations, evaluate, match_body, stratify
+from planhunt.inference.engine import Fact, Relations, evaluate, stratify
 from planhunt.inference.rules import parse_body, parse_rule_pack
 
+from oracles.match_body import match_body
 from oracles.naive_datalog import evaluate_naive, naive_strata
 
 # Fixed rule packs exercised over randomized fact bases. Each is a list of
@@ -272,7 +273,51 @@ class TestStore:
             copy.add("edge", ("a",))
 
 
+class TestHolds:
+    STORE = Relations(
+        [
+            Fact("perm-granted", ("app", "camera")),
+            Fact("perm-granted", ("other", "microphone")),
+            Fact("exploited", ("cve_1",)),
+            Fact("ready", ()),
+        ]
+    )
+
+    def test_wildcard_matches_any_value(self):
+        assert self.STORE.holds("perm-granted", (None, "camera"))
+        assert self.STORE.holds("perm-granted", (None, None))
+        assert not self.STORE.holds("perm-granted", (None, "clipboard"))
+        assert not self.STORE.holds("perm-granted", ("app", "microphone"))
+
+    def test_fully_bound_pattern_is_a_membership_test(self):
+        assert self.STORE.holds("exploited", ("cve_1",))
+        assert not self.STORE.holds("exploited", ("cve_2",))
+        assert self.STORE.holds("ready", ())
+
+    def test_pattern_of_another_arity_matches_no_row(self):
+        assert not self.STORE.holds("exploited", ("cve_1", None))
+        assert not self.STORE.holds("perm-granted", (None,))
+        assert not self.STORE.holds("ready", (None,))
+
+    def test_missing_predicate_matches_no_row(self):
+        assert not self.STORE.holds("unseen", ())
+        assert not self.STORE.holds("unseen", (None, "camera"))
+
+    def test_repeated_probes_share_one_index(self):
+        # A row added after the index was built reaches it.
+        store = self.STORE.copy()
+        assert not store.holds("perm-granted", (None, "clipboard"))
+        assert list(store._indexes["perm-granted"]) == [((1,), None)]
+        store.add("perm-granted", ("app", "clipboard"))
+        assert store.holds("perm-granted", (None, "clipboard"))
+        assert list(store._indexes["perm-granted"]) == [((1,), None)]
+
+
 class TestMatchBody:
+    """Cases of the reference body matcher ``tests/oracles/match_body.py``,
+    the oracle of confirmation's probes, and the engine's handling of the
+    same unbound filters as rules under ``python -O``."""
+
     BASE = Relations(
         [
             Fact("invoked", (1, "open", "p1", "wildcard", "file", "read", 0)),
@@ -309,28 +354,48 @@ class TestMatchBody:
 
     def test_unbindable_comparison_cannot_match(self):
         assert not match_body(parse_body("T1 < T2"), self.BASE)
+        opened = "invoked(T, open, P, _, file, read, 0)"
+        assert not match_body(parse_body(opened + ", X != P"), self.BASE)
+
+    def test_repeated_negation_wildcard_needs_equal_values(self):
+        opened = "invoked(T, open, P, _, file, read, 0)"
+        assert match_body(parse_body(opened + ", not invoked(_, open, Q, Q, _, _, _)"), self.BASE)
+        rows = [*self.BASE, Fact("invoked", (2, "read", "p2", "p2", "buffer", "read", 0))]
+        body = parse_body(opened + ", not invoked(_, _, Q, Q, _, _, _)")
+        assert not match_body(body, Relations(rows))
+
+    def test_order_comparison_on_a_name_raises(self):
+        with pytest.raises(ComparisonTypeError):
+            match_body(parse_body("invoked(T, S, P, _, _, _, 0), S < 2"), self.BASE)
 
     def test_unbound_filter_cannot_match_under_optimize(self):
-        # ``python -O`` strips assert statements; a filter variable that
-        # never binds must still fail the match there, a negation's
-        # repeated wildcard must still need equal values, and an order
-        # comparison on a name must still raise.
+        # ``python -O`` strips assert statements; a rule whose filter
+        # variable never binds must still be refused there, a negation must
+        # still hold only without a matching row, and an order comparison
+        # on a name must still raise.
         src = str(Path(planhunt.__file__).resolve().parents[1])
         script = (
-            "from planhunt.errors import ComparisonTypeError\n"
-            "from planhunt.inference.engine import Relations, match_body\n"
-            "from planhunt.inference.rules import parse_body\n"
-            "from planhunt.telemetry import Fact\n"
+            "from planhunt.errors import ComparisonTypeError, UnsafeRule\n"
+            "from planhunt.inference.engine import Fact, Relations, evaluate, stratify\n"
+            "from planhunt.inference.rules import Atom, Rule, parse_body, rule_pack\n"
             "rows = [(1, 'open', 'p1', 'wildcard', 'file', 'read', 0),\n"
             "        (2, 'read', 'p2', 'p2', 'buffer', 'read', 0)]\n"
             "store = Relations([Fact('invoked', row) for row in rows])\n"
+            "def probe(body):\n"
+            "    pack = rule_pack([Rule(Atom('probe'), parse_body(body))])\n"
+            "    try:\n"
+            "        program = stratify(pack)\n"
+            "    except UnsafeRule:\n"
+            "        return 'unsafe'\n"
+            "    return Fact('probe') in evaluate(program, store).facts\n"
             "opened = 'invoked(T, open, P, _, file, read, 0)'\n"
             "for body in ('T1 < T2', opened + ', X != P',\n"
             "             opened + ', not invoked(_, _, Q, Q, _, _, _)',\n"
-            "             opened + ', not invoked(_, open, Q, Q, _, _, _)'):\n"
-            "    print(match_body(parse_body(body), store))\n"
+            "             opened + ', not invoked(T, open, P, wildcard, file, read, 1)',\n"
+            "             opened + ', not invoked(T, open, P, wildcard, file, read, 0)'):\n"
+            "    print(probe(body))\n"
             "try:\n"
-            "    match_body(parse_body('invoked(T, S, P, _, _, _, 0), S < 2'), store)\n"
+            "    probe('invoked(T, S, P, _, _, _, 0), S < 2')\n"
             "except ComparisonTypeError:\n"
             "    print('raised')\n"
         )
@@ -342,4 +407,4 @@ class TestMatchBody:
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "False\nFalse\nFalse\nTrue\nraised\n"
+        assert result.stdout == "unsafe\nunsafe\nunsafe\nTrue\nFalse\nraised\n"

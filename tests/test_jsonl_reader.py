@@ -13,6 +13,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planhunt.errors import MalformedRecord
 from planhunt.telemetry import load_sample
 from oracles.jsonl_reader import load_jsonl
 
@@ -78,12 +79,21 @@ CASES = {
     ),
     "string-timestamp": '{"type": "event", "ts": " 7 ", "syscall": "mmap", "pid": 1}\n',
     "deep-nesting": "[" * 100 + "]" * 100 + "\n",
+    "boolean-syscall": f'{META}\n{{"type": "event", "ts": 1, "syscall": true, "pid": 1}}\n',
+    "boolean-permission-name": f'{EVENT}\n{{"type": "permission", "name": false}}\n',
+    "boolean-intent-action": f'{META}\n{{"type": "intent", "action": true}}\n',
 }
 
 
 @pytest.mark.parametrize("text", CASES.values(), ids=CASES.keys())
 def test_hand_written_cases(scratch, text):
     assert_same(scratch, text)
+
+
+@pytest.mark.parametrize("case", [name for name in CASES if name.startswith("boolean-")])
+def test_boolean_token_is_a_malformed_record(scratch, case):
+    result = assert_same(scratch, CASES[case])
+    assert result[1:] == (MalformedRecord, 2, "line 2: boolean field value")
 
 
 def test_two_values_on_one_line_is_rejected(scratch):

@@ -3,9 +3,10 @@
 Each pack puts an indexed lookup where a wrong index would change the
 model: a relation that grows while rules read it through an index, a
 repeated variable in an indexed atom, a constant away from the first
-position, and a negation with wildcards after an indexed join. The bundled
-threat pack runs over random invoked/7 traces, and ``match_body`` over one
-shared store per base.
+position, and a negation over a projection after an indexed join. The
+bundled threat pack runs over random invoked/7 traces, and random bodies
+run as probe rules over one store per base, checked also with the
+reference body matcher.
 
 The lone-timestamp minimum is checked the same way, over traces with many
 equal timestamps, under strict and loose event order, next to rules where
@@ -20,11 +21,10 @@ import random
 import pytest
 
 from planhunt import defaults
-from planhunt.errors import ComparisonTypeError
+from planhunt.errors import ComparisonTypeError, UnsafeRule
 from planhunt.inference import engine
-from planhunt.inference.engine import Fact, Relations, evaluate, match_body, stratify
+from planhunt.inference.engine import Fact, Relations, evaluate, saturate, stratify
 from planhunt.inference.rules import (
-    Atom,
     Literal,
     Rule,
     Var,
@@ -34,6 +34,7 @@ from planhunt.inference.rules import (
     rule_pack,
 )
 
+from oracles.match_body import match_body
 from oracles.naive_datalog import evaluate_naive
 from test_engine import build_pack, random_base
 
@@ -112,16 +113,16 @@ PACK_DELTA_FILTER = (
     ],
 )
 
-# Heads and bodies of rules whose negations keep wildcard variables. The
-# parser refuses such rules, so the engine gets them through ``rule_pack``
-# and the oracle gets the same model through a projection per negation.
+# Heads and bodies of rules whose negations keep wildcard variables. Such
+# rules are unsafe, so the engine refuses them; written with a projection
+# per negation, as in WILDCARD_PROJECTED, they are safe.
 WILDCARD_RULES = [
     ("sink(X)", "edge(X, Y), edge(Y, Z), not edge(Z, _)"),
     ("fresh(X)", "node(X), edge(X, Y), not triple(_, Y, X)"),
     ("plain(X)", "edge(X, Y), node(Y), not triple(Y, W, W)"),
     ("loopless(X)", "node(X), not edge(W, W)"),
 ]
-WILDCARD_ORACLE = (
+WILDCARD_PROJECTED = (
     [
         "#pred edge/2 extensional",
         "#pred node/1 extensional",
@@ -161,19 +162,23 @@ def test_indexed_packs_match_the_oracle():
 
 
 def test_wildcard_negation_after_an_indexed_join():
+    for head, body in WILDCARD_RULES:
+        with pytest.raises(UnsafeRule):
+            stratify(rule_pack([Rule(parse_body(head)[0].atom, parse_body(body))]))
     rng = random.Random(11)
-    pack = rule_pack(
-        [Rule(parse_body(head)[0].atom, parse_body(body)) for head, body in WILDCARD_RULES]
-    )
-    oracle_pack = build_pack(*WILDCARD_ORACLE)
-    program = stratify(pack)
-    heads = {head.split("(")[0] for head, _ in WILDCARD_RULES}
+    directives, rules = WILDCARD_PROJECTED
+    order = list(range(len(rules)))
+    derived = 0
     for _ in range(150):
-        base = random_base(oracle_pack, rng)
-        expected = Relations(f for f in evaluate_naive(oracle_pack, base) if f.predicate in heads)
-        assert evaluate(program, base).facts == expected, (
-            f"divergence on {sorted(str(f) for f in base)}"
+        rng.shuffle(order)
+        pack = build_pack(directives, rules, order)
+        base = random_base(pack, rng)
+        fast = evaluate(stratify(pack), base).facts
+        assert fast == evaluate_naive(pack, base), (
+            f"divergence on {sorted(str(f) for f in base)} with rules {order}"
         )
+        derived += sum(f.predicate in ("sink", "fresh", "plain", "loopless") for f in fast)
+    assert derived > 100
 
 
 # --- the bundled threat pack over random traces --------------------------------
@@ -251,7 +256,7 @@ def test_threat_pack_over_random_traces():
     assert derived > 0
 
 
-# --- match_body on one store per base --------------------------------------------
+# --- random bodies as probe rules on one store per base -----------------------
 
 PACK_MATCH = (
     [
@@ -305,25 +310,28 @@ def random_body(rng):
 
 
 def test_match_body_matches_the_oracle():
+    # Per base, eight random bodies run as the probe rules of one pack, so
+    # they share one store and its indexes; the naive evaluator and the
+    # reference body matcher must agree with each probe.
     rng = random.Random(99)
     directives, rules = PACK_MATCH
-    pack = build_pack(directives, rules)
-    program = stratify(pack)
     outcomes = {True: 0, False: 0}
     minimised = 0
     for _ in range(60):
+        bodies = [random_body(rng) for _ in range(8)]
+        probes = [f"probe{i} :- {render_body(body)}." for i, body in enumerate(bodies)]
+        pack = build_pack(directives, rules + probes)
         base = random_base(pack, rng)
-        # One store serves every body of a base, as in identify_threats.
-        store = Relations([*base, *evaluate(program, base).facts])
-        for _ in range(8):
-            body = random_body(rng)
-            probe_pack = build_pack(directives, rules + [f"probe :- {render_body(body)}."])
-            expected = Fact("probe") in evaluate_naive(probe_pack, base)
-            assert match_body(body, store) == expected, (
+        model = evaluate(stratify(pack), base)
+        expected = evaluate_naive(pack, base)
+        assert model.facts == expected, f"divergence on {sorted(str(f) for f in base)}"
+        for i, body in enumerate(bodies):
+            held = Fact(f"probe{i}") in expected
+            assert match_body(body, model.relations) == held, (
                 f"{render_body(body)} on {sorted(str(f) for f in base)}"
             )
-            outcomes[expected] += 1
-            minimised += bool(minima(rule_pack([Rule(Atom("probe"), body)])))
+            outcomes[held] += 1
+        minimised += len(minima(pack))
     assert min(outcomes.values()) > 50
     assert minimised > 50
 
@@ -510,33 +518,39 @@ def test_planner_marks_only_lone_timestamps(order):
 def test_non_integer_timestamp_still_raises():
     # The oracle raises on the text timestamp alone (it cannot sort a
     # column that mixes texts and integers). Evaluation must raise also
-    # where an integer row is the least of the same group. match_body stops
-    # at its first match, but a minimum index visits the text rows first,
-    # so it raises whichever row was filed first, also when the text row
-    # reaches an index built before it.
-    pack = lone_pack(LONE_DIRECTIVES, LONE_RULES, "strict")
+    # where an integer row is the least of the same group, whichever row a
+    # minimum index files first: both at its first lookup, or either one
+    # added to an index built on the other.
+    # Each rule reads the close rows through a minimum index only.
+    pack = lone_pack(
+        ["#pred invoked/7 extensional", "#pred early/1 intensional", "#pred reopened/1 intensional"],
+        [
+            "early(P) :- invoked(T, close, P, _, _, _, 0), T <= 2.",
+            "reopened(P) :- invoked(T1, close, P, _, file, _, 0),"
+            " invoked(T2, open, P, _, file, _, 0).",
+        ],
+        "strict",
+    )
+    assert set(minima_by_head(pack)) == {("early(P)", 0), ("reopened(P)", 0)}
+    program = stratify(pack)
     text_row = ("noon", "close", "p1", "wildcard", "file", "read", 0)
     int_row = (1, *text_row[1:])
+    paired = (5, "open", "p1", "wildcard", "file", "read", 0)
     with pytest.raises(ComparisonTypeError):
         evaluate_naive(pack, Relations([Fact("invoked", text_row)]))
     for rows in ([text_row], [int_row, text_row], [text_row, int_row]):
         with pytest.raises(ComparisonTypeError):
-            evaluate(stratify(pack), Relations([Fact("invoked", row) for row in rows]))
-    bodies = [
-        parse_body("invoked(T, close, P, _, _, _, 0), T <= 2"),
-        parse_body("invoked(T1, close, P, _, _, _, 0), invoked(T2, open, P, _, _, _, 0), T1 < T2"),
-    ]
-    paired = (5, "open", "p1", "wildcard", "file", "read", 0)
-    for body in bodies:
-        assert minima(rule_pack([Rule(Atom("probe"), body)]))
-        for rows in ([text_row], [int_row, text_row], [text_row, int_row]):
-            with pytest.raises(ComparisonTypeError):
-                match_body(body, Relations([Fact("invoked", row) for row in (*rows, paired)]))
-        store = Relations([Fact("invoked", int_row), Fact("invoked", paired)])
-        assert match_body(body, store)
-        store.add("invoked", text_row)
+            evaluate(program, Relations([Fact("invoked", row) for row in (*rows, paired)]))
+    for first, later in ((int_row, text_row), (text_row, int_row)):
+        store = Relations([Fact("invoked", first), Fact("invoked", paired)])
+        for planned in (rule for stratum in program.strata for rule in stratum):
+            for body_index, positions, least in planned.plan:
+                if least is not None:
+                    atom = planned.rule.body[body_index].atom
+                    store.lookup("invoked", positions, tuple(atom.args[i] for i in positions), least)
+        store.add("invoked", later)
         with pytest.raises(ComparisonTypeError):
-            match_body(body, store)
+            saturate(program, store)
 
 
 def test_bundled_pack_marks_the_first_atom_of_each_event_rule():
