@@ -119,6 +119,28 @@ def parse_indicator_map(text: str) -> tuple[IndicatorSpec, ...]:
     return tuple(specs)
 
 
+def _check_indicator_slots(specs: tuple[IndicatorSpec, ...], domain: DomainModel) -> None:
+    """Raise InputError unless every ``$N`` slot of a template whose action
+    ``domain`` declares names one of that action's parameters. Templates for
+    actions the domain lacks are not checked: a custom domain may omit them.
+    """
+    actions = {action.name: action for action in domain.actions}
+    for spec in specs:
+        action = actions.get(spec.schema)
+        if action is None:
+            continue
+        count = len(action.parameters)
+        for _, value in spec.fields:
+            slot = value[1:]
+            in_range = slot.isascii() and slot.isdigit() and 1 <= int(slot) <= count
+            if value.startswith("$") and not in_range:
+                params = " ".join(p.name for p in action.parameters)
+                raise InputError(
+                    f"indicator template {spec.schema} {spec.kind}: slot {value} "
+                    f"out of range for ({action.name} {params})"
+                )
+
+
 @dataclass(frozen=True)
 class IoCRecord:
     """One indicator: what to look for, and which plan step produced it."""
@@ -166,8 +188,9 @@ def construct_indicators(
     specs: tuple[IndicatorSpec, ...],
     patterns: dict[str, str],
 ) -> tuple[IoCRecord, ...]:
-    """Expand each plan step through the indicator templates; a
-    syscall-pattern record gets its CVE's ``patterns``.
+    """Expand each plan step through the indicator templates, whose slots
+    ``HuntAssets.load`` checked; a syscall-pattern record gets its CVE's
+    ``patterns``.
 
     Records equal up to their source step are deduplicated, keeping the
     earliest step.
@@ -181,18 +204,10 @@ def construct_indicators(
                 continue
             if spec.disjunct is not None and spec.disjunct != action.disjunct:
                 continue
-            detail: list[tuple[str, str]] = []
-            for key, value in spec.fields:
-                if value.startswith("$"):
-                    slot = value[1:]
-                    if not slot.isdigit() or not 1 <= int(slot) <= len(action.args):
-                        raise InputError(
-                            f"indicator template {spec.schema}: slot {value} "
-                            f"out of range for ({action.schema} {' '.join(action.args)})"
-                        )
-                    detail.append((key, action.args[int(slot) - 1]))
-                else:
-                    detail.append((key, value))
+            detail = [
+                (key, action.args[int(value[1:]) - 1] if value.startswith("$") else value)
+                for key, value in spec.fields
+            ]
             cve = dict(detail).get("cve")
             if spec.kind == "syscall-pattern" and cve in patterns:
                 detail.append(("patterns", patterns[cve]))
@@ -314,6 +329,8 @@ class HuntAssets:
         from .inference.rules import parse_rule_pack
 
         domain = parse_domain(text(defaults.DOMAIN_FILE))
+        specs = parse_indicator_map(text(defaults.INDICATOR_MAP_FILE))
+        _check_indicator_slots(specs, domain)
         if strict_domain:
             domain = domain.without_actions(defaults.EXTENDED_ACTIONS)
         pack = parse_rule_pack(text(defaults.RULES_FILE))
@@ -324,7 +341,7 @@ class HuntAssets:
             patterns=cve_patterns(pack),
             capabilities=load_capability_table(text(defaults.CAPABILITIES_FILE)),
             mapping=load_mapping_table(text(defaults.STATE_MAP_FILE)),
-            indicator_specs=parse_indicator_map(text(defaults.INDICATOR_MAP_FILE)),
+            indicator_specs=specs,
             strict_domain=strict_domain,
         )
 

@@ -7,7 +7,6 @@ from .rules import (
     Rule,
     RulePack,
     Var,
-    parse_body,
     parse_rule_pack,
     render_body,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "Rule",
     "RulePack",
     "Var",
-    "parse_body",
     "parse_rule_pack",
     "render_body",
     "DerivedFacts",

@@ -265,6 +265,9 @@ def evaluate(
     extensional predicates. Raises ResourceLimit past ``max_derived``
     derived facts.
     """
+    for pred in base.arity:
+        if pred in program.intensional:
+            raise DeclarationConflict(pred, "intensional predicate given as input")
     relations = base.copy()
     saturate(program, relations, max_derived)
     out = Relations()
@@ -279,15 +282,14 @@ def saturate(
     relations: Relations,
     max_derived: int = DEFAULT_FACT_LIMIT,
 ) -> None:
-    """Add the program's perfect model to ``relations``, which must hold
-    only extensional predicates at their declared arities. Raises
-    ResourceLimit past ``max_derived`` derived rows."""
+    """Add the program's perfect model to ``relations``, taking the rows it
+    holds as facts, at their declared arities: rows of an intensional
+    predicate hold as if bodiless rules stated them. Raises ResourceLimit
+    past ``max_derived`` derived rows."""
     for pred, arity in relations.arity.items():
         declared = program.pack.arity_of(pred)
         if declared is not None and declared != arity:
             raise ArityConflict(pred, arity, declared)
-        if pred in program.intensional:
-            raise DeclarationConflict(pred, "intensional predicate given as input")
 
     derived_total = 0
     for stratum_index, planned in enumerate(program.strata):

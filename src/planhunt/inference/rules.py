@@ -39,7 +39,6 @@ __all__ = [
     "RulePack",
     "parse_rule_pack",
     "rule_pack",
-    "parse_body",
     "render_body",
 ]
 
@@ -252,7 +251,7 @@ class _Parser:
             self.take("rpar")
         return Atom(name_tok.text, tuple(args))
 
-    def parse_body_item(self) -> BodyItem:
+    def parse_item(self) -> BodyItem:
         tok = self.peek()
         if tok is None:
             raise self._error("expected a body literal")
@@ -289,10 +288,10 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.kind == "arrow":
             self.take()
-            body: list[BodyItem] = [self.parse_body_item()]
+            body: list[BodyItem] = [self.parse_item()]
             while self.peek() is not None and self.peek().kind == "comma":
                 self.take()
-                body.append(self.parse_body_item())
+                body.append(self.parse_item())
             self.take("dot")
             return Rule(head, tuple(body))
         self.take("dot")
@@ -465,18 +464,3 @@ def _check_safety(rule: Rule) -> None:
             continue
         for var in sorted(loose):
             raise UnsafeRule(str(rule), var)
-
-
-def parse_body(text: str) -> tuple[BodyItem, ...]:
-    """Parse a bare body (comma-separated literals, no trailing dot), such
-    as the body of a generated rule; safety is not enforced here, as the
-    body has no head yet.
-    """
-    parser = _Parser(_tokenize(text))
-    if parser.at_end():
-        return ()
-    body: list[BodyItem] = [parser.parse_body_item()]
-    while not parser.at_end():
-        parser.take("comma")
-        body.append(parser.parse_body_item())
-    return tuple(body)

@@ -9,18 +9,18 @@ found too. No state-level dominance pruning is applied: with the
 simple-path constraint such pruning can drop valid plans, and shipped task
 sizes do not need it.
 
-Before searching, a goal that no state over the task's atom universe can
-satisfy (``may_hold``) is answered ``no_plan`` with no expansion, whatever
-the budget. A grounded task's universe is its delete-relaxed reachable atom
-set, so most impossible hypotheses are settled this way instead of by
-exhausting every simple path.
+Before searching, a task without a goal mask, whose goal names an atom
+outside the task's atoms, is answered ``no_plan`` with no expansion,
+whatever the budget. A grounded task's atoms are its delete-relaxed
+reachable atoms, so most impossible hypotheses are settled this way instead
+of by exhausting every simple path.
 """
 
 import heapq
 import time
 from dataclasses import dataclass
 
-from .planning_model.ground import GroundedTask, may_hold
+from .planning_model.ground import GroundedTask
 
 __all__ = [
     "Limits",
@@ -60,10 +60,10 @@ class PlanSet:
     truncated_k     k plans returned, candidate paths remained
     truncated_limit the memory budget cut enumeration short
     timed_out       the wall clock expired
-    no_plan         exhaustive search found nothing, or no state over the
-                    task's atoms meets the goal (for a grounded task: the
-                    goal is delete-relaxed unreachable), proved without
-                    search with expanded 0
+    no_plan         exhaustive search found nothing, or a goal atom is
+                    not among the task's atoms (for a grounded task: it is
+                    delete-relaxed unreachable), settled without search
+                    with expanded 0
     """
 
     plans: tuple[Plan, ...]
@@ -84,7 +84,7 @@ def find_top_k(task: GroundedTask, limits: Limits | None = None) -> PlanSet:
     limits = limits or Limits()
     if limits.k < 1:
         raise ValueError("k must be at least 1")
-    if not may_hold(task.goal_ast, task.atom_index):
+    if task.goal is None:
         return PlanSet(plans=(), status="no_plan")
     start = time.monotonic()
     deadline = start + limits.wall_time

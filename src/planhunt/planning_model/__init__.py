@@ -16,7 +16,7 @@ from .model import (
     TypeHierarchy,
     default_catalog,
 )
-from .pddl import parse_domain, parse_problem, render_problem
+from .pddl import parse_domain, render_problem
 from .ground import GroundAction, GroundedTask, ground_task
 from .state import (
     CapabilityTable,
@@ -45,7 +45,6 @@ __all__ = [
     "TypeHierarchy",
     "default_catalog",
     "parse_domain",
-    "parse_problem",
     "render_problem",
     "GroundAction",
     "GroundedTask",

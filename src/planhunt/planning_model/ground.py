@@ -12,11 +12,16 @@ Static precondition literals (predicate never occurring in any effect) must
 hold in the initial state, and negative literals and deletes over atoms
 that can never become true are dropped.
 
-A problem seeds a ``Relations`` store with rows: its init atoms, and one
-type row per object and parameter type it belongs to, found by walking the
-object's type chain once. ``saturate`` adds the model to that store, and
-the task is decoded from its fluent and applicability rows; no fact
-objects are built on the way.
+A problem seeds a ``Relations`` store with rows: its init atoms, each as
+a row of its own predicate, and one type row per object and parameter type
+it belongs to, found by walking the object's type chain once. ``saturate``
+adds the model to that store, and the task is decoded from its fluent and
+applicability rows; no fact objects are built on the way.
+
+A goal is a set of ground atoms that must all hold, so the task keeps it as
+one mask. A goal atom outside the reachable atoms cannot hold in any
+state; the task then has no goal mask, and the planner answers ``no_plan``
+without search.
 """
 
 import logging
@@ -25,16 +30,7 @@ from dataclasses import dataclass
 from ..errors import GroundingExplosion, ResourceLimit
 from ..inference.engine import Relations, StratifiedProgram, saturate, stratify
 from ..inference.rules import Atom, Literal, Rule, Var, rule_pack
-from .model import (
-    DomainModel,
-    FAnd,
-    FAtom,
-    FNot,
-    FOr,
-    Formula,
-    GroundAtom,
-    ProblemInstance,
-)
+from .model import DomainModel, FAnd, FAtom, FNot, FOr, Formula, GroundAtom, ProblemInstance
 
 logger = logging.getLogger(__name__)
 
@@ -43,18 +39,11 @@ __all__ = [
     "GroundedTask",
     "explore_domain",
     "ground_task",
-    "formula_to_ast",
-    "may_hold",
 ]
 
 DEFAULT_ACTION_LIMIT = 10**6
 # DNF size guard: disjunct count per schema beyond this is a modeling error.
 MAX_DISJUNCTS = 64
-
-# Goal ASTs are plain data so independent implementations can evaluate them:
-# ("atom", GroundAtom) | ("and", (ast, ...)) | ("or", (ast, ...))
-# | ("not", ast) | ("true",) | ("false",)
-GoalAst = tuple
 
 
 @dataclass(frozen=True)
@@ -79,22 +68,23 @@ class GroundAction:
 
 @dataclass(frozen=True)
 class GroundedTask:
-    """A propositional task: indexed atoms, bitmask init, goal AST, actions.
+    """A propositional task: indexed atoms, bitmask init and goal, actions.
 
     Atom indices are a bijection onto the delete-relaxed reachable atom set;
     action order (the tie-break order for plan enumeration) follows schema
     declaration order, then parameter binding order over alphabetically
-    sorted objects, then disjunct index.
+    sorted objects, then disjunct index. ``goal`` is the mask of the goal
+    atoms, or None when one of them is not among the task's atoms.
     """
 
     atoms: tuple[GroundAtom, ...]
     atom_index: dict[GroundAtom, int]
     actions: tuple[GroundAction, ...]
     init: int
-    goal_ast: GoalAst
+    goal: int | None
 
     def satisfies_goal(self, state: int) -> bool:
-        return eval_ast_mask(self.goal_ast, state, self.atom_index)
+        return self.goal is not None and state & self.goal == self.goal
 
     def find_action(self, name: str, args: tuple[str, ...]) -> int | None:
         for i, action in enumerate(self.actions):
@@ -103,16 +93,18 @@ class GroundedTask:
         return None
 
     @classmethod
-    def assemble(cls, atoms, action_specs, init_atoms, goal_ast: GoalAst) -> "GroundedTask":
+    def assemble(cls, atoms, action_specs, init_atoms, goal_atoms) -> "GroundedTask":
         """Build a task from symbolic pieces (used directly by test task
         generators; ground_task goes through here too).
 
         ``action_specs`` rows: (name, schema, args, disjunct, pre_pos,
         pre_neg, add, delete, cost), the four middle entries being atom
-        collections that become the action's bitmasks.
+        collections that become the action's bitmasks. ``goal_atoms`` is a
+        collection of atoms that must all hold.
         """
         atoms = tuple(atoms)
         index = {atom: i for i, atom in enumerate(atoms)}
+        goal_atoms = set(goal_atoms)
 
         def mask(atom_iter) -> int:
             out = 0
@@ -140,7 +132,7 @@ class GroundedTask:
             atom_index=index,
             actions=actions,
             init=mask(init_atoms),
-            goal_ast=goal_ast,
+            goal=mask(goal_atoms) if all(a in index for a in goal_atoms) else None,
         )
 
 
@@ -174,71 +166,10 @@ def _dnf(formula: Formula) -> list[list[tuple[FAtom, bool]]]:
     raise TypeError(f"unknown formula node {formula!r}")
 
 
-def formula_to_ast(formula: Formula) -> GoalAst:
-    """Turn a ground formula into the plain-data goal AST."""
-    if isinstance(formula, FAtom):
-        return ("atom", (formula.predicate, formula.args))
-    if isinstance(formula, FNot):
-        return ("not", ("atom", (formula.atom.predicate, formula.atom.args)))
-    if isinstance(formula, FAnd):
-        if not formula.parts:
-            return ("true",)
-        return ("and", tuple(formula_to_ast(p) for p in formula.parts))
-    if isinstance(formula, FOr):
-        if not formula.parts:
-            return ("false",)
-        return ("or", tuple(formula_to_ast(p) for p in formula.parts))
-    raise TypeError(f"unknown formula node {formula!r}")
-
-
-def eval_ast_mask(ast: GoalAst, state: int, index: dict[GroundAtom, int]) -> bool:
-    """Evaluate a goal AST against a bitmask state; atoms outside the
-    universe are false."""
-    tag = ast[0]
-    if tag == "atom":
-        i = index.get(ast[1])
-        return i is not None and bool(state >> i & 1)
-    if tag == "not":
-        return not eval_ast_mask(ast[1], state, index)
-    if tag == "and":
-        return all(eval_ast_mask(p, state, index) for p in ast[1])
-    if tag == "or":
-        return any(eval_ast_mask(p, state, index) for p in ast[1])
-    if tag == "true":
-        return True
-    if tag == "false":
-        return False
-    raise ValueError(f"unknown ast node {tag!r}")
-
-
-def may_hold(ast: GoalAst, index: dict[GroundAtom, int]) -> bool:
-    """False only when no state over the universe ``index`` satisfies ``ast``.
-
-    Atoms outside the universe are false in every state, so a goal that
-    needs one of them cannot hold. A grounded task's universe is its
-    delete-relaxed reachable atom set, so this is the relaxed reachability
-    verdict on the goal. ``not`` is answered conservatively.
-    """
-    tag = ast[0]
-    if tag == "atom":
-        return ast[1] in index
-    if tag == "not":
-        return ast[1] != ("true",)
-    if tag == "and":
-        return all(may_hold(p, index) for p in ast[1])
-    if tag == "or":
-        return any(may_hold(p, index) for p in ast[1])
-    if tag == "true":
-        return True
-    if tag == "false":
-        return False
-    raise ValueError(f"unknown ast node {tag!r}")
-
-
 # --- grounding ---------------------------------------------------------------------
 
 # Generated predicate names hold a space, which no PDDL name can contain.
-INIT, TYPE = "init {}", "type {}"
+TYPE = "type {}"
 
 
 @dataclass(frozen=True)
@@ -246,8 +177,8 @@ class Exploration:
     """A domain's grounding rule program and what decoding its model needs."""
 
     program: StratifiedProgram
-    # fluent predicate (one some effect mentions) -> its INIT relation
-    fluents: dict[str, str]
+    # predicates some effect mentions
+    fluents: tuple[str, ...]
     # parameter type -> its TYPE relation
     types: dict[str, str]
     # applicability predicate -> (schema index, disjunct or 0, pre+, pre-)
@@ -257,9 +188,8 @@ class Exploration:
 def explore_domain(domain: DomainModel) -> Exploration:
     """Compile a domain into its grounding rule program.
 
-    Each fluent predicate copies its init facts from an INIT relation;
-    static ones (no effect mentions them) are the init facts themselves.
-    Each schema disjunct gets one applicability rule whose body joins its
+    Init atoms are given rows of their predicates, fluent (some effect
+    mentions it) or static alike. Each schema disjunct gets one applicability rule whose body joins its
     positive literals as written, one type literal per parameter, its static
     negative literals and negated guards against contradictory bindings;
     fluent negative literals and deletes are relaxed away. Each add effect
@@ -268,9 +198,6 @@ def explore_domain(domain: DomainModel) -> Exploration:
     arity = {a.predicate: len(a.args) for s in domain.actions for a in (*s.add, *s.delete)}
     static = set(domain.predicates) - set(arity)
     rules: list[Rule] = []
-    for predicate, count in arity.items():
-        args = tuple(Var(f"X{i}") for i in range(count))
-        rules.append(Rule(Atom(predicate, args), (Literal(Atom(INIT.format(predicate), args)),)))
     actions = {}
     for index, schema in enumerate(domain.actions):
         params = tuple(p.name for p in schema.parameters)
@@ -298,7 +225,7 @@ def explore_domain(domain: DomainModel) -> Exploration:
             actions[head.predicate] = (index, label, positive, negative)
     return Exploration(
         program=stratify(rule_pack(rules)),
-        fluents={predicate: INIT.format(predicate) for predicate in arity},
+        fluents=tuple(arity),
         types={p.type: TYPE.format(p.type) for s in domain.actions for p in s.parameters},
         actions=actions,
     )
@@ -350,15 +277,14 @@ def ground_task(
     its domain's exploration program.
 
     Raises ArityConflict when the init uses a predicate at two arities, or
-    at another arity than the domain, and GroundingExplosion when the
+    at another arity than the program's rules, and GroundingExplosion when the
     program derives more than ``max_ground_actions`` rows; each ground
     action is one of them.
     """
     exploration = domain.exploration
     relations = Relations()
-    fluents = exploration.fluents
     for pred, args in problem.init:
-        relations.add(fluents.get(pred, pred), args)
+        relations.add(pred, args)
     # Per object type, the type relations of the parameter types on its chain.
     typed: dict[str, list[str]] = {}
     for obj, obj_type in {**domain.constants, **problem.objects}.items():
@@ -376,7 +302,7 @@ def ground_task(
         raise GroundingExplosion(max_ground_actions) from exc
 
     reachable: set[GroundAtom] = set(problem.init)
-    for pred in fluents:
+    for pred in exploration.fluents:
         reachable.update((pred, args) for args in relations.rows(pred))
     found = [
         (args, spec)
@@ -407,9 +333,7 @@ def ground_task(
             )
         )
 
-    task = GroundedTask.assemble(
-        tuple(sorted(reachable)), specs, problem.init, formula_to_ast(problem.goal)
-    )
+    task = GroundedTask.assemble(tuple(sorted(reachable)), specs, problem.init, problem.goal)
     logger.debug(
         "grounded %s/%s: %d atoms, %d actions",
         domain.name,

@@ -76,7 +76,7 @@ class Parameter:
 
 
 class Formula:
-    """Base class for precondition/goal trees."""
+    """Base class for precondition trees; a goal is a set of ground atoms."""
 
     __slots__ = ()
 
@@ -156,7 +156,7 @@ class ProblemInstance:
     domain_name: str
     objects: dict[str, str]  # object -> type (domain constants excluded)
     init: frozenset[GroundAtom]
-    goal: Formula
+    goal: frozenset[GroundAtom]  # every atom must hold
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
-"""Parser and renderer for the supported PDDL subset.
+"""Domain parser and problem renderer for the supported PDDL subset.
 
+Domains are read from PDDL text; problems are built in memory (see
+``state.build_problem``) and only rendered, for ``plan --dump-problem``.
 Supported requirements: :strips :typing :negative-preconditions
 :disjunctive-preconditions :action-costs. Preconditions are and/or trees
 over literals with negation applied to atoms only; effects are add/delete
@@ -32,7 +34,7 @@ from .model import (
     TypeHierarchy,
 )
 
-__all__ = ["parse_domain", "parse_problem", "render_problem", "render_formula"]
+__all__ = ["parse_domain", "render_problem"]
 
 SUPPORTED_REQUIREMENTS = (
     ":strips",
@@ -245,8 +247,7 @@ def _parse_action(section, types, predicates, constants) -> ActionSchema:
     precondition: Formula = FAnd(())
     if ":precondition" in fields:
         precondition = _parse_formula(
-            fields[":precondition"], predicates, param_types, constants, types,
-            allow_or=True,
+            fields[":precondition"], predicates, param_types, constants, types
         )
 
     add: list[FAtom] = []
@@ -304,28 +305,16 @@ def _parse_atom(node, predicates, param_types, constants, types) -> FAtom:
     return FAtom(pred_name, args)
 
 
-def _parse_formula(
-    node, predicates, param_types, constants, types, allow_or: bool
-) -> Formula:
+def _parse_formula(node, predicates, param_types, constants, types) -> Formula:
     if not isinstance(node, _Node) or not node.items:
         raise _err(node, "expected a formula")
     head = node.items[0]
-    if isinstance(head, _Sym) and head.text == "and":
-        return FAnd(
-            tuple(
-                _parse_formula(part, predicates, param_types, constants, types, allow_or)
-                for part in node.items[1:]
-            )
+    if isinstance(head, _Sym) and head.text in ("and", "or"):
+        parts = tuple(
+            _parse_formula(part, predicates, param_types, constants, types)
+            for part in node.items[1:]
         )
-    if isinstance(head, _Sym) and head.text == "or":
-        if not allow_or:
-            raise _err(node, "disjunction is only allowed in preconditions")
-        return FOr(
-            tuple(
-                _parse_formula(part, predicates, param_types, constants, types, allow_or)
-                for part in node.items[1:]
-            )
-        )
+        return FAnd(parts) if head.text == "and" else FOr(parts)
     if isinstance(head, _Sym) and head.text == "not":
         if len(node.items) != 2:
             raise _err(node, "not takes exactly one atom")
@@ -377,100 +366,7 @@ def _parse_effect(
     return cost
 
 
-# --- problems --------------------------------------------------------------------
-
-
-def parse_problem(text: str, domain: DomainModel) -> ProblemInstance:
-    forms = _read(text)
-    if len(forms) != 1 or not isinstance(forms[0], _Node):
-        raise PddlSyntaxError(1, 1, "expected a single (define ...) form")
-    top = forms[0]
-    items = top.items
-    if (
-        len(items) < 2
-        or not isinstance(items[0], _Sym)
-        or items[0].text != "define"
-        or not isinstance(items[1], _Node)
-        or len(items[1].items) != 2
-        or _sym_text(items[1].items[0], "define") != "problem"
-    ):
-        raise _err(top, "expected (define (problem NAME) ...)")
-    name = _sym_text(items[1].items[1], "problem name")
-
-    objects: dict[str, str] = {}
-    init: set = set()
-    goal: Formula | None = None
-    domain_ref: str | None = None
-
-    for section in items[2:]:
-        if not isinstance(section, _Node) or not section.items:
-            raise _err(section, "expected a (:section ...) form")
-        head = _sym_text(section.items[0], "section")
-        rest = section.items[1:]
-        if head == ":domain":
-            domain_ref = _sym_text(rest[0], ":domain") if rest else None
-        elif head == ":objects":
-            for obj, type_name in _parse_typed_list(rest, ":objects"):
-                if not domain.types.known(type_name):
-                    raise UndeclaredType(type_name)
-                objects[obj] = type_name
-        elif head == ":init":
-            all_objects = dict(domain.constants)
-            all_objects.update(objects)
-            for atom_node in rest:
-                if (
-                    isinstance(atom_node, _Node)
-                    and atom_node.items
-                    and isinstance(atom_node.items[0], _Sym)
-                    and atom_node.items[0].text == "="
-                ):
-                    continue  # metric initialization, ignored
-                atom = _parse_atom(
-                    atom_node, domain.predicates, {}, all_objects, domain.types
-                )
-                init.add((atom.predicate, atom.args))
-        elif head == ":goal":
-            if len(rest) != 1:
-                raise _err(section, ":goal takes exactly one formula")
-            all_objects = dict(domain.constants)
-            all_objects.update(objects)
-            goal = _parse_formula(
-                rest[0], domain.predicates, {}, all_objects, domain.types, allow_or=True
-            )
-        elif head == ":metric":
-            continue
-        else:
-            raise _err(section, f"unknown problem section {head}")
-
-    if domain_ref is not None and domain_ref != domain.name:
-        raise PddlSyntaxError(
-            top.line, top.col, f"problem references domain {domain_ref!r}, "
-            f"loaded domain is {domain.name!r}"
-        )
-    if goal is None:
-        raise _err(top, "problem has no :goal")
-    return ProblemInstance(
-        name=name,
-        domain_name=domain_ref or domain.name,
-        objects=objects,
-        init=frozenset(init),
-        goal=goal,
-    )
-
-
 # --- rendering -------------------------------------------------------------------
-
-
-def render_formula(formula: Formula) -> str:
-    if isinstance(formula, FAtom):
-        return formula.render()
-    if isinstance(formula, FNot):
-        return f"(not {formula.atom.render()})"
-    if isinstance(formula, FAnd):
-        return "(and " + " ".join(render_formula(p) for p in formula.parts) + ")"
-    if isinstance(formula, FOr):
-        return "(or " + " ".join(render_formula(p) for p in formula.parts) + ")"
-    raise TypeError(f"unknown formula node {formula!r}")
 
 
 def render_problem(problem: ProblemInstance) -> str:
@@ -485,9 +381,14 @@ def render_problem(problem: ProblemInstance) -> str:
         for type_name in sorted(by_type):
             parts.append(" ".join(sorted(by_type[type_name])) + f" - {type_name}")
         lines.append("  (:objects " + "\n            ".join(parts) + ")")
-    atoms = sorted(problem.init)
-    rendered = " ".join(FAtom(p, a).render() for p, a in atoms)
-    lines.append(f"  (:init {rendered})")
-    lines.append(f"  (:goal {render_formula(problem.goal)})")
+    lines.append(f"  (:init {_render_atoms(problem.init)})")
+    goal = _render_atoms(problem.goal)
+    if len(problem.goal) != 1:
+        goal = f"(and {goal})"
+    lines.append(f"  (:goal {goal})")
     lines.append(")")
     return "\n".join(lines) + "\n"
+
+
+def _render_atoms(atoms) -> str:
+    return " ".join(FAtom(p, a).render() for p, a in sorted(atoms))

@@ -18,8 +18,6 @@ from ..telemetry import SampleRecord
 from ..vocab import ACCOUNT, APP, FACTOR, SENSORS
 from .model import (
     DomainModel,
-    FAtom,
-    Formula,
     GroundAtom,
     ProblemInstance,
     ThreatHypothesis,
@@ -188,12 +186,9 @@ def construct_initial_state(
     return frozenset(atoms)
 
 
-def construct_goal(hypothesis: ThreatHypothesis) -> Formula:
+def construct_goal(hypothesis: ThreatHypothesis) -> GroundAtom:
     """The planning goal: the threat-possible atom for this hypothesis."""
-    return FAtom(
-        THREAT_POSSIBLE,
-        (hypothesis.threat, hypothesis.mechanism, APP),
-    )
+    return (THREAT_POSSIBLE, (hypothesis.threat, hypothesis.mechanism, APP))
 
 
 def build_problem(
@@ -249,5 +244,5 @@ def build_problem(
         domain_name=domain.name,
         objects=objects,
         init=init,
-        goal=construct_goal(hypothesis),
+        goal=frozenset({construct_goal(hypothesis)}),
     )

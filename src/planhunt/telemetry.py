@@ -190,13 +190,21 @@ def _load_jsonl(path: Path) -> SampleRecord:
             intents.append(_required_token(record, "action", lineno, normalize))
         elif kind == "meta":
             if "sample_id" in record:
-                sample_id = str(record["sample_id"])
+                sample_id = _sample_id(record["sample_id"], lineno)
             meta.extend(
                 (str(k), str(v)) for k, v in sorted(record.items()) if k != "type"
             )
         else:
             raise MalformedRecord(lineno, f"unknown record type {kind!r}")
     return _finish_sample(sample_id, events, permissions, intents, meta)
+
+
+def _sample_id(value: object, lineno: int) -> str:
+    """A sample id names its report file, so it must be one path component."""
+    sample_id = str(value)
+    if sample_id in ("", ".", "..") or any(c in sample_id for c in "/\\\0"):
+        raise MalformedRecord(lineno, f"sample_id {sample_id!r} is not a file name")
+    return sample_id
 
 
 def _required_token(record: dict, key: str, lineno: int, normalize) -> str:
@@ -286,7 +294,7 @@ def _load_csv(path: Path, column_map: str | Path | None) -> SampleRecord:
         events.append(_event_from_mapping(record, rowno, normalize))
         if rowno == 2:
             if "sample_id" in mapping and row.get(mapping["sample_id"]):
-                sample_id = str(row[mapping["sample_id"]])
+                sample_id = _sample_id(row[mapping["sample_id"]], rowno)
             for key, sink in (("permissions", permissions), ("intents", intents)):
                 column = mapping.get(key)
                 if column and row.get(column):

@@ -12,7 +12,7 @@ init, goal, masks and action order.
 import itertools
 
 from planhunt.errors import GroundingExplosion
-from planhunt.planning_model.ground import GroundedTask, _dnf, formula_to_ast
+from planhunt.planning_model.ground import GroundedTask, _dnf
 from planhunt.planning_model.model import DomainModel, FAtom, GroundAtom, ProblemInstance
 
 DEFAULT_ACTION_LIMIT = 10**6
@@ -121,10 +121,7 @@ def ground_task(
             (name, schema_name, args, disjunct, pre_pos, pre_neg, add, delete, cost)
         )
 
-    atoms = tuple(sorted(reachable))
-    goal_ast = formula_to_ast(problem.goal)
-    task = GroundedTask.assemble(atoms, surviving, init, goal_ast)
-    return task
+    return GroundedTask.assemble(tuple(sorted(reachable)), surviving, init, problem.goal)
 
 
 def _bind(atom: FAtom, binding: dict[str, str]) -> GroundAtom:

@@ -11,7 +11,7 @@ from bisect import insort
 from planhunt.planner import Plan, PlanSet
 from taskgen import state_atoms
 
-__all__ = ["CapExceeded", "eval_ast", "oracle_enumerate"]
+__all__ = ["CapExceeded", "oracle_enumerate"]
 
 
 class CapExceeded(Exception):
@@ -20,24 +20,6 @@ class CapExceeded(Exception):
     def __init__(self, cap: int):
         self.cap = cap
         super().__init__(f"enumeration cap exceeded ({cap})")
-
-
-def eval_ast(ast, atoms) -> bool:
-    """Evaluate a goal AST against a set-of-atoms state."""
-    tag = ast[0]
-    if tag == "atom":
-        return ast[1] in atoms
-    if tag == "not":
-        return not eval_ast(ast[1], atoms)
-    if tag == "and":
-        return all(eval_ast(p, atoms) for p in ast[1])
-    if tag == "or":
-        return any(eval_ast(p, atoms) for p in ast[1])
-    if tag == "true":
-        return True
-    if tag == "false":
-        return False
-    raise ValueError(f"unknown ast node {tag!r}")
 
 
 def oracle_enumerate(
@@ -66,6 +48,8 @@ def oracle_enumerate(
         for a in task.actions
     ]
     costs = [a.cost for a in task.actions]
+    # A task without a goal mask names a goal atom outside its atoms.
+    goal = None if task.goal is None else state_atoms(task, task.goal)
     found: list[tuple[int, tuple[int, ...]]] = []
     visits = 0
 
@@ -81,9 +65,8 @@ def oracle_enumerate(
             visits += 1
             if visits > cap:
                 raise CapExceeded(cap)
-            if (cost_bound is None or cost <= cost_bound) and eval_ast(
-                task.goal_ast, atoms
-            ):
+            within = cost_bound is None or cost <= cost_bound
+            if within and goal is not None and goal <= atoms:
                 insort(found, (cost, seq))
                 if len(found) > k + 1:
                     # Keep one extra entry so truncation is detectable.

@@ -4,11 +4,12 @@ The reader as it was before the loader decoded lines with the JSON
 scanner: ``json.loads`` on every stripped line, and a token memo keyed by
 (type, value) for every value. ``_load_jsonl``, ``_required_token``,
 ``_event_from_mapping`` and ``_token_memo`` are kept as they were, except
-that a boolean ``syscall``, ``name`` or ``action`` raises MalformedRecord
-with its line, as the loader now does: this reader is the reference for
-decoding, not for that error. Only the sample containers and the token
-normalizer come from the package, so a result compares equal to the
-loader's.
+that a boolean ``syscall``, ``name`` or ``action``, and a ``sample_id``
+that is not a plain file name (empty, ``.``, ``..``, or holding ``/``,
+``\\`` or NUL), raise MalformedRecord with their line, as the loader now
+does: this reader is the reference for decoding, not for those errors.
+Only the sample containers and the token normalizer come from the
+package, so a result compares equal to the loader's.
 """
 
 import json
@@ -71,6 +72,10 @@ def _load_jsonl(path: Path) -> SampleRecord:
             elif kind == "meta":
                 if "sample_id" in record:
                     sample_id = str(record["sample_id"])
+                    if sample_id in ("", ".", "..") or any(c in sample_id for c in "/\\\0"):
+                        raise MalformedRecord(
+                            lineno, f"sample_id {sample_id!r} is not a file name"
+                        )
                 meta.extend(
                     (str(k), str(v)) for k, v in sorted(record.items()) if k != "type"
                 )

@@ -102,7 +102,7 @@ def optimal_cost(
         cost, _, state = heapq.heappop(heap)
         if cost > best.get(state, cost):
             continue
-        if holds(problem.goal, {}, state):
+        if problem.goal <= state:
             return cost
         settled += 1
         if settled > cap:

@@ -1,7 +1,7 @@
 """Random grounded tasks and transition helpers for planner tests.
 
 Generated tasks are monotone-biased (actions mostly add atoms, deletes are
-rare), which keeps simple-path spaces enumerable, and goals are drawn from
+rare), which keeps simple-path spaces enumerable, and goals are one or two
 atoms some action adds, so most instances are solvable. A tiny unsolvable
 mode keeps the exhaust-everything path honest without risking blowup.
 """
@@ -27,29 +27,16 @@ def state_atoms(task: GroundedTask, state: int) -> frozenset:
     return frozenset(atom for i, atom in enumerate(task.atoms) if state >> i & 1)
 
 
-def _random_goal(rng: random.Random, atoms, pool):
-    def leaf():
-        if rng.random() < 0.2:
-            return ("not", ("atom", rng.choice(atoms)))
-        return ("atom", rng.choice(pool))
-
-    roll = rng.random()
-    if roll < 0.5:
-        return leaf()
-    parts = (leaf(), leaf())
-    return ("and", parts) if roll < 0.8 else ("or", parts)
-
-
 def _tiny_unsolvable(rng: random.Random) -> GroundedTask:
     atoms = tuple((f"a{i}", ()) for i in range(rng.randint(2, 4)))
     specs = []
     for i in range(rng.randint(1, 3)):
         add = [rng.choice(atoms)]
         specs.append((f"act{i}", f"act{i}", (), None, [], [], add, [], 1))
-    # The goal names an atom no action adds and init never holds.
-    return GroundedTask.assemble(
-        atoms, specs, frozenset(), ("atom", ("nowhere", ()))
-    )
+    # The goal is an atom of the task that no action adds and init never
+    # holds, so only exhausting every simple path proves it unreachable.
+    nowhere = ("nowhere", ())
+    return GroundedTask.assemble((*atoms, nowhere), specs, frozenset(), {nowhere})
 
 
 def random_task(
@@ -88,7 +75,8 @@ def random_task(
         )
     init = frozenset(atom for atom in atoms if rng.random() < 0.3)
     pool = [atoms[j] for j in sorted(added)]
-    return GroundedTask.assemble(atoms, specs, init, _random_goal(rng, atoms, pool))
+    goal = {rng.choice(pool) for _ in range(rng.randint(1, 2))}
+    return GroundedTask.assemble(atoms, specs, init, goal)
 
 
 def dijkstra_cost(task: GroundedTask) -> int | None:

@@ -13,6 +13,7 @@ from planhunt import defaults
 from planhunt.cli import main
 
 CORPUS = Path("src/planhunt/assets/corpus")
+PROBLEMS = Path(__file__).parent / "data" / "problems"
 
 
 def sample(name):
@@ -79,6 +80,14 @@ class TestPlan:
         assert out.startswith("(define (problem hunt-")
         assert "(:goal" in out
 
+    @pytest.mark.parametrize("golden", sorted(p.name for p in PROBLEMS.glob("*.pddl")))
+    def test_dump_problem_matches_golden(self, golden, capsys):
+        # Golden files are named SAMPLE.THREAT.MECHANISM.pddl.
+        stem, threat, mechanism, _ = golden.split(".")
+        (path,) = [p for p in CORPUS.glob(f"{stem}.*") if p.suffix in (".jsonl", ".csv")]
+        assert main(["plan", str(path), f"{threat}/{mechanism}", "--dump-problem"]) == 0
+        assert capsys.readouterr().out == (PROBLEMS / golden).read_text(encoding="utf-8")
+
     def test_unparseable_hypothesis(self, capsys):
         assert main(["plan", sample("pivot_demo.jsonl"), "surveillance"]) == 1
         assert "threat/mechanism" in capsys.readouterr().err
@@ -137,6 +146,18 @@ class TestHunt:
         payload = json.loads(capsys.readouterr().out)
         assert payload["possible_threats"] == []
         assert payload["meta"]["strict_domain"] is True
+
+    def test_indicator_slot_out_of_range_fails_at_load(self, tmp_path, capsys):
+        text = defaults.asset_text(defaults.INDICATOR_MAP_FILE)
+        line = "surveillance-via-permission permission-audit sensor="
+        indicator_map = tmp_path / "indicator-map"
+        indicator_map.write_text(text.replace(f"{line}$2", f"{line}$5"), encoding="utf-8")
+        argv = ["--indicator-map", str(indicator_map)]
+        assert main(["hunt", sample("clean_demo.jsonl"), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: indicator template surveillance-via-permission")
+        assert main(["batch", str(CORPUS), *argv]) == 1
+        assert capsys.readouterr().err == err
 
     def test_k_is_threaded_through(self, capsys):
         assert main(["hunt", sample("clean_demo.jsonl"), "-k", "3"]) == 0
@@ -293,6 +314,24 @@ class TestBatch:
         assert err == ""
         assert out.startswith("threat,mechanism,sample_count,plan_count\n")
         assert summary.read_text() == out
+
+    def test_sample_id_cannot_leave_the_report_directory(self, tmp_path, capsys):
+        target = self.corpus_subset(tmp_path, ["camera_perm_demo.jsonl"])
+        for name, sample_id in (("up", "../escaped"), ("down", "sub/dir")):
+            meta = json.dumps({"type": "meta", "sample_id": sample_id})
+            (target / f"{name}.jsonl").write_text(meta + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        reports = out / "reports"
+        assert main(["batch", str(target), "--reports", str(reports)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout.startswith("threat,mechanism,sample_count,plan_count\n")
+        assert err == (
+            "error: line 1: sample_id 'sub/dir' is not a file name (down.jsonl)\n"
+            "error: line 1: sample_id '../escaped' is not a file name (up.jsonl)\n"
+        )
+        assert sorted(p.name for p in reports.iterdir()) == ["camera_perm_demo.json", "summary.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["reports"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "samples"]
 
     def test_bad_summary_path_fails_before_hunting(self, tmp_path, capsys):
         target = self.corpus_subset(tmp_path, ["camera_perm_demo.jsonl"])

@@ -16,9 +16,10 @@ from planhunt.errors import (
     NegationCycle,
     ResourceLimit,
 )
-from planhunt.inference.engine import Fact, Relations, evaluate, stratify
-from planhunt.inference.rules import parse_body, parse_rule_pack
+from planhunt.inference.engine import Fact, Relations, evaluate, saturate, stratify
+from planhunt.inference.rules import parse_rule_pack
 
+from bodies import parse_body
 from oracles.match_body import match_body
 from oracles.naive_datalog import evaluate_naive, naive_strata
 
@@ -192,6 +193,25 @@ class TestEvaluationContract:
         base = Relations([Fact("path", ("a", "b"))])
         with pytest.raises(DeclarationConflict):
             evaluate(program, base)
+
+    def test_saturate_takes_intensional_rows_as_facts(self):
+        # Rows of path given to saturate act as bodiless rules: they feed
+        # path's recursion and the negation in the stratum above it.
+        directives = [*PACK_TRANSITIVE[0], "#pred node/1 extensional", "#pred cut/1 intensional"]
+        rules = [*PACK_TRANSITIVE[1], "cut(X) :- node(X), not path(a, X)."]
+        pack = build_pack(directives, rules)
+        program = stratify(pack)
+        rng = random.Random(17)
+        for _ in range(40):
+            base = random_base(pack, rng)
+            seeded = sorted({(rng.choice("abcd"), rng.choice("abcd")) for _ in range(rng.randrange(4))})
+            store = base.copy()
+            for row in seeded:
+                store.add("path", row)
+            saturate(program, store)
+            stated = build_pack(directives, [*rules, *(f"path({x}, {y})." for x, y in seeded)])
+            expected = evaluate_naive(stated, base)
+            assert Relations(f for f in store if f.predicate in pack.intensional()) == expected
 
     def test_base_arity_mismatch_rejected(self):
         pack = build_pack(*PACK_TRANSITIVE)
@@ -376,8 +396,9 @@ class TestMatchBody:
         src = str(Path(planhunt.__file__).resolve().parents[1])
         script = (
             "from planhunt.errors import ComparisonTypeError, UnsafeRule\n"
-            "from planhunt.inference.engine import Fact, Relations, evaluate, stratify\n"
-            "from planhunt.inference.rules import Atom, Rule, parse_body, rule_pack\n"
+            "from planhunt.inference.engine import Fact, Relations, evaluate, saturate, stratify\n"
+            "from planhunt.inference.rules import Atom, Rule, rule_pack\n"
+            "from bodies import parse_body\n"
             "rows = [(1, 'open', 'p1', 'wildcard', 'file', 'read', 0),\n"
             "        (2, 'read', 'p2', 'p2', 'buffer', 'read', 0)]\n"
             "store = Relations([Fact('invoked', row) for row in rows])\n"
@@ -403,7 +424,7 @@ class TestMatchBody:
             [sys.executable, "-O", "-c", script],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": src},
+            env={**os.environ, "PYTHONPATH": os.pathsep.join((src, str(Path(__file__).parent)))},
             timeout=120,
         )
         assert result.returncode == 0, result.stderr

@@ -1,7 +1,6 @@
-"""Goals ruled out by the task's atom universe settle as no_plan without
-search: unit cases for ``may_hold``, a differential test against the
-exhaustive search the check skips, and the catalog whose dead hypotheses
-used to run out their budget.
+"""Goals with an atom outside the task's atoms settle as no_plan without
+search: a differential test against the exhaustive search the check skips,
+and the catalog whose dead hypotheses used to run out their budget.
 """
 
 import random
@@ -12,75 +11,49 @@ import pytest
 from planhunt import defaults
 from planhunt.hunt import HuntAssets, hypothesis_plans, hypothesis_task, infer_facts
 from planhunt.planner import Limits, find_top_k
-from planhunt.planning_model.ground import GroundedTask, may_hold
+from planhunt.planning_model.ground import GroundedTask
 from planhunt.planning_model.model import default_catalog
+from planhunt.planning_model.state import construct_goal
 from planhunt.telemetry import load_sample
-from taskgen import random_task
+from taskgen import random_task, state_atoms
 from test_ground_program import CORPUS, CORPUS_DIR, unreachable_pivots
 
-LIVE = ("atom", ("live", ()))
-DEAD = ("atom", ("dead", ()))
-UNIVERSE = {("live", ()): 0}
+
+def padded(task: GroundedTask, goal: set) -> GroundedTask:
+    """The task with the goal atoms it lacks added to its atoms, and
+    ``goal`` as its mask. No action or init holds the added atoms, so every
+    state and plan is unchanged, but the goal has a mask and the full
+    search runs."""
+    atoms = task.atoms + tuple(a for a in goal if a not in task.atom_index)
+    index = {a: i for i, a in enumerate(atoms)}
+    return replace(task, atoms=atoms, atom_index=index, goal=sum(1 << index[a] for a in goal))
 
 
-@pytest.mark.parametrize(
-    "ast, possible",
-    [
-        (LIVE, True),
-        (DEAD, False),
-        (("not", DEAD), True),
-        (("not", ("false",)), True),
-        (("not", ("true",)), False),
-        (("or", (DEAD, LIVE)), True),
-        (("or", (DEAD, ("false",))), False),
-        (("and", (LIVE, DEAD)), False),
-        (("and", (LIVE, ("not", DEAD))), True),
-        (("and", ()), True),
-        (("or", ()), False),
-        (("true",), True),
-        (("false",), False),
-    ],
-)
-def test_may_hold(ast, possible):
-    assert may_hold(ast, UNIVERSE) is possible
-
-
-def test_unknown_node_is_rejected():
-    with pytest.raises(ValueError):
-        may_hold(("xor", (LIVE, DEAD)), UNIVERSE)
-
-
-def goal_atoms(ast):
-    tag = ast[0]
-    if tag == "atom":
-        yield ast[1]
-    elif tag == "not":
-        yield from goal_atoms(ast[1])
-    elif tag in ("and", "or"):
-        for part in ast[1]:
-            yield from goal_atoms(part)
-
-
-def padded(task: GroundedTask) -> GroundedTask:
-    """The task with its goal's missing atoms added to the universe. No
-    action or init holds them, so every state and plan is unchanged, but
-    the goal check passes and the full search runs."""
-    missing = [a for a in dict.fromkeys(goal_atoms(task.goal_ast)) if a not in task.atom_index]
-    atoms = task.atoms + tuple(missing)
-    return replace(task, atoms=atoms, atom_index={a: i for i, a in enumerate(atoms)})
-
-
-def settles_like_search(task: GroundedTask) -> bool:
+def settles_like_search(task: GroundedTask, goal: set) -> bool:
     """Compare find_top_k with the search on the padded task; return
     whether the goal was settled without search."""
     result = find_top_k(task)
-    wide = padded(task)
-    assert may_hold(wide.goal_ast, wide.atom_index)
-    searched = find_top_k(wide)
+    searched = find_top_k(padded(task, goal))
     assert (result.plans, result.status) == (searched.plans, searched.status)
-    settled = not may_hold(task.goal_ast, task.atom_index)
+    settled = task.goal is None
+    assert settled == any(a not in task.atom_index for a in goal)
     assert (result.expanded == 0) is settled
     return settled
+
+
+def random_goal_task(rng: random.Random) -> tuple[GroundedTask, set]:
+    """A random task given one or two of its atoms as its goal, plus, one
+    time in three, an atom outside them."""
+    task = random_task(rng)
+    goal = set(rng.sample(task.atoms, rng.randint(1, 2)))
+    if rng.random() < 1 / 3:
+        goal.add(("outside", ()))
+    specs = [
+        (a.name, a.schema, a.args, a.disjunct,
+         *(state_atoms(task, m) for m in (a.pre_pos, a.pre_neg, a.add, a.delete)), a.cost)
+        for a in task.actions
+    ]
+    return GroundedTask.assemble(task.atoms, specs, state_atoms(task, task.init), goal), goal
 
 
 @pytest.mark.parametrize("setup", ["bundled", "strict_domain", "wide_catalog"])
@@ -94,13 +67,16 @@ def test_corpus_goal_check_agrees_with_search(setup, tmp_path):
     for sample_path in CORPUS:
         facts = infer_facts(load_sample(sample_path), assets)
         for hypothesis in default_catalog():
-            settled += settles_like_search(hypothesis_task(facts, assets, hypothesis))
+            task = hypothesis_task(facts, assets, hypothesis)
+            settled += settles_like_search(task, {construct_goal(hypothesis)})
     assert settled > 0
 
 
 def test_random_goal_check_agrees_with_search():
-    settled = sum(settles_like_search(random_task(random.Random(seed))) for seed in range(3000))
-    assert settled > 0
+    settled = sum(
+        settles_like_search(*random_goal_task(random.Random(seed))) for seed in range(3000)
+    )
+    assert 0 < settled < 3000
 
 
 def test_pivots_off_a_reachable_cve_settle_without_search(tmp_path):
@@ -123,7 +99,7 @@ def test_pivots_off_a_reachable_cve_settle_without_search(tmp_path):
 def test_dead_goal_settles_at_zero_wall_time():
     task = GroundedTask.assemble(
         [("a", ())], [("act", "act", (), None, [], [], [("a", ())], [], 1)],
-        frozenset(), ("atom", ("nowhere", ())),
+        frozenset(), {("nowhere", ())},
     )
     result = find_top_k(task, Limits(wall_time=0.0))
     assert (result.plans, result.status, result.expanded) == ((), "no_plan", 0)

@@ -12,7 +12,6 @@ from dataclasses import replace
 
 import pytest
 
-from oracles.enumerate import eval_ast
 from oracles.lifted_search import ExplorationCap, explore, optimal_cost
 from planhunt.errors import ArityConflict, GroundingExplosion
 from planhunt.planning_model import (
@@ -26,14 +25,8 @@ from planhunt.planning_model import (
     ProblemInstance,
     TypeHierarchy,
     parse_domain,
-    parse_problem,
 )
-from planhunt.planning_model.ground import (
-    GroundedTask,
-    eval_ast_mask,
-    formula_to_ast,
-    ground_task,
-)
+from planhunt.planning_model.ground import GroundedTask, ground_task
 from planhunt.planning_model.model import ActionSchema
 from taskgen import applicable, apply, state_atoms
 
@@ -54,19 +47,17 @@ WALK_DOMAIN = """
 )
 """
 
-WALK_PROBLEM = """
-(define (problem stroll)
-  (:domain walkabout)
-  (:objects x y z - spot)
-  (:init (at x) (link x y) (lit z))
-  (:goal (done))
+WALK_PROBLEM = ProblemInstance(
+    name="stroll",
+    domain_name="walkabout",
+    objects={"x": "spot", "y": "spot", "z": "spot"},
+    init=frozenset({("at", ("x",)), ("link", ("x", "y")), ("lit", ("z",))}),
+    goal=frozenset({("done", ())}),
 )
-"""
 
 
-def walk_task():
-    domain = parse_domain(WALK_DOMAIN)
-    return ground_task(domain, parse_problem(WALK_PROBLEM, domain))
+def walk_task(goal=WALK_PROBLEM.goal):
+    return ground_task(parse_domain(WALK_DOMAIN), replace(WALK_PROBLEM, goal=frozenset(goal)))
 
 
 class TestGrounding:
@@ -124,17 +115,15 @@ class TestGrounding:
         assert task.find_action("finish~or1", ("z",)) == 3
 
     def test_ground_action_budget(self):
-        domain = parse_domain(WALK_DOMAIN)
-        problem = parse_problem(WALK_PROBLEM, domain)
         with pytest.raises(GroundingExplosion):
-            ground_task(domain, problem, max_ground_actions=3)
+            ground_task(parse_domain(WALK_DOMAIN), WALK_PROBLEM, max_ground_actions=3)
 
     def test_init_arity_conflicts_raise(self):
         # Grounding seeds its store with rows, not facts, so the store
         # itself must refuse a predicate at two arities, static (link) or
         # fluent (at), and the program one at another arity than the domain.
         domain = parse_domain(WALK_DOMAIN)
-        problem = parse_problem(WALK_PROBLEM, domain)
+        problem = WALK_PROBLEM
         inits = [
             problem.init | {("link", ("x",))},
             problem.init | {("at", ("x", "y"))},
@@ -160,7 +149,7 @@ class TestGrounding:
                 domain_name="wide",
                 objects={},
                 init=frozenset(),
-                goal=FAtom("r", ()),
+                goal=frozenset({("r", ())}),
             )
             ground_task(domain, problem)
 
@@ -181,13 +170,15 @@ UNREACHABLE_DOMAIN = """
 
 
 class TestReachabilityFiltering:
-    def task(self, goal="(b)"):
-        domain = parse_domain(UNREACHABLE_DOMAIN)
-        problem = parse_problem(
-            f"(define (problem p) (:domain spectral) (:init (a)) (:goal {goal}))",
-            domain,
+    def task(self, goal=(("b", ()),)):
+        problem = ProblemInstance(
+            name="p",
+            domain_name="spectral",
+            objects={},
+            init=frozenset({("a", ())}),
+            goal=frozenset(goal),
         )
-        return ground_task(domain, problem)
+        return ground_task(parse_domain(UNREACHABLE_DOMAIN), problem)
 
     def test_unreachable_negative_literals_and_deletes_drop(self):
         task = self.task()
@@ -200,34 +191,34 @@ class TestReachabilityFiltering:
         assert all(a.schema != "odd" for a in self.task().actions)
 
     def test_goal_over_unreachable_atom(self):
-        assert not self.task(goal="(ghost)").satisfies_goal(1 << 30)
-        task = self.task(goal="(not (ghost))")
-        assert task.satisfies_goal(task.init)
+        # One unreachable goal atom leaves the task without a goal mask,
+        # and no state, even one holding every atom, satisfies it.
+        for goal in ([("ghost", ())], [("b", ()), ("ghost", ())]):
+            task = self.task(goal)
+            assert task.goal is None
+            assert not task.satisfies_goal((1 << 30) - 1)
 
     def test_empty_precondition_is_always_applicable(self):
         domain = parse_domain(
             "(define (domain free) (:predicates (a)) (:action go :parameters ()"
             " :effect (a)))"
         )
-        problem = parse_problem(
-            "(define (problem p) (:domain free) (:goal (a)))", domain
-        )
+        problem = ProblemInstance("p", "free", {}, frozenset(), frozenset({("a", ())}))
         task = ground_task(domain, problem)
         assert applicable(task.init, task.actions[0])
 
 
-class TestGoalAst:
-    CASES = [
-        ("true",),
-        ("false",),
-        ("atom", ("done", ())),
-        ("atom", ("at", ("q",))),  # outside every universe
-        ("not", ("atom", ("at", ("x",)))),
-        ("and", (("atom", ("lit", ("z",))), ("not", ("atom", ("done", ()))))),
-        ("or", (("atom", ("at", ("q",))), ("atom", ("at", ("y",))))),
+class TestGoalMask:
+    GOALS = [
+        (),
+        (("done", ()),),
+        (("lit", ("z",)), ("at", ("y",))),
+        (("at", ("x",)), ("at", ("y",))),
+        (("at", ("q",)),),  # outside the task's atoms
+        (("done", ()), ("at", ("q",))),
     ]
 
-    def test_mask_and_set_evaluation_agree(self):
+    def test_mask_and_set_inclusion_agree(self):
         task = walk_task()
         states = [task.init]
         for state in states:
@@ -236,23 +227,21 @@ class TestGoalAst:
                     succ = apply(state, action)
                     if succ not in states:
                         states.append(succ)
-        for state in states:
-            atoms = state_atoms(task, state)
-            for ast in self.CASES:
-                assert eval_ast(ast, atoms) == eval_ast_mask(
-                    ast, state, task.atom_index
+        for goal in self.GOALS:
+            task = walk_task(goal)
+            assert (task.goal is None) == any(atom not in task.atom_index for atom in goal)
+            for state in states:
+                assert task.satisfies_goal(state) == (
+                    task.goal is not None and set(goal) <= state_atoms(task, state)
                 )
-
-    def test_bad_node_rejected(self):
-        with pytest.raises(ValueError):
-            eval_ast(("xor", ()), frozenset())
 
 
 # --- randomized equivalence with the lifted reference ------------------------------
 
 
 def random_instance(rng: random.Random):
-    """A small single-type domain/problem pair with random formula trees."""
+    """A small single-type domain/problem pair with random precondition
+    trees and a goal of one or two atoms."""
     types = TypeHierarchy()
     types.declare("thing")
     objects = {f"o{i}": "thing" for i in range(rng.randint(2, 3))}
@@ -318,7 +307,7 @@ def random_instance(rng: random.Random):
         domain_name="rand",
         objects=objects,
         init=init,
-        goal=formula((), rng.randint(0, 2)),
+        goal=frozenset(rng.choice(universe) for _ in range(rng.randint(1, 2))),
     )
     return domain, problem
 

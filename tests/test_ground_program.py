@@ -41,7 +41,7 @@ def unreachable_pivots(out_dir: Path, extra: int, seed: int = 0) -> tuple[Path, 
 def assert_same_task(task, reference):
     assert task.atoms == reference.atoms
     assert task.init == reference.init
-    assert task.goal_ast == reference.goal_ast
+    assert task.goal == reference.goal
     assert [
         (a.name, a.args, a.disjunct, a.cost, a.pre_pos, a.pre_neg, a.add, a.delete)
         for a in task.actions

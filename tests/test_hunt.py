@@ -1,11 +1,13 @@
 """Indicator construction, confirmation, per-sample reports, batch mode."""
 
+import itertools
 import json
 import logging
 from pathlib import Path
 
 import pytest
 
+from planhunt import defaults
 from planhunt.defaults import corpus_paths
 from planhunt.errors import DuplicateSampleId, InputError
 from planhunt.hunt import (
@@ -131,7 +133,7 @@ def tiny_task(args=("app", "cve_x"), disjunct=None):
         atom_index={atom: 0},
         actions=(action,),
         init=0,
-        goal_ast=("atom", atom),
+        goal=1,
     )
 
 
@@ -167,12 +169,29 @@ class TestConstructIndicators:
         records = construct_indicators(task, Plan((0,), 1), specs, assets.patterns)
         assert [r.kind for r in records] == ["clipboard-access", "api-call"]
 
-    def test_slot_out_of_range(self, assets):
-        task = tiny_task(args=("app",))
-        specs = parse_indicator_map("probe api-call via=$2\n")
-        with pytest.raises(InputError) as err:
-            construct_indicators(task, Plan((0,), 1), specs, assets.patterns)
-        assert "slot $2" in str(err.value)
+    def test_slot_out_of_range(self, tmp_path):
+        # Slots are checked once, when the assets load, against the full
+        # domain: a producer action --strict-domain drops is checked too.
+        bundled = defaults.asset_text(defaults.INDICATOR_MAP_FILE)
+        path = tmp_path / "indicator-map"
+        cases = [
+            ("surveillance-via-permission permission-audit sensor=$3", "$3"),
+            ("capture-otp notification-access app=$0", "$0"),
+            ("pivot-exploit syscall-pattern cve=$x", "$x"),
+        ]
+        for (line, slot), strict in itertools.product(cases, (False, True)):
+            path.write_text(f"{bundled}{line}\n", encoding="utf-8")
+            with pytest.raises(InputError) as err:
+                HuntAssets.load(overrides={defaults.INDICATOR_MAP_FILE: path}, strict_domain=strict)
+            assert f"slot {slot} out of range" in str(err.value)
+            assert line.split()[0] in str(err.value)
+
+    def test_slots_of_undeclared_actions_are_not_checked(self, tmp_path):
+        # A custom domain may omit an action the indicator map names.
+        path = tmp_path / "indicator-map"
+        path.write_text("probe api-call via=$9\n", encoding="utf-8")
+        assets = HuntAssets.load(overrides={defaults.INDICATOR_MAP_FILE: path})
+        assert [spec.schema for spec in assets.indicator_specs] == ["probe"]
 
     def test_syscall_pattern_records_attach_rule_bodies(self, assets):
         task = tiny_task(args=("cve_2019_2103",))

@@ -82,6 +82,9 @@ CASES = {
     "boolean-syscall": f'{META}\n{{"type": "event", "ts": 1, "syscall": true, "pid": 1}}\n',
     "boolean-permission-name": f'{EVENT}\n{{"type": "permission", "name": false}}\n',
     "boolean-intent-action": f'{META}\n{{"type": "intent", "action": true}}\n',
+    "sample-id-leaves-the-directory": f'{EVENT}\n{{"type": "meta", "sample_id": "../x"}}\n',
+    "sample-id-with-backslash": f'{EVENT}\n{{"type": "meta", "sample_id": "a\\\\b"}}\n',
+    "empty-sample-id": f'{EVENT}\n{{"type": "meta", "sample_id": ""}}\n',
 }
 
 
@@ -94,6 +97,13 @@ def test_hand_written_cases(scratch, text):
 def test_boolean_token_is_a_malformed_record(scratch, case):
     result = assert_same(scratch, CASES[case])
     assert result[1:] == (MalformedRecord, 2, "line 2: boolean field value")
+
+
+@pytest.mark.parametrize("case", [name for name in CASES if "sample-id" in name])
+def test_sample_id_that_is_not_a_file_name(scratch, case):
+    result = assert_same(scratch, CASES[case])
+    assert result[0] == "raised" and result[1:3] == (MalformedRecord, 2)
+    assert result[3].endswith("is not a file name")
 
 
 def test_two_values_on_one_line_is_rejected(scratch):
@@ -109,7 +119,7 @@ _SCALARS = st.one_of(
     st.none(),
     st.sampled_from(
         ["1", "-2", "1.0", " 7 ", "", "_", "mmap", " Mmap ", "android.permission.CAMERA",
-         "\xfc", "a\u2028b", "a\x85b", "x\r"]
+         "\xfc", "a\u2028b", "a\x85b", "x\r", ".", "..", "a/b", "a\\b"]
     ),
     st.text(max_size=4),
 )

@@ -1,7 +1,6 @@
-"""Domain/problem parsing for the supported PDDL subset, plus rendering."""
+"""Domain parsing for the supported PDDL subset, and problem rendering."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from planhunt.hunt import HuntAssets
 from planhunt.errors import (
@@ -17,11 +16,10 @@ from planhunt.planning_model import (
     FAtom,
     FNot,
     FOr,
+    ProblemInstance,
     parse_domain,
-    parse_problem,
     render_problem,
 )
-from planhunt.planning_model.pddl import render_formula
 
 TOY_DOMAIN = """
 (define (domain toy)
@@ -216,116 +214,32 @@ class TestDomainParsing:
         assert set(trimmed.predicates) == {"in", "open", "sealed"}
 
 
-TOY_PROBLEM = """
-(define (problem stash)
-  (:domain toy)
-  (:objects b1 b2 - box attic - room)
-  (:init (in b1 depot) (in b2 attic) (sealed b2) (open attic)
-         (= (total-cost) 0))
-  (:goal (and (in b1 attic) (not (sealed b2))))
-  (:metric minimize (total-cost))
-)
-"""
-
-
-class TestProblemParsing:
-    def test_structure(self):
-        problem = parse_problem(TOY_PROBLEM, toy())
-        assert problem.name == "stash"
-        assert problem.domain_name == "toy"
-        assert problem.objects == {"b1": "box", "b2": "box", "attic": "room"}
-        assert problem.init == frozenset(
-            {
-                ("in", ("b1", "depot")),
-                ("in", ("b2", "attic")),
-                ("sealed", ("b2",)),
-                ("open", ("attic",)),
-            }
-        )
-        assert problem.goal == FAnd(
-            (FAtom("in", ("b1", "attic")), FNot(FAtom("sealed", ("b2",))))
-        )
-
-    def test_metric_and_cost_init_are_ignored(self):
-        problem = parse_problem(TOY_PROBLEM, toy())
-        assert all(pred != "=" for pred, _ in problem.init)
-
-    def test_domain_name_mismatch(self):
-        text = TOY_PROBLEM.replace("(:domain toy)", "(:domain other)")
-        with pytest.raises(PddlSyntaxError) as err:
-            parse_problem(text, toy())
-        assert "references domain 'other'" in str(err.value)
-
-    def test_goal_is_required(self):
-        with pytest.raises(PddlSyntaxError) as err:
-            parse_problem("(define (problem p) (:domain toy))", toy())
-        assert "no :goal" in str(err.value)
-
-    def test_init_atom_with_unknown_object(self):
-        with pytest.raises(UndeclaredObject):
-            parse_problem(
-                "(define (problem p) (:domain toy)"
-                " (:init (open cellar)) (:goal (open depot)))",
-                toy(),
-            )
-
-    def test_unknown_object_type(self):
-        with pytest.raises(UndeclaredType):
-            parse_problem(
-                "(define (problem p) (:domain toy)"
-                " (:objects c - crate) (:goal (open depot)))",
-                toy(),
-            )
-
-
 class TestRendering:
-    def test_formula_rendering(self):
-        formula = FOr(
-            (
-                FAnd((FAtom("p", ("a",)), FNot(FAtom("q", ())))),
-                FAtom("r", ("a", "b")),
-            )
-        )
-        assert render_formula(formula) == "(or (and (p a) (not (q))) (r a b))"
-
-    def test_problem_round_trip(self):
-        domain = toy()
-        problem = parse_problem(TOY_PROBLEM, domain)
-        again = parse_problem(render_problem(problem), domain)
-        assert again.objects == problem.objects
-        assert again.init == problem.init
-        assert again.goal == problem.goal
-
-    @given(
-        boxes=st.sets(st.sampled_from(["b1", "b2", "b3"]), min_size=1),
-        rooms=st.sets(st.sampled_from(["attic", "cellar"]), min_size=1),
-        seal_flags=st.lists(st.booleans(), min_size=3, max_size=3),
-        goal_negated=st.booleans(),
-    )
-    def test_random_problem_round_trip(self, boxes, rooms, seal_flags, goal_negated):
-        domain = toy()
-        objects = {box: "box" for box in sorted(boxes)}
-        objects.update({room: "room" for room in sorted(rooms)})
-        init = set()
-        for box, sealed in zip(sorted(boxes), seal_flags):
-            init.add(("in", (box, sorted(rooms)[0])))
-            if sealed:
-                init.add(("sealed", (box,)))
-        box = sorted(boxes)[0]
-        goal = FNot(FAtom("sealed", (box,))) if goal_negated else FAtom("sealed", (box,))
-        from planhunt.planning_model import ProblemInstance
-
-        problem = ProblemInstance(
-            name="gen",
+    def problem(self, goal):
+        return ProblemInstance(
+            name="stash",
             domain_name="toy",
-            objects=objects,
-            init=frozenset(init),
-            goal=goal,
+            objects={"b2": "box", "attic": "room", "b1": "box"},
+            init=frozenset({("sealed", ("b2",)), ("in", ("b1", "depot")), ("open", ("attic",))}),
+            goal=frozenset(goal),
         )
-        again = parse_problem(render_problem(problem), domain)
-        assert again.objects == problem.objects
-        assert again.init == problem.init
-        assert again.goal == problem.goal
+
+    def test_problem_text(self):
+        text = render_problem(self.problem({("in", ("b1", "attic"))}))
+        assert text == (
+            "(define (problem stash)\n"
+            "  (:domain toy)\n"
+            "  (:objects b1 b2 - box\n"
+            "            attic - room)\n"
+            "  (:init (in b1 depot) (open attic) (sealed b2))\n"
+            "  (:goal (in b1 attic))\n"
+            ")\n"
+        )
+
+    def test_several_goal_atoms_render_as_a_sorted_conjunction(self):
+        goal = {("sealed", ("b1",)), ("in", ("b2", "attic")), ("open", ("attic",))}
+        text = render_problem(self.problem(goal))
+        assert "  (:goal (and (in b2 attic) (open attic) (sealed b1)))\n" in text
 
 
 class TestBundledDomain:

@@ -27,7 +27,7 @@ def chain_task():
         ("step1", "step1", (), None, [], [], [M], [], 1),
         ("step2", "step2", (), None, [M], [], [G], [], 1),
     ]
-    return GroundedTask.assemble((M, G), specs, frozenset(), ("atom", G))
+    return GroundedTask.assemble((M, G), specs, frozenset(), {G})
 
 
 def guard_task():
@@ -37,7 +37,7 @@ def guard_task():
         ("step2", "step2", (), None, [M], [], [G], [], 1),
         ("guarded", "guarded", (), None, [], [M], [G], [], 1),
     ]
-    return GroundedTask.assemble((M, G), specs, frozenset(), ("atom", G))
+    return GroundedTask.assemble((M, G), specs, frozenset(), {G})
 
 
 # All simple plans of chain_task, in (cost, lexicographic steps) order.
@@ -70,7 +70,7 @@ class TestFindTopK:
     def test_no_plan(self):
         task = GroundedTask.assemble(
             (M,), [("step1", "step1", (), None, [], [], [M], [], 1)],
-            frozenset(), ("atom", G),
+            frozenset(), {G},
         )
         result = find_top_k(task)
         assert result.plans == ()
@@ -79,7 +79,7 @@ class TestFindTopK:
     def test_goal_in_initial_state_is_the_empty_plan(self):
         task = GroundedTask.assemble(
             (M, G), [("step1", "step1", (), None, [], [], [M], [], 1)],
-            frozenset({G}), ("atom", G),
+            frozenset({G}), {G},
         )
         result = find_top_k(task)
         assert result.plans[0] == Plan(steps=(), cost=0)
@@ -149,7 +149,7 @@ class TestOracleEnumerate:
         assert oracle_enumerate(task, k=2).status == "truncated_k"
         empty = GroundedTask.assemble(
             (M,), [("step1", "step1", (), None, [], [], [M], [], 1)],
-            frozenset(), ("atom", G),
+            frozenset(), {G},
         )
         assert oracle_enumerate(empty).status == "no_plan"
 
@@ -181,7 +181,7 @@ class TestPlanText:
         specs = [
             ("pivot-exploit", "pivot-exploit", ("a", "b"), None, [], [], [M], [], 1)
         ]
-        task = GroundedTask.assemble((M,), specs, frozenset(), ("atom", M))
+        task = GroundedTask.assemble((M,), specs, frozenset(), {M})
         plan = parse_plan_text(task, "(pivot_exploit A B)\n; cost = 1\n")
         assert plan == Plan(steps=(0,), cost=1)
 

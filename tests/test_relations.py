@@ -28,12 +28,12 @@ from planhunt.inference.rules import (
     Literal,
     Rule,
     Var,
-    parse_body,
     parse_rule_pack,
     render_body,
     rule_pack,
 )
 
+from bodies import parse_body
 from oracles.match_body import match_body
 from oracles.naive_datalog import evaluate_naive
 from test_engine import build_pack, random_base

@@ -15,10 +15,11 @@ from planhunt.inference.rules import (
     Comparison,
     Literal,
     Var,
-    parse_body,
     parse_rule_pack,
     render_body,
 )
+
+from bodies import parse_body
 
 BASE_DECLS = """
 #pred edge/2 extensional

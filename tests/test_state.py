@@ -4,7 +4,6 @@ import pytest
 
 from planhunt.errors import InputError, MalformedRecord, UnmappedPredicate
 from planhunt.planning_model import (
-    FAtom,
     ThreatHypothesis,
     build_problem,
     construct_goal,
@@ -139,9 +138,7 @@ class TestInitialState:
 class TestGoalAndProblem:
     def test_goal_atom(self):
         goal = construct_goal(ThreatHypothesis("surveillance", "exploit"))
-        assert goal == FAtom(
-            "threat-possible", ("surveillance", "exploit", "app")
-        )
+        assert goal == ("threat-possible", ("surveillance", "exploit", "app"))
 
     def test_hypothesis_validation(self):
         with pytest.raises(ValueError):
@@ -163,6 +160,7 @@ class TestGoalAndProblem:
         assert problem.objects["sms_otp"] == "factor"
         assert problem.name == "hunt-s1-surveillance-permission"
         assert ("exploited", ("cve_2016_5195",)) in problem.init
+        assert problem.goal == {("threat-possible", ("surveillance", "permission", "app"))}
 
     def test_build_problem_types_unknown_objects_from_schema(self, assets):
         domain, capabilities, mapping = assets.domain, assets.capabilities, assets.mapping

@@ -59,6 +59,22 @@ class TestJsonlLoading:
         assert sample.sample_id == "alpha"
         assert ("build", "XYZ") in sample.meta
 
+    # A sample id names the sample's report file, so it must be one plain
+    # path component.
+    BAD_IDS = ["", ".", "..", "../escaped", "sub/dir", "a\\b", "nul\0"]
+
+    @pytest.mark.parametrize("sample_id", BAD_IDS)
+    def test_sample_id_that_is_not_a_file_name(self, tmp_path, sample_id):
+        records = [EVENT, {"type": "meta", "sample_id": sample_id}]
+        with pytest.raises(MalformedRecord) as err:
+            load_sample(write_jsonl(tmp_path, "s.jsonl", records))
+        assert err.value.line == 2
+        assert "is not a file name" in str(err.value)
+
+    def test_dotted_sample_id_is_a_file_name(self, tmp_path):
+        records = [{"type": "meta", "sample_id": "..a.b"}]
+        assert load_sample(write_jsonl(tmp_path, "s.jsonl", records)).sample_id == "..a.b"
+
     @pytest.mark.parametrize(
         "record,needle",
         [
@@ -147,6 +163,24 @@ class TestCsvLoading:
         assert [e.syscall for e in sample.events] == ["read", "mmap"]
         # Permission list comes from the first data row only.
         assert sample.permissions == ("camera", "internet")
+
+    @pytest.mark.parametrize("sample_id", ["..", "../escaped", "sub/dir", "a\\b"])
+    def test_sample_id_that_is_not_a_file_name(self, tmp_path, sample_id):
+        path = self.write_csv(
+            tmp_path,
+            f"time,call,proc,name\n1,mmap,p1,{sample_id}\n",
+            "ts=time\nsyscall=call\npid=proc\nsample_id=name\n",
+        )
+        with pytest.raises(MalformedRecord) as err:
+            load_sample(path)
+        assert err.value.line == 2
+        assert repr(sample_id) in str(err.value)
+
+    def test_sample_id_column(self, tmp_path):
+        colmap = "ts=time\nsyscall=call\npid=proc\nsample_id=name\n"
+        path = self.write_csv(tmp_path, "time,call,proc,name\n1,mmap,p1,beta\n2,read,p1,x/y\n", colmap)
+        # Only the first data row names the sample.
+        assert load_sample(path).sample_id == "beta"
 
     def test_missing_colmap(self, tmp_path):
         path = self.write_csv(tmp_path, "time,call,proc\n1,mmap,p\n")
