@@ -179,8 +179,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     sample = _sample(args)
     hypothesis = _hypothesis(args.hypothesis)
     task = hypothesis_task(infer_facts(sample, assets), assets, hypothesis)
+    text = defaults.read_input(args.plan_file).read()
     try:
-        plan = parse_plan_text(task, Path(args.plan_file).read_text(encoding="utf-8"))
+        plan = parse_plan_text(task, text)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     result = validate_plan(task, plan)
@@ -195,9 +196,7 @@ def _collect_samples(inputs: list[Path]) -> list[Path]:
     paths: list[Path] = []
     for item in inputs:
         if item.is_dir():
-            paths.extend(
-                sorted(p for p in item.iterdir() if p.suffix in (".jsonl", ".csv"))
-            )
+            paths.extend(defaults.sample_files(item))
         elif item.is_file():
             paths.append(item)
         else:

@@ -1,19 +1,17 @@
-"""Bundled asset resolution.
+"""Bundled assets and the one reader of input files.
 
 The package ships a default threat domain, rule pack, capability table,
 state mapping, indicator map, and a small demo corpus under
-``planhunt/assets/``. The PLANHUNT_ASSETS environment variable (or an
-explicit ``--assets`` directory) points at a directory with the same file
-names to replace the whole bundle; individual files can be overridden
-separately at the CLI.
+``planhunt/assets/``. ``HuntAssets.load`` decides which copy of each asset
+loads: a per-file override, else the file of that name in an ``--assets``
+directory, else the bundled one. No environment variable changes that.
+Every input file, sample or asset, is decoded by ``read_input``.
 """
 
-import os
-from importlib import resources
+import io
 from pathlib import Path
 
-from .errors import InputError
-from .vocab import ASSET_ROOT_ENV
+from .errors import InputError, MalformedRecord
 
 __all__ = [
     "DOMAIN_FILE",
@@ -22,8 +20,11 @@ __all__ = [
     "STATE_MAP_FILE",
     "INDICATOR_MAP_FILE",
     "CORPUS_DIR",
+    "BUNDLE",
     "EXTENDED_ACTIONS",
+    "read_input",
     "asset_text",
+    "sample_files",
     "corpus_paths",
 ]
 
@@ -34,43 +35,39 @@ STATE_MAP_FILE = "state-mapping"
 INDICATOR_MAP_FILE = "indicator-map"
 CORPUS_DIR = "corpus"
 
+BUNDLE = Path(__file__).with_name("assets")
+
 # Producer actions beyond the core catalog; removed under --strict-domain.
 EXTENDED_ACTIONS = ("harvest-credentials", "capture-otp")
 
 
-def _root() -> Path | None:
-    """Asset directory override, if configured."""
-    override = os.environ.get(ASSET_ROOT_ENV)
-    if override:
-        root = Path(override)
-        if not root.is_dir():
-            raise InputError(f"{ASSET_ROOT_ENV} points at {override}, not a directory")
-        return root
-    return None
+def read_input(path: Path, newline: str | None = None) -> io.StringIO:
+    """The file's text as a stream of lines (universal newlines unless
+    ``newline`` says otherwise). A byte that is not UTF-8 rejects the whole
+    file, as a MalformedRecord on that byte's line."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise MalformedRecord(line, "not valid UTF-8") from None
+    return io.StringIO(text, newline=newline)
 
 
-def asset_text(name: str, root: Path | None = None) -> str:
-    """Read a bundled asset, honoring directory overrides."""
-    base = root or _root()
-    if base is not None:
-        path = base / name
-        if not path.is_file():
-            raise InputError(f"asset {name} not found under {base}")
-        return path.read_text(encoding="utf-8")
-    ref = resources.files("planhunt").joinpath("assets", name)
-    if not ref.is_file():
-        raise InputError(f"bundled asset {name} is missing")
-    return ref.read_text(encoding="utf-8")
+def asset_text(name: str) -> str:
+    """The text of the bundled asset ``name``."""
+    return read_input(BUNDLE / name).read()
+
+
+def sample_files(directory: Path) -> list[Path]:
+    """The samples in ``directory``: its .jsonl and .csv files, sorted by name."""
+    return sorted(p for p in directory.iterdir() if p.suffix in (".jsonl", ".csv"))
 
 
 def corpus_paths(root: Path | None = None) -> list[Path]:
-    """Paths of the bundled demo corpus samples, sorted by file name."""
-    base = root or _root()
-    if base is not None:
-        corpus = base / CORPUS_DIR
-    else:
-        corpus = Path(str(resources.files("planhunt").joinpath("assets", CORPUS_DIR)))
+    """The demo corpus samples under ``root`` (default: the bundle)."""
+    corpus = (root or BUNDLE) / CORPUS_DIR
     if not corpus.is_dir():
         raise InputError(f"corpus directory {corpus} is missing")
-    return sorted(p for p in corpus.iterdir() if p.suffix in (".jsonl", ".csv"))
-
+    return sample_files(corpus)

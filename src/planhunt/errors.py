@@ -25,7 +25,8 @@ class InputError(PlanHuntError):
 # --- telemetry ---------------------------------------------------------------
 
 class MalformedRecord(InputError):
-    """A telemetry record that cannot be normalized."""
+    """A line of an input file (sample, column map, asset table, plan file)
+    that cannot be decoded or normalized."""
 
     def __init__(self, line: int, reason: str):
         self.line = line

@@ -24,18 +24,25 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import defaults
-from .errors import DuplicateSampleId, InputError, PlanHuntError
+from .errors import DuplicateSampleId, InputError, MalformedRecord, PlanHuntError
 from .inference.engine import Relations, StratifiedProgram, evaluate, stratify
-from .inference.rules import Atom, Literal, Rule, RulePack, Var, render_body
+from .inference.rules import Atom, Literal, Rule, RulePack, Var, parse_rule_pack, render_body
 from .planner import Limits, Plan, PlanSet, find_top_k
-from .planning_model.ground import GroundedTask, ground_task
+from .planning_model.ground import GroundedTask, _dnf, ground_task
 from .planning_model.model import (
     DomainModel,
     ProblemInstance,
     ThreatHypothesis,
     default_catalog,
 )
-from .planning_model.state import CapabilityTable, MappingTable, build_problem
+from .planning_model.pddl import parse_domain
+from .planning_model.state import (
+    CapabilityTable,
+    MappingTable,
+    build_problem,
+    load_capability_table,
+    load_mapping_table,
+)
 from .telemetry import SampleRecord, events_to_facts, load_sample, unknown_tokens
 
 logger = logging.getLogger(__name__)
@@ -97,22 +104,18 @@ def parse_indicator_map(text: str) -> tuple[IndicatorSpec, ...]:
             continue
         parts = line.split()
         if len(parts) < 2:
-            raise InputError(f"indicator map line {lineno}: need action and kind")
+            raise MalformedRecord(lineno, "need action and kind")
         head = parts[0]
         disjunct: int | None = None
         if "@" in head:
             head, _, tail = head.partition("@")
             if not tail.isdigit() or int(tail) < 1:
-                raise InputError(
-                    f"indicator map line {lineno}: bad disjunct suffix {tail!r}"
-                )
+                raise MalformedRecord(lineno, f"bad disjunct suffix {tail!r}")
             disjunct = int(tail)
         fields: list[tuple[str, str]] = []
         for item in parts[2:]:
             if "=" not in item:
-                raise InputError(
-                    f"indicator map line {lineno}: field {item!r} has no '='"
-                )
+                raise MalformedRecord(lineno, f"field {item!r} has no '='")
             key, _, value = item.partition("=")
             fields.append((key, value))
         specs.append(IndicatorSpec(head, disjunct, parts[1], tuple(fields)))
@@ -121,7 +124,9 @@ def parse_indicator_map(text: str) -> tuple[IndicatorSpec, ...]:
 
 def _check_indicator_slots(specs: tuple[IndicatorSpec, ...], domain: DomainModel) -> None:
     """Raise InputError unless every ``$N`` slot of a template whose action
-    ``domain`` declares names one of that action's parameters. Templates for
+    ``domain`` declares names one of that action's parameters, and its
+    ``@N`` suffix, if any, one of the action's two or more precondition
+    disjuncts (a single disjunct's ground actions carry none). Templates for
     actions the domain lacks are not checked: a custom domain may omit them.
     """
     actions = {action.name: action for action in domain.actions}
@@ -129,6 +134,14 @@ def _check_indicator_slots(specs: tuple[IndicatorSpec, ...], domain: DomainModel
         action = actions.get(spec.schema)
         if action is None:
             continue
+        if spec.disjunct is not None:
+            count = len(_dnf(action.precondition))
+            if count == 1 or spec.disjunct > count:
+                raise InputError(
+                    f"indicator template {spec.schema}@{spec.disjunct} {spec.kind}: "
+                    f"suffix out of range for {action.name}, which has {count} "
+                    "precondition disjunct(s); a single one takes no suffix"
+                )
         count = len(action.parameters)
         for _, value in spec.fields:
             slot = value[1:]
@@ -313,34 +326,37 @@ class HuntAssets:
         overrides: dict[str, Path] | None = None,
         strict_domain: bool = False,
     ) -> "HuntAssets":
-        """Load the asset bundle, honoring per-file overrides.
-
-        ``overrides`` keys are the bundled file names (threat-domain.pddl,
-        threat.rules, cve-capabilities, state-mapping, indicator-map).
+        """Load the asset bundle. Each file is the per-file override if
+        ``overrides`` has one (keys are the bundled file names:
+        threat-domain.pddl, threat.rules, cve-capabilities, state-mapping,
+        indicator-map), else ``root/<name>`` if ``root`` is given, else the
+        bundled copy. A file that does not decode or parse raises one
+        InputError whose message starts with its path (the bundled name for
+        a bundled file).
         """
 
-        def text(name: str) -> str:
-            if overrides and name in overrides:
-                return Path(overrides[name]).read_text(encoding="utf-8")
-            return defaults.asset_text(name, root)
+        overrides = overrides or {}
 
-        from .planning_model.pddl import parse_domain
-        from .planning_model.state import load_capability_table, load_mapping_table
-        from .inference.rules import parse_rule_pack
+        def parsed(name: str, parse):
+            path = overrides.get(name) or (root / name if root else None)
+            try:
+                return parse(defaults.read_input(Path(path or defaults.BUNDLE / name)).read())
+            except InputError as exc:
+                raise InputError(f"{path or name}: {exc}") from exc
 
-        domain = parse_domain(text(defaults.DOMAIN_FILE))
-        specs = parse_indicator_map(text(defaults.INDICATOR_MAP_FILE))
+        domain = parsed(defaults.DOMAIN_FILE, parse_domain)
+        specs = parsed(defaults.INDICATOR_MAP_FILE, parse_indicator_map)
         _check_indicator_slots(specs, domain)
         if strict_domain:
             domain = domain.without_actions(defaults.EXTENDED_ACTIONS)
-        pack = parse_rule_pack(text(defaults.RULES_FILE))
+        pack = parsed(defaults.RULES_FILE, parse_rule_pack)
         return cls(
             domain=domain,
             pack=pack,
             program=stratify(pack),
             patterns=cve_patterns(pack),
-            capabilities=load_capability_table(text(defaults.CAPABILITIES_FILE)),
-            mapping=load_mapping_table(text(defaults.STATE_MAP_FILE)),
+            capabilities=parsed(defaults.CAPABILITIES_FILE, load_capability_table),
+            mapping=parsed(defaults.STATE_MAP_FILE, load_mapping_table),
             indicator_specs=specs,
             strict_domain=strict_domain,
         )
@@ -452,12 +468,14 @@ def _finding_from_planset(
     relations: Relations,
     config: HuntConfig,
 ) -> ThreatFinding:
+    # Without a plan, only an exhausted search says no_plan; a time or
+    # memory budget that ran out first leaves the hypothesis undecided.
     if planset.plans:
         status = STATUS_POSSIBLE
-    elif planset.status == "timed_out":
-        status = STATUS_TIMED_OUT
-    else:
+    elif planset.status == STATUS_NO_PLAN:
         status = STATUS_NO_PLAN
+    else:
+        status = STATUS_TIMED_OUT
 
     plans: list[tuple[int, tuple[str, ...]]] = []
     indicators: list[tuple[IoCRecord, ...]] = []
@@ -658,6 +676,11 @@ def batch_hunt(
     flagged = sum(1 for report in reports if report.unknown_tokens)
     if flagged:
         logger.warning("batch: %d of %d samples have unknown tokens", flagged, len(reports))
+    if summary.timed_out:
+        logger.warning(
+            "batch: %d of %d samples ran out of budget before a hypothesis was decided",
+            summary.timed_out, len(reports),
+        )
 
     if report_dir is not None:
         for report in reports:

@@ -10,7 +10,6 @@ vulnerability the capability table or the derived facts mention.
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..errors import InputError, MalformedRecord, UnmappedPredicate
 from ..inference.engine import Relations
@@ -74,12 +73,11 @@ class CapabilityTable:
         return sorted(seen)
 
 
-def load_capability_table(source: str | Path) -> CapabilityTable:
+def load_capability_table(text: str) -> CapabilityTable:
     """Parse the whitespace-separated table: cve capability argument source.
 
     A ``-`` argument means the capability takes no extra argument.
     """
-    text = Path(source).read_text(encoding="utf-8") if isinstance(source, Path) else source
     rows: list[CapabilityRow] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -142,8 +140,7 @@ class MappingTable:
         return (name, tuple(str(args[i - 1]) for i in slots))
 
 
-def load_mapping_table(source: str | Path) -> MappingTable:
-    text = Path(source).read_text(encoding="utf-8") if isinstance(source, Path) else source
+def load_mapping_table(text: str) -> MappingTable:
     entries: dict[tuple[str, int], tuple[str, tuple[int, ...]]] = {}
     ignored: set[tuple[str, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):

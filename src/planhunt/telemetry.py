@@ -21,13 +21,13 @@ not report becomes the reserved constant ``wildcard``.
 """
 
 import csv
-import io
 import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
+from .defaults import read_input
 from .errors import MalformedRecord
 from .inference.engine import Fact, Relations
 from .vocab import (
@@ -141,20 +141,6 @@ def load_sample(path: str | Path, column_map: str | Path | None = None) -> Sampl
     return _load_jsonl(path)
 
 
-def _utf8_lines(path: Path, newline: str | None = None) -> io.StringIO:
-    """The file's text as a stream of lines (universal newlines unless
-    ``newline`` says otherwise). A byte that is not UTF-8 rejects the whole
-    file, as a MalformedRecord on that byte's line."""
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise MalformedRecord(line, "not valid UTF-8") from None
-    return io.StringIO(text, newline=newline)
-
-
 def _load_jsonl(path: Path) -> SampleRecord:
     sample_id = path.stem
     events: list[TelemetryEvent] = []
@@ -162,7 +148,7 @@ def _load_jsonl(path: Path) -> SampleRecord:
     intents: list[str] = []
     meta: list[tuple[str, str]] = []
     normalize = _token_memo()
-    for lineno, raw in enumerate(_utf8_lines(path), start=1):
+    for lineno, raw in enumerate(read_input(path), start=1):
         # The scanner takes a line that opens with its value and has only
         # whitespace after it; json.loads of the stripped line gives any
         # other line (blank, indented, trailing data, bad JSON) its outcome.
@@ -262,7 +248,7 @@ def _load_csv(path: Path, column_map: str | Path | None) -> SampleRecord:
     if not map_path.is_file():
         raise FileNotFoundError(str(map_path))
     mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(_utf8_lines(map_path), start=1):
+    for lineno, raw in enumerate(read_input(map_path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -279,7 +265,7 @@ def _load_csv(path: Path, column_map: str | Path | None) -> SampleRecord:
     intents: list[str] = []
     sample_id = path.stem
     normalize = _token_memo()
-    reader = csv.DictReader(_utf8_lines(path, newline=""))
+    reader = csv.DictReader(read_input(path, newline=""))
     if reader.fieldnames is None:
         raise MalformedRecord(1, "CSV file has no header row")
     for key, column in mapping.items():

@@ -29,6 +29,3 @@ MECHANISMS = ("permission", "exploit")
 SENSORS = ("camera", "gps", "microphone", "screen")
 ACCOUNT = "acct"
 FACTOR = "sms_otp"
-
-# Environment variable that points at an alternative asset directory.
-ASSET_ROOT_ENV = "PLANHUNT_ASSETS"

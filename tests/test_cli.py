@@ -10,7 +10,7 @@ import pytest
 
 import planhunt
 from planhunt import defaults
-from planhunt.cli import main
+from planhunt.cli import _OVERRIDE_FLAGS, main
 
 CORPUS = Path("src/planhunt/assets/corpus")
 PROBLEMS = Path(__file__).parent / "data" / "problems"
@@ -425,6 +425,53 @@ def test_non_utf8_sample_is_an_input_error(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_bytes(b'{"type": "meta", "note": "caf\xe9"}\n')
     assert_one_error_line(["hunt", str(bad)])
+
+
+# One malformed line per asset flag.
+BAD_ASSET_LINES = {
+    "--domain": "(define (domain broken) (:action\n",
+    "--rules": "exploited(X) :-\n",
+    "--capabilities": "cve_x enables-sensor - core\n",
+    "--state-map": "bogus\n",
+    "--indicator-map": "pivot-exploit\n",
+}
+
+
+@pytest.mark.parametrize("command", ["hunt", "batch"])
+@pytest.mark.parametrize("content", ["non-utf8", "malformed"])
+@pytest.mark.parametrize("flag", list(BAD_ASSET_LINES))
+def test_bad_asset_file_is_one_error_naming_it(flag, content, command, tmp_path, capsys):
+    bad = tmp_path / "asset"
+    bad.write_bytes(b"\xff" if content == "non-utf8" else BAD_ASSET_LINES[flag].encode())
+    out = tmp_path / "out"
+    target = {
+        "hunt": [sample("pivot_demo.jsonl"), "-o", str(out)],
+        "batch": [str(CORPUS), "--reports", str(out)],
+    }[command]
+    assert main([command, *target, flag, str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: line ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    if content == "non-utf8":
+        assert captured.err == f"error: {bad}: line 1: not valid UTF-8\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_bad_file_in_asset_directory_is_named(tmp_path, capsys):
+    for name in _OVERRIDE_FLAGS.values():
+        (tmp_path / name).write_text(defaults.asset_text(name), encoding="utf-8")
+    path = tmp_path / defaults.STATE_MAP_FILE
+    path.write_bytes(b"exploited/1 (exploited $1)\n\xff\n")
+    assert main(["hunt", sample("pivot_demo.jsonl"), "--assets", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: line 2: not valid UTF-8\n"
+
+
+def test_non_utf8_plan_file_is_an_input_error(tmp_path, capsys):
+    plan = tmp_path / "candidate.plan"
+    plan.write_bytes(b"(pivot-exploit cve_2019_2194 cve_2019_2103)\n\xff\n")
+    argv = ["validate", sample("pivot_demo.jsonl"), "surveillance/exploit", str(plan)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: line 2: not valid UTF-8\n"
 
 
 def assert_one_error_line(argv):

@@ -14,7 +14,9 @@ import pytest
 
 from oracles.lifted_search import ExplorationCap, explore, optimal_cost
 from planhunt.errors import ArityConflict, GroundingExplosion
-from planhunt.planning_model import (
+from planhunt.planning_model.ground import GroundedTask, ground_task
+from planhunt.planning_model.model import (
+    ActionSchema,
     DomainModel,
     FAnd,
     FAtom,
@@ -24,10 +26,8 @@ from planhunt.planning_model import (
     PredicateSchema,
     ProblemInstance,
     TypeHierarchy,
-    parse_domain,
 )
-from planhunt.planning_model.ground import GroundedTask, ground_task
-from planhunt.planning_model.model import ActionSchema
+from planhunt.planning_model.pddl import parse_domain
 from taskgen import applicable, apply, state_atoms
 
 WALK_DOMAIN = """

@@ -33,7 +33,7 @@ from planhunt.hunt import (
     summary_to_csv,
 )
 from planhunt.inference.engine import Relations
-from planhunt.planner import Plan
+from planhunt.planner import Limits, Plan
 from planhunt.planning_model.ground import GroundAction, GroundedTask
 from planhunt.telemetry import Fact, load_sample
 
@@ -185,6 +185,29 @@ class TestConstructIndicators:
                 HuntAssets.load(overrides={defaults.INDICATOR_MAP_FILE: path}, strict_domain=strict)
             assert f"slot {slot} out of range" in str(err.value)
             assert line.split()[0] in str(err.value)
+
+    def test_disjunct_suffix_out_of_range(self, tmp_path):
+        # A single-disjunct schema's ground actions carry no disjunct, so a
+        # suffix on its template could never fire; the check runs against
+        # the full domain, so capture-otp fails under --strict-domain too.
+        path = tmp_path / "indicator-map"
+        cases = [
+            "pivot-exploit@1 syscall-pattern cve=$1",
+            "capture-otp@1 notification-access app=$1",
+            "fin-fraud-mechanism-exploit@4 ui-overlay app=$1",
+        ]
+        for line, strict in itertools.product(cases, (False, True)):
+            path.write_text(line + "\n", encoding="utf-8")
+            with pytest.raises(InputError) as err:
+                HuntAssets.load(overrides={defaults.INDICATOR_MAP_FILE: path}, strict_domain=strict)
+            head, kind = line.split()[:2]
+            assert str(err.value).startswith(f"indicator template {head} {kind}: suffix out of range")
+        path.write_text(
+            "fin-fraud-mechanism-exploit@3 ui-overlay app=$1\nprobe@7 api-call via=$1\n",
+            encoding="utf-8",
+        )
+        assets = HuntAssets.load(overrides={defaults.INDICATOR_MAP_FILE: path})
+        assert [spec.disjunct for spec in assets.indicator_specs] == [3, 7]
 
     def test_slots_of_undeclared_actions_are_not_checked(self, tmp_path):
         # A custom domain may omit an action the indicator map names.
@@ -343,6 +366,17 @@ class TestIdentifyThreats:
         assert all(f.status == STATUS_TIMED_OUT for f in report.findings)
         assert all(f.plans == () for f in report.findings)
         assert report.possible_threats == ()
+
+    def test_search_cut_by_memory_budget_is_timed_out(self, assets, caplog):
+        # One byte of frontier memory ends the search before its first plan,
+        # which leaves the hypothesis undecided, not refuted.
+        config = HuntConfig(limits=Limits(memory=1))
+        with caplog.at_level(logging.WARNING):
+            reports, summary = batch_hunt([CORPUS / "camera_perm_demo.jsonl"], assets, config)
+        finding = by_label(reports[0], "surveillance/permission")
+        assert (finding.status, finding.planner_status) == (STATUS_TIMED_OUT, "truncated_limit")
+        assert summary.timed_out == 1
+        assert "batch: 1 of 1 samples ran out of budget" in caplog.text
 
 
 class TestReportJson:
@@ -529,6 +563,15 @@ class TestAssetLoading:
         assert "harvest-credentials" not in names
         assert "capture-otp" not in names
         assert "pivot-exploit" in names
+
+    def test_environment_does_not_move_the_asset_root(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("PLANHUNT_ASSETS", str(tmp_path / "missing"))
+        assets = HuntAssets.load()
+        bundled = defaults.asset_text(defaults.CAPABILITIES_FILE)
+        assert [row.cve for row in assets.capabilities.rows] == [
+            line.split()[0] for line in bundled.splitlines() if line.split("#")[0].strip()
+        ]
+        assert corpus_paths()
 
     def test_override_replaces_one_file(self, tmp_path):
         override = tmp_path / "caps"

@@ -11,15 +11,8 @@ from planhunt.errors import (
     UndeclaredVariable,
     UnsupportedRequirement,
 )
-from planhunt.planning_model import (
-    FAnd,
-    FAtom,
-    FNot,
-    FOr,
-    ProblemInstance,
-    parse_domain,
-    render_problem,
-)
+from planhunt.planning_model.model import FAnd, FAtom, FNot, FOr, ProblemInstance
+from planhunt.planning_model.pddl import parse_domain, render_problem
 
 TOY_DOMAIN = """
 (define (domain toy)

@@ -3,8 +3,8 @@
 import pytest
 
 from planhunt.errors import InputError, MalformedRecord, UnmappedPredicate
-from planhunt.planning_model import (
-    ThreatHypothesis,
+from planhunt.planning_model.model import ThreatHypothesis
+from planhunt.planning_model.state import (
     build_problem,
     construct_goal,
     construct_initial_state,
