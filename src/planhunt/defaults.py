@@ -61,8 +61,9 @@ def asset_text(name: str) -> str:
 
 
 def sample_files(directory: Path) -> list[Path]:
-    """The samples in ``directory``: its .jsonl and .csv files, sorted by name."""
-    return sorted(p for p in directory.iterdir() if p.suffix in (".jsonl", ".csv"))
+    """The samples in ``directory``: its .jsonl and .csv files, whatever the
+    suffix's case, sorted by name."""
+    return sorted(p for p in directory.iterdir() if p.suffix.lower() in (".jsonl", ".csv"))
 
 
 def corpus_paths(root: Path | None = None) -> list[Path]:

@@ -21,6 +21,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 from . import defaults
@@ -39,6 +40,7 @@ from .planning_model.pddl import parse_domain
 from .planning_model.state import (
     CapabilityTable,
     MappingTable,
+    StaticWorld,
     build_problem,
     load_capability_table,
     load_mapping_table,
@@ -361,6 +363,12 @@ class HuntAssets:
             strict_domain=strict_domain,
         )
 
+    @cached_property
+    def world(self) -> StaticWorld:
+        """The static part of every problem, built on first use and kept
+        by this bundle (pickles included)."""
+        return StaticWorld.build(self.domain, self.capabilities)
+
 
 @dataclass(frozen=True)
 class HuntConfig:
@@ -398,10 +406,7 @@ def hypothesis_problem(
     facts: SampleFacts, assets: HuntAssets, hypothesis: ThreatHypothesis
 ) -> ProblemInstance:
     """The planning problem one hypothesis poses over a sample's facts."""
-    return build_problem(
-        facts.derived, facts.sample, assets.domain, assets.capabilities,
-        assets.mapping, hypothesis,
-    )
+    return build_problem(facts.derived, facts.sample, assets.world, assets.mapping, hypothesis)
 
 
 def hypothesis_task(

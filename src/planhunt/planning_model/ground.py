@@ -14,9 +14,12 @@ that can never become true are dropped.
 
 A problem seeds a ``Relations`` store with rows: its init atoms, each as
 a row of its own predicate, and one type row per object and parameter type
-it belongs to, found by walking the object's type chain once. ``saturate``
-adds the model to that store, and the task is decoded from its fluent and
-applicability rows; no fact objects are built on the way.
+it belongs to, found by walking the object's type chain once. A problem
+built on a static world (``state.StaticWorld``) copies the world's seed,
+which holds the rows of the world's atoms, its objects and the domain's
+constants, built on the first grounding; it adds only its own rows.
+``saturate`` adds the model to that store, and the task is decoded from
+its fluent and applicability rows; no fact objects are built on the way.
 
 A goal is a set of ground atoms that must all hold, so the task keeps it as
 one mask. A goal atom outside the reachable atoms cannot hold in any
@@ -38,6 +41,7 @@ __all__ = [
     "GroundAction",
     "GroundedTask",
     "explore_domain",
+    "add_rows",
     "ground_task",
 ]
 
@@ -268,26 +272,17 @@ def _guard(name: str, schema, unifier: dict[str, str]) -> tuple[Rule, Literal]:
     return Rule(head, tuple(dict.fromkeys(body))), negation
 
 
-def ground_task(
-    domain: DomainModel,
-    problem: ProblemInstance,
-    max_ground_actions: int = DEFAULT_ACTION_LIMIT,
-) -> GroundedTask:
-    """Ground a problem by saturating a store seeded with its rows under
-    its domain's exploration program.
-
-    Raises ArityConflict when the init uses a predicate at two arities, or
-    at another arity than the program's rules, and GroundingExplosion when the
-    program derives more than ``max_ground_actions`` rows; each ground
-    action is one of them.
-    """
+def add_rows(
+    relations: Relations, domain: DomainModel, atoms, objects: dict[str, str]
+) -> None:
+    """Add grounding rows to a store: each atom as a row of its own
+    predicate, and per object one row for each parameter type on its type
+    chain."""
     exploration = domain.exploration
-    relations = Relations()
-    for pred, args in problem.init:
+    for pred, args in atoms:
         relations.add(pred, args)
-    # Per object type, the type relations of the parameter types on its chain.
     typed: dict[str, list[str]] = {}
-    for obj, obj_type in {**domain.constants, **problem.objects}.items():
+    for obj, obj_type in objects.items():
         names = typed.get(obj_type)
         if names is None:
             names = typed[obj_type] = [
@@ -296,6 +291,34 @@ def ground_task(
             ]
         for name in names:
             relations.add(name, (obj,))
+
+
+def ground_task(
+    domain: DomainModel,
+    problem: ProblemInstance,
+    max_ground_actions: int = DEFAULT_ACTION_LIMIT,
+) -> GroundedTask:
+    """Ground a problem by saturating a store seeded with its rows under
+    its domain's exploration program. A problem built on a static world
+    for this domain starts from a copy of the world's seed and adds only
+    the rows the world lacks.
+
+    Raises ArityConflict when the init uses a predicate at two arities, or
+    at another arity than the program's rules, and GroundingExplosion when the
+    program derives more than ``max_ground_actions`` rows; each ground
+    action is one of them.
+    """
+    exploration = domain.exploration
+    world = problem.world
+    if world is not None and world.domain is domain:
+        relations = world.seed.copy()
+        atoms = problem.init - world.atoms
+        objects = {obj: t for obj, t in problem.objects.items() if obj not in world.objects}
+    else:
+        relations = Relations()
+        atoms = problem.init
+        objects = {**domain.constants, **problem.objects}
+    add_rows(relations, domain, atoms, objects)
     try:
         saturate(exploration.program, relations, max_ground_actions)
     except ResourceLimit as exc:

@@ -1,10 +1,14 @@
 """Typed STRIPS model: types, predicates, formulas, actions, problems."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from ..errors import UndeclaredType
 from ..vocab import MECHANISMS, THREATS
+
+if TYPE_CHECKING:
+    from .state import StaticWorld
 
 __all__ = [
     "TypeHierarchy",
@@ -157,6 +161,10 @@ class ProblemInstance:
     objects: dict[str, str]  # object -> type (domain constants excluded)
     init: frozenset[GroundAtom]
     goal: frozenset[GroundAtom]  # every atom must hold
+    # The state.StaticWorld this problem extends: init holds its atoms and
+    # objects its objects at their types. Set by state.build_problem; a copy
+    # with another init or other objects must reset it to None.
+    world: "StaticWorld | None" = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,24 @@ privileges, enables a sensor, or pivots to another) is injected from a
 capability table. Problem objects come from a fixed template (the subject
 app, the sensor list, one account and one second factor) plus every
 vulnerability the capability table or the derived facts mention.
+
+A problem has two parts. The static world (``StaticWorld``) holds the
+template, the capability atoms and the objects they type, checked against
+the domain once. An asset bundle builds it on first use
+(``HuntAssets.world``) and shares it across samples and hypotheses; its
+grounding seed is built on the first grounding. Per hypothesis,
+``build_problem`` checks and types only the mapped atoms the world lacks.
 """
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import InputError, MalformedRecord, UnmappedPredicate
 from ..inference.engine import Relations
 from ..telemetry import SampleRecord
 from ..vocab import ACCOUNT, APP, FACTOR, SENSORS
+from .ground import add_rows
 from .model import (
     DomainModel,
     GroundAtom,
@@ -29,8 +38,9 @@ __all__ = [
     "MappingTable",
     "load_capability_table",
     "load_mapping_table",
-    "construct_initial_state",
+    "mapped_atoms",
     "construct_goal",
+    "StaticWorld",
     "build_problem",
 ]
 
@@ -165,17 +175,13 @@ def load_mapping_table(text: str) -> MappingTable:
     return MappingTable(entries=entries, ignored=frozenset(ignored))
 
 
-def construct_initial_state(
-    derived: Relations,
-    capabilities: CapabilityTable,
-    mapping: MappingTable,
-) -> frozenset[GroundAtom]:
-    """Union of mapped derived facts and the static capability atoms.
+def mapped_atoms(derived: Relations, mapping: MappingTable) -> frozenset[GroundAtom]:
+    """The initial-state atoms the derived facts map to.
 
     Every derived predicate must be mapped or explicitly ignored; anything
-    else raises UnmappedPredicate.
+    else raises UnmappedPredicate (the first in sorted fact order).
     """
-    atoms: set[GroundAtom] = set(capabilities.atoms())
+    atoms: set[GroundAtom] = set()
     for fact in derived.sorted():
         atom = mapping.map_fact(fact.predicate, fact.args)
         if atom is not None:
@@ -188,28 +194,11 @@ def construct_goal(hypothesis: ThreatHypothesis) -> GroundAtom:
     return (THREAT_POSSIBLE, (hypothesis.threat, hypothesis.mechanism, APP))
 
 
-def build_problem(
-    derived: Relations,
-    sample: SampleRecord,
-    domain: DomainModel,
-    capabilities: CapabilityTable,
-    mapping: MappingTable,
-    hypothesis: ThreatHypothesis,
-) -> ProblemInstance:
-    """Assemble the per-sample planning problem for one hypothesis."""
-    init = construct_initial_state(derived, capabilities, mapping)
-
-    objects: dict[str, str] = {APP: "app"}
-    for sensor in SENSORS:
-        objects[sensor] = "sensor"
-    for cve in capabilities.cves():
-        objects[cve] = "vuln"
-    objects[ACCOUNT] = "account"
-    objects[FACTOR] = "factor"
-
-    # Objects referenced by init atoms but absent from the template are
-    # typed from the predicate schema they appear under.
-    for predicate, args in sorted(init):
+def _type_atoms(atoms, objects: dict[str, str], domain: DomainModel) -> None:
+    """Check atoms, in sorted order, against their predicate schemas; an
+    object that neither ``objects`` nor the domain's constants hold is
+    typed into ``objects`` from the first atom it appears in."""
+    for predicate, args in sorted(atoms):
         schema = domain.predicates.get(predicate)
         if schema is None:
             raise InputError(
@@ -236,10 +225,83 @@ def build_problem(
                     f"object {arg!r} used as {want} but declared as {have}"
                 )
 
+
+@dataclass(frozen=True, eq=False)
+class StaticWorld:
+    """The part of every problem that a domain and a capability table fix.
+
+    ``HuntAssets.world`` builds it on first use and every sample and
+    hypothesis of the bundle shares it. Its atoms are the capability atoms,
+    checked once here; its objects are the template plus the objects those
+    atoms type (``typed``). When an atom fails a check, ``typed`` is None
+    and ``objects`` is just the template, so each problem checks its whole
+    init and raises where it always did.
+    """
+
+    domain: DomainModel
+    template: dict[str, str]
+    atoms: frozenset[GroundAtom]
+    objects: dict[str, str]
+    typed: frozenset[str] | None
+
+    @classmethod
+    def build(cls, domain: DomainModel, capabilities: CapabilityTable) -> "StaticWorld":
+        template: dict[str, str] = {APP: "app"}
+        for sensor in SENSORS:
+            template[sensor] = "sensor"
+        for cve in capabilities.cves():
+            template[cve] = "vuln"
+        template[ACCOUNT] = "account"
+        template[FACTOR] = "factor"
+        atoms = frozenset(capabilities.atoms())
+        objects = dict(template)
+        try:
+            _type_atoms(atoms, objects, domain)
+        except InputError:
+            return cls(domain, template, atoms, template, None)
+        return cls(domain, template, atoms, objects, frozenset(objects.keys() - template.keys()))
+
+    @cached_property
+    def seed(self) -> Relations:
+        """The grounding store's rows for the world: its atoms, and the
+        type rows of its objects and the domain's constants. Built on the
+        first grounding, since it needs the domain's exploration program."""
+        seed = Relations()
+        add_rows(seed, self.domain, self.atoms, {**self.domain.constants, **self.objects})
+        return seed
+
+
+def build_problem(
+    derived: Relations,
+    sample: SampleRecord,
+    world: StaticWorld,
+    mapping: MappingTable,
+    hypothesis: ThreatHypothesis,
+) -> ProblemInstance:
+    """Assemble the per-sample planning problem for one hypothesis.
+
+    The init is the world's atoms plus the mapped derived atoms. Only the
+    mapped atoms the world lacks are checked and typed, on top of the
+    world's objects. If the world failed its checks, or one of those atoms
+    names an object the world's atoms typed, the whole init is checked on
+    top of the template instead. Either way the objects and any error are
+    those of checking the init in sorted order.
+    """
+    domain = world.domain
+    own = mapped_atoms(derived, mapping) - world.atoms
+    init = world.atoms | own
+    if world.typed is not None and world.typed.isdisjoint(a for _, args in own for a in args):
+        objects, extends = dict(world.objects), world
+        _type_atoms(own, objects, domain)
+    else:
+        objects, extends = dict(world.template), None
+        _type_atoms(init, objects, domain)
+
     return ProblemInstance(
         name=f"hunt-{sample.sample_id}-{hypothesis.threat}-{hypothesis.mechanism}",
         domain_name=domain.name,
         objects=objects,
         init=init,
         goal=frozenset({construct_goal(hypothesis)}),
+        world=extends,
     )

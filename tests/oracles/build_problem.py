@@ -1,0 +1,101 @@
+"""Reference problem builder: every hypothesis types its whole init.
+
+This is ``planning_model.state.build_problem`` as it was before the static
+world: the capability atoms and the mapped derived atoms are joined, sorted
+and checked together on every call, on top of the object template. Its
+output is the specification the world-based builder must reproduce: the
+problem's name, objects, init and goal, or the same error.
+"""
+
+from planhunt.errors import InputError
+from planhunt.inference.engine import Relations
+from planhunt.planning_model.model import (
+    THREAT_POSSIBLE,
+    DomainModel,
+    GroundAtom,
+    ProblemInstance,
+    ThreatHypothesis,
+)
+from planhunt.planning_model.state import CapabilityTable, MappingTable
+from planhunt.telemetry import SampleRecord
+from planhunt.vocab import ACCOUNT, APP, FACTOR, SENSORS
+
+
+def construct_initial_state(
+    derived: Relations,
+    capabilities: CapabilityTable,
+    mapping: MappingTable,
+) -> frozenset[GroundAtom]:
+    """Union of mapped derived facts and the static capability atoms.
+
+    Every derived predicate must be mapped or explicitly ignored; anything
+    else raises UnmappedPredicate.
+    """
+    atoms: set[GroundAtom] = set(capabilities.atoms())
+    for fact in derived.sorted():
+        atom = mapping.map_fact(fact.predicate, fact.args)
+        if atom is not None:
+            atoms.add(atom)
+    return frozenset(atoms)
+
+
+def construct_goal(hypothesis: ThreatHypothesis) -> GroundAtom:
+    """The planning goal: the threat-possible atom for this hypothesis."""
+    return (THREAT_POSSIBLE, (hypothesis.threat, hypothesis.mechanism, APP))
+
+
+def build_problem(
+    derived: Relations,
+    sample: SampleRecord,
+    domain: DomainModel,
+    capabilities: CapabilityTable,
+    mapping: MappingTable,
+    hypothesis: ThreatHypothesis,
+) -> ProblemInstance:
+    """Assemble the per-sample planning problem for one hypothesis."""
+    init = construct_initial_state(derived, capabilities, mapping)
+
+    objects: dict[str, str] = {APP: "app"}
+    for sensor in SENSORS:
+        objects[sensor] = "sensor"
+    for cve in capabilities.cves():
+        objects[cve] = "vuln"
+    objects[ACCOUNT] = "account"
+    objects[FACTOR] = "factor"
+
+    # Objects referenced by init atoms but absent from the template are
+    # typed from the predicate schema they appear under.
+    for predicate, args in sorted(init):
+        schema = domain.predicates.get(predicate)
+        if schema is None:
+            raise InputError(
+                f"initial-state atom uses undeclared predicate {predicate!r}"
+            )
+        if len(args) != len(schema.param_types):
+            raise InputError(
+                f"initial-state atom ({predicate} {' '.join(args)}) has arity "
+                f"{len(args)}, predicate takes {len(schema.param_types)}"
+            )
+        for arg, want in zip(args, schema.param_types):
+            if arg in domain.constants:
+                have = domain.constants[arg]
+            elif arg in objects:
+                have = objects[arg]
+            else:
+                objects[arg] = want
+                continue
+            if not (
+                domain.types.is_subtype(have, want)
+                or domain.types.is_subtype(want, have)
+            ):
+                raise InputError(
+                    f"object {arg!r} used as {want} but declared as {have}"
+                )
+
+    return ProblemInstance(
+        name=f"hunt-{sample.sample_id}-{hypothesis.threat}-{hypothesis.mechanism}",
+        domain_name=domain.name,
+        objects=objects,
+        init=init,
+        goal=frozenset({construct_goal(hypothesis)}),
+    )

@@ -1,9 +1,9 @@
 """Freeze the expected batch summary into tests/data/expected_summary.csv.
 
 Independence from the production path: facts are derived with the naive
-reference evaluator and plans are counted with the exhaustive enumerator,
-so the only shared code is parsing and grounding. Rerun after deliberate
-corpus or asset edits:
+reference evaluator, problems are built by the reference builder, and
+plans are counted with the exhaustive enumerator, so the only shared code
+is parsing and grounding. Rerun after deliberate corpus or asset edits:
 
     PYTHONPATH=src python tests/oracles/gen_expected_summary.py
 """
@@ -13,6 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
+from oracles.build_problem import build_problem
 from oracles.enumerate import oracle_enumerate
 from oracles.naive_datalog import evaluate_naive
 
@@ -20,7 +21,6 @@ from planhunt import defaults
 from planhunt.hunt import HuntAssets
 from planhunt.planning_model.ground import ground_task
 from planhunt.planning_model.model import default_catalog
-from planhunt.planning_model.state import build_problem
 from planhunt.telemetry import events_to_facts, load_sample
 
 OUT = Path(__file__).resolve().parent.parent / "data" / "expected_summary.csv"

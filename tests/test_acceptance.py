@@ -19,7 +19,7 @@ from planhunt.inference.rules import parse_rule_pack
 from planhunt.planner import Limits, find_top_k, validate_plan
 from planhunt.planning_model.ground import ground_task
 from planhunt.planning_model.model import ThreatHypothesis, default_catalog
-from planhunt.planning_model.state import build_problem
+from planhunt.planning_model.state import StaticWorld, build_problem
 from planhunt.telemetry import Fact, events_to_facts, load_sample
 
 from oracles.enumerate import CapExceeded, oracle_enumerate
@@ -41,10 +41,8 @@ def hypothesis_planset(sample, assets, label, limits=None):
     hypothesis = ThreatHypothesis(threat=threat, mechanism=mechanism)
     base = events_to_facts(sample)
     derived = evaluate(assets.program, base).facts
-    problem = build_problem(
-        derived, sample, assets.domain, assets.capabilities,
-        assets.mapping, hypothesis,
-    )
+    world = StaticWorld.build(assets.domain, assets.capabilities)
+    problem = build_problem(derived, sample, world, assets.mapping, hypothesis)
     task = ground_task(assets.domain, problem)
     return derived, task, find_top_k(task, limits or Limits())
 
@@ -223,6 +221,7 @@ def test_criterion_8_possible_set_mirrors_raw_planner_output():
     assets = HuntAssets.load()
     config = HuntConfig()
     assert config.confirm is False
+    world = StaticWorld.build(assets.domain, assets.capabilities)
     checked = 0
     for path in corpus_paths():
         sample = load_sample(path)
@@ -230,10 +229,7 @@ def test_criterion_8_possible_set_mirrors_raw_planner_output():
         base = events_to_facts(sample)
         derived = evaluate(assets.program, base).facts
         for hypothesis in default_catalog():
-            problem = build_problem(
-                derived, sample, assets.domain, assets.capabilities,
-                assets.mapping, hypothesis,
-            )
+            problem = build_problem(derived, sample, world, assets.mapping, hypothesis)
             planset = find_top_k(ground_task(assets.domain, problem), Limits())
             label = f"{hypothesis.threat}/{hypothesis.mechanism}"
             assert (label in report.possible_threats) == bool(planset.plans), (

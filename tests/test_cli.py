@@ -244,6 +244,17 @@ class TestBatch:
             "summary.csv",
         ]
 
+    def test_upper_case_suffix_is_a_sample(self, tmp_path):
+        # load_sample reads P.JSONL as JSONL, so batch must pick it up too.
+        target = tmp_path / "samples"
+        target.mkdir()
+        (target / "P.JSONL").write_bytes((CORPUS / "dirtycow_demo.jsonl").read_bytes())
+        reports = tmp_path / "reports"
+        assert main(["batch", str(target), "--reports", str(reports)]) == 0
+        assert sorted(p.name for p in reports.iterdir()) == ["P.json", "summary.csv"]
+        report = json.loads((reports / "P.json").read_text())
+        assert report["sample_id"] == "P"
+
     def test_seed_corpus(self, tmp_path, capsys):
         target = tmp_path / "seeded"
         assert main(["batch", "--seed-corpus", str(target)]) == 0

@@ -1,16 +1,24 @@
 """Grounding as a rule program: differential test against the Cartesian
-reference grounder it replaced (tests/oracles/cartesian_ground.py), and
-catalogs too sparse for the reference to ground.
+reference grounder it replaced (tests/oracles/cartesian_ground.py), through
+``ground_task`` and through the hunt's own ``hypothesis_task``, and catalogs
+too sparse for the reference to ground.
 """
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from oracles.cartesian_ground import ground_task as cartesian_ground_task
 from planhunt import defaults
-from planhunt.hunt import HuntAssets, hypothesis_problem, identify_threats, infer_facts
+from planhunt.hunt import (
+    HuntAssets,
+    hypothesis_problem,
+    hypothesis_task,
+    identify_threats,
+    infer_facts,
+)
 from planhunt.planning_model import ground
 from planhunt.planning_model.ground import ground_task
 from planhunt.planning_model.model import default_catalog
@@ -62,9 +70,25 @@ def test_corpus_tasks_match_the_cartesian_grounder(setup, tmp_path):
         facts = infer_facts(load_sample(sample_path), assets)
         for hypothesis in default_catalog():
             problem = hypothesis_problem(facts, assets, hypothesis)
+            reference = cartesian_ground_task(assets.domain, problem)
+            assert_same_task(ground_task(assets.domain, problem), reference)
+            assert_same_task(hypothesis_task(facts, assets, hypothesis), reference)
+
+
+def test_wide_catalog_tasks_match_fresh_grounding(tmp_path):
+    # The Cartesian grounder explodes at this size, so the hunt's tasks,
+    # grounded from the bundle's seed, are compared with the same problems
+    # grounded from an empty store.
+    path, _ = unreachable_pivots(tmp_path, 1600)
+    assets = HuntAssets.load(overrides={defaults.CAPABILITIES_FILE: path})
+    for sample_path in CORPUS:
+        facts = infer_facts(load_sample(sample_path), assets)
+        for hypothesis in default_catalog():
+            problem = hypothesis_problem(facts, assets, hypothesis)
+            assert problem.world is assets.world
             assert_same_task(
-                ground_task(assets.domain, problem),
-                cartesian_ground_task(assets.domain, problem),
+                hypothesis_task(facts, assets, hypothesis),
+                ground_task(assets.domain, replace(problem, world=None)),
             )
 
 

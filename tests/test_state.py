@@ -5,11 +5,12 @@ import pytest
 from planhunt.errors import InputError, MalformedRecord, UnmappedPredicate
 from planhunt.planning_model.model import ThreatHypothesis
 from planhunt.planning_model.state import (
+    StaticWorld,
     build_problem,
     construct_goal,
-    construct_initial_state,
     load_capability_table,
     load_mapping_table,
+    mapped_atoms,
 )
 from planhunt.hunt import HuntAssets
 from planhunt.inference.engine import Relations
@@ -111,14 +112,18 @@ class TestMappingTable:
 
 
 class TestInitialState:
-    def test_union_of_mapped_and_capability_atoms(self):
+    def test_union_of_mapped_and_capability_atoms(self, assets):
         capabilities = load_capability_table(CAPS_TEXT)
         mapping = load_mapping_table(MAP_TEXT)
         derived = Relations(
             [Fact("exploited", ("cve_1",)), Fact("bookkeeping", ())]
         )
-        init = construct_initial_state(derived, capabilities, mapping)
-        assert init == frozenset(
+        assert mapped_atoms(derived, mapping) == {("exploited", ("cve_1",))}
+        world = StaticWorld.build(assets.domain, capabilities)
+        problem = build_problem(
+            derived, sample(), world, mapping, ThreatHypothesis("surveillance", "exploit")
+        )
+        assert problem.init == frozenset(
             {
                 ("exploited", ("cve_1",)),
                 ("enables-privilege-escalation", ("cve_1",)),
@@ -132,7 +137,7 @@ class TestInitialState:
         mapping = load_mapping_table(MAP_TEXT)
         derived = Relations([Fact("mystery", ("x",))])
         with pytest.raises(UnmappedPredicate):
-            construct_initial_state(derived, capabilities, mapping)
+            mapped_atoms(derived, mapping)
 
 
 class TestGoalAndProblem:
@@ -150,7 +155,7 @@ class TestGoalAndProblem:
         domain, capabilities, mapping = assets.domain, assets.capabilities, assets.mapping
         derived = Relations([Fact("exploited", ("cve_2016_5195",))])
         problem = build_problem(
-            derived, sample(), domain, capabilities, mapping,
+            derived, sample(), StaticWorld.build(domain, capabilities), mapping,
             ThreatHypothesis("surveillance", "permission"),
         )
         assert problem.objects["app"] == "app"
@@ -166,7 +171,7 @@ class TestGoalAndProblem:
         domain, capabilities, mapping = assets.domain, assets.capabilities, assets.mapping
         derived = Relations([Fact("exploited", ("cve_9999_0001",))])
         problem = build_problem(
-            derived, sample(), domain, capabilities, mapping,
+            derived, sample(), StaticWorld.build(domain, capabilities), mapping,
             ThreatHypothesis("surveillance", "exploit"),
         )
         # Not in the capability table, so the object is typed from the
@@ -180,7 +185,7 @@ class TestGoalAndProblem:
         derived = Relations([Fact("haunted", ("app",))])
         with pytest.raises(InputError) as err:
             build_problem(
-                derived, sample(), domain, capabilities, mapping,
+                derived, sample(), StaticWorld.build(domain, capabilities), mapping,
                 ThreatHypothesis("surveillance", "exploit"),
             )
         assert "undeclared predicate" in str(err.value)
@@ -192,7 +197,7 @@ class TestGoalAndProblem:
         derived = Relations([Fact("exploited", ("cve_1", "extra"))])
         with pytest.raises(InputError) as err:
             build_problem(
-                derived, sample(), domain, capabilities, mapping,
+                derived, sample(), StaticWorld.build(domain, capabilities), mapping,
                 ThreatHypothesis("surveillance", "exploit"),
             )
         assert "arity" in str(err.value)
@@ -206,7 +211,7 @@ class TestGoalAndProblem:
         derived = Relations([Fact("perm-granted", ("camera", "camera"))])
         with pytest.raises(InputError) as err:
             build_problem(
-                derived, sample(), domain, capabilities, mapping,
+                derived, sample(), StaticWorld.build(domain, capabilities), mapping,
                 ThreatHypothesis("surveillance", "permission"),
             )
         assert "declared as" in str(err.value)
