@@ -21,7 +21,6 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from pathlib import Path
 
 from . import defaults
@@ -316,6 +315,8 @@ class HuntAssets:
     # cve -> its syscall-pattern indicators' patterns text; see cve_patterns.
     patterns: dict[str, str]
     capabilities: CapabilityTable
+    # The static part of every problem: ``capabilities`` checked against ``domain``.
+    world: StaticWorld
     mapping: MappingTable
     indicator_specs: tuple[IndicatorSpec, ...]
     # Whether the extended producer actions were dropped from ``domain``.
@@ -332,9 +333,10 @@ class HuntAssets:
         ``overrides`` has one (keys are the bundled file names:
         threat-domain.pddl, threat.rules, cve-capabilities, state-mapping,
         indicator-map), else ``root/<name>`` if ``root`` is given, else the
-        bundled copy. A file that does not decode or parse raises one
-        InputError whose message starts with its path (the bundled name for
-        a bundled file).
+        bundled copy. A file that does not decode or parse, or a capability
+        table whose atoms fail the domain's checks, raises one InputError
+        whose message starts with its path (the bundled name for a bundled
+        file).
         """
 
         overrides = overrides or {}
@@ -352,22 +354,23 @@ class HuntAssets:
         if strict_domain:
             domain = domain.without_actions(defaults.EXTENDED_ACTIONS)
         pack = parsed(defaults.RULES_FILE, parse_rule_pack)
+
+        def table_and_world(text: str) -> tuple[CapabilityTable, StaticWorld]:
+            table = load_capability_table(text)
+            return table, StaticWorld.build(domain, table)
+
+        capabilities, world = parsed(defaults.CAPABILITIES_FILE, table_and_world)
         return cls(
             domain=domain,
             pack=pack,
             program=stratify(pack),
             patterns=cve_patterns(pack),
-            capabilities=parsed(defaults.CAPABILITIES_FILE, load_capability_table),
+            capabilities=capabilities,
+            world=world,
             mapping=parsed(defaults.STATE_MAP_FILE, load_mapping_table),
             indicator_specs=specs,
             strict_domain=strict_domain,
         )
-
-    @cached_property
-    def world(self) -> StaticWorld:
-        """The static part of every problem, built on first use and kept
-        by this bundle (pickles included)."""
-        return StaticWorld.build(self.domain, self.capabilities)
 
 
 @dataclass(frozen=True)

@@ -128,14 +128,10 @@ class RulePack:
     rules: tuple[Rule, ...]
     declared: dict[str, tuple[int, str]]  # predicate -> (arity, kind)
     token_table: dict[str, frozenset[str]]
-    order_mode: str = "strict"
 
     def arity_of(self, predicate: str) -> int | None:
         entry = self.declared.get(predicate)
         return entry[0] if entry else None
-
-    def extensional(self) -> set[str]:
-        return {p for p, (_, kind) in self.declared.items() if kind == "extensional"}
 
     def intensional(self) -> set[str]:
         return {p for p, (_, kind) in self.declared.items() if kind == "intensional"}
@@ -374,7 +370,6 @@ def parse_rule_pack(text: str) -> RulePack:
         rules=tuple(rules),
         declared=declared,
         token_table={cls: frozenset(toks) for cls, toks in token_table.items()},
-        order_mode=order_mode,
     )
 
 

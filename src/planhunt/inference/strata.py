@@ -51,7 +51,6 @@ class StratifiedProgram:
 
     pack: RulePack
     strata: tuple[tuple[PlannedRule, ...], ...]
-    stratum_of: dict[str, int]
     # Per stratum, each predicate's delta readers: (rule, body index).
     readers: tuple[dict[str, list[tuple[PlannedRule, int]]], ...]
     intensional: frozenset[str]
@@ -109,7 +108,6 @@ def stratify(pack: RulePack) -> StratifiedProgram:
     return StratifiedProgram(
         pack=pack,
         strata=planned,
-        stratum_of=pred_level,
         readers=tuple(readers),
         intensional=frozenset(pack.intensional()),
     )

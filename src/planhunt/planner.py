@@ -69,7 +69,6 @@ class PlanSet:
     plans: tuple[Plan, ...]
     status: str
     expanded: int = 0
-    wall_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,7 @@ def find_top_k(task: GroundedTask, limits: Limits | None = None) -> PlanSet:
         raise ValueError("k must be at least 1")
     if task.goal is None:
         return PlanSet(plans=(), status="no_plan")
-    start = time.monotonic()
-    deadline = start + limits.wall_time
+    deadline = time.monotonic() + limits.wall_time
 
     actions = task.actions
     state_bytes = 48 + (len(task.atoms) >> 3)
@@ -132,7 +130,6 @@ def find_top_k(task: GroundedTask, limits: Limits | None = None) -> PlanSet:
         plans=tuple(plans),
         status=status,
         expanded=expanded,
-        wall_time=time.monotonic() - start,
     )
 
 

@@ -14,10 +14,13 @@ that can never become true are dropped.
 
 A problem seeds a ``Relations`` store with rows: its init atoms, each as
 a row of its own predicate, and one type row per object and parameter type
-it belongs to, found by walking the object's type chain once. A problem
-built on a static world (``state.StaticWorld``) copies the world's seed,
-which holds the rows of the world's atoms, its objects and the domain's
-constants, built on the first grounding; it adds only its own rows.
+it belongs to, found by walking the object's type chain once.
+``state.build_problem`` builds every problem on its bundle's static world
+(``state.StaticWorld``, checked when the assets load). Grounding such a
+problem copies the world's seed, which holds the rows of the world's
+atoms, its objects and the domain's constants, built on the first
+grounding, and adds only the problem's own rows. A problem without a
+world, such as a hand-made one, is seeded from an empty store.
 ``saturate`` adds the model to that store, and the task is decoded from
 its fluent and applicability rows; no fact objects are built on the way.
 
@@ -82,7 +85,6 @@ class GroundedTask:
     """
 
     atoms: tuple[GroundAtom, ...]
-    atom_index: dict[GroundAtom, int]
     actions: tuple[GroundAction, ...]
     init: int
     goal: int | None
@@ -133,7 +135,6 @@ class GroundedTask:
         )
         return cls(
             atoms=atoms,
-            atom_index=index,
             actions=actions,
             init=mask(init_atoms),
             goal=mask(goal_atoms) if all(a in index for a in goal_atoms) else None,

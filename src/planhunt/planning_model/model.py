@@ -1,6 +1,6 @@
 """Typed STRIPS model: types, predicates, formulas, actions, problems."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -128,7 +128,6 @@ class ActionSchema:
 @dataclass(frozen=True)
 class DomainModel:
     name: str
-    requirements: tuple[str, ...]
     types: TypeHierarchy
     predicates: dict[str, PredicateSchema]
     constants: dict[str, str]  # object -> type
@@ -143,15 +142,7 @@ class DomainModel:
 
     def without_actions(self, names: tuple[str, ...]) -> "DomainModel":
         """A copy with the named actions removed (strict-domain mode)."""
-        keep = tuple(a for a in self.actions if a.name not in names)
-        return DomainModel(
-            name=self.name,
-            requirements=self.requirements,
-            types=self.types,
-            predicates=self.predicates,
-            constants=self.constants,
-            actions=keep,
-        )
+        return replace(self, actions=tuple(a for a in self.actions if a.name not in names))
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,6 @@ def parse_domain(text: str) -> DomainModel:
         raise _err(top, "expected (define (domain NAME) ...)")
     name = _sym_text(items[1].items[1], "domain name")
 
-    requirements: tuple[str, ...] = ()
     types = TypeHierarchy()
     predicates: dict[str, PredicateSchema] = {}
     constants: dict[str, str] = {}
@@ -167,8 +166,7 @@ def parse_domain(text: str) -> DomainModel:
         head = _sym_text(section.items[0], "section")
         rest = section.items[1:]
         if head == ":requirements":
-            requirements = tuple(_sym_text(s, ":requirements") for s in rest)
-            for req in requirements:
+            for req in (_sym_text(s, ":requirements") for s in rest):
                 if req not in SUPPORTED_REQUIREMENTS:
                     raise UnsupportedRequirement(req)
         elif head == ":types":
@@ -209,7 +207,6 @@ def parse_domain(text: str) -> DomainModel:
 
     return DomainModel(
         name=name,
-        requirements=requirements,
         types=types,
         predicates=predicates,
         constants=constants,

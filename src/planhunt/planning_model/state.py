@@ -8,11 +8,12 @@ app, the sensor list, one account and one second factor) plus every
 vulnerability the capability table or the derived facts mention.
 
 A problem has two parts. The static world (``StaticWorld``) holds the
-template, the capability atoms and the objects they type, checked against
-the domain once. An asset bundle builds it on first use
-(``HuntAssets.world``) and shares it across samples and hypotheses; its
-grounding seed is built on the first grounding. Per hypothesis,
-``build_problem`` checks and types only the mapped atoms the world lacks.
+capability atoms and the objects of the template and of those atoms,
+checked against the domain once: ``HuntAssets.load`` builds it, so a table
+that fails the checks is rejected at load, and every sample and hypothesis
+of the bundle shares it. Its grounding seed is built on the first
+grounding. Per hypothesis, ``build_problem`` checks and types only the
+mapped atoms the world lacks, on top of the world's objects.
 """
 
 import re
@@ -58,7 +59,6 @@ class CapabilityRow:
     cve: str
     capability: str
     argument: str | None
-    source: str
 
     def to_atom(self) -> GroundAtom:
         if self.argument is None:
@@ -86,11 +86,12 @@ class CapabilityTable:
 def load_capability_table(text: str) -> CapabilityTable:
     """Parse the whitespace-separated table: cve capability argument source.
 
-    A ``-`` argument means the capability takes no extra argument.
+    A ``-`` argument means the capability takes no extra argument. Tokens
+    are case-insensitive and normalized to lowercase, like PDDL symbols.
     """
     rows: list[CapabilityRow] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip().lower()
         if not line:
             continue
         parts = line.split()
@@ -111,7 +112,6 @@ def load_capability_table(text: str) -> CapabilityTable:
                 cve=cve,
                 capability=capability,
                 argument=None if argument == "-" else argument,
-                source=origin,
             )
         )
     return CapabilityTable(rows=tuple(rows))
@@ -230,36 +230,29 @@ def _type_atoms(atoms, objects: dict[str, str], domain: DomainModel) -> None:
 class StaticWorld:
     """The part of every problem that a domain and a capability table fix.
 
-    ``HuntAssets.world`` builds it on first use and every sample and
-    hypothesis of the bundle shares it. Its atoms are the capability atoms,
-    checked once here; its objects are the template plus the objects those
-    atoms type (``typed``). When an atom fails a check, ``typed`` is None
-    and ``objects`` is just the template, so each problem checks its whole
-    init and raises where it always did.
+    ``HuntAssets.load`` builds it and every sample and hypothesis of the
+    bundle shares it. Its atoms are the capability atoms; its objects are
+    the template, with the catalog's CVEs as vulns, plus the objects those
+    atoms type.
     """
 
     domain: DomainModel
-    template: dict[str, str]
     atoms: frozenset[GroundAtom]
     objects: dict[str, str]
-    typed: frozenset[str] | None
 
     @classmethod
     def build(cls, domain: DomainModel, capabilities: CapabilityTable) -> "StaticWorld":
-        template: dict[str, str] = {APP: "app"}
-        for sensor in SENSORS:
-            template[sensor] = "sensor"
+        """Check the capability atoms, in sorted order, on top of the
+        template; raise InputError if one fails, or if a CVE is named like
+        a template object."""
+        objects = {APP: "app", **dict.fromkeys(SENSORS, "sensor")}
         for cve in capabilities.cves():
-            template[cve] = "vuln"
-        template[ACCOUNT] = "account"
-        template[FACTOR] = "factor"
+            if objects.setdefault(cve, "vuln") != "vuln":
+                raise InputError(f"object {cve!r} used as vuln but declared as {objects[cve]}")
+        objects.update({ACCOUNT: "account", FACTOR: "factor"})
         atoms = frozenset(capabilities.atoms())
-        objects = dict(template)
-        try:
-            _type_atoms(atoms, objects, domain)
-        except InputError:
-            return cls(domain, template, atoms, template, None)
-        return cls(domain, template, atoms, objects, frozenset(objects.keys() - template.keys()))
+        _type_atoms(atoms, objects, domain)
+        return cls(domain, atoms, objects)
 
     @cached_property
     def seed(self) -> Relations:
@@ -280,28 +273,21 @@ def build_problem(
 ) -> ProblemInstance:
     """Assemble the per-sample planning problem for one hypothesis.
 
-    The init is the world's atoms plus the mapped derived atoms. Only the
-    mapped atoms the world lacks are checked and typed, on top of the
-    world's objects. If the world failed its checks, or one of those atoms
-    names an object the world's atoms typed, the whole init is checked on
-    top of the template instead. Either way the objects and any error are
-    those of checking the init in sorted order.
+    The init is the world's atoms plus the mapped derived atoms. The mapped
+    atoms the world lacks are checked, in sorted order, on top of the
+    world's objects, so an atom that contradicts the world's types is the
+    sample's error; an object only they name is typed from the first of
+    them it appears in.
     """
     domain = world.domain
     own = mapped_atoms(derived, mapping) - world.atoms
-    init = world.atoms | own
-    if world.typed is not None and world.typed.isdisjoint(a for _, args in own for a in args):
-        objects, extends = dict(world.objects), world
-        _type_atoms(own, objects, domain)
-    else:
-        objects, extends = dict(world.template), None
-        _type_atoms(init, objects, domain)
-
+    objects = dict(world.objects)
+    _type_atoms(own, objects, domain)
     return ProblemInstance(
         name=f"hunt-{sample.sample_id}-{hypothesis.threat}-{hypothesis.mechanism}",
         domain_name=domain.name,
         objects=objects,
-        init=init,
+        init=world.atoms | own,
         goal=frozenset({construct_goal(hypothesis)}),
-        world=extends,
+        world=world,
     )

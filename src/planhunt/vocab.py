@@ -13,7 +13,6 @@ APP = "app"
 
 # Event predicate: invoked(ts, syscall, pid, tid, object, mode, ret).
 INVOKED = "invoked"
-INVOKED_ARITY = 7
 # Index of the timestamp argument, used by the strict event-ordering mode.
 INVOKED_TS_ARG = 0
 

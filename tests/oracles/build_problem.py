@@ -2,9 +2,15 @@
 
 This is ``planning_model.state.build_problem`` as it was before the static
 world: the capability atoms and the mapped derived atoms are joined, sorted
-and checked together on every call, on top of the object template. Its
-output is the specification the world-based builder must reproduce: the
-problem's name, objects, init and goal, or the same error.
+and checked together on every call, on top of the object template. It is
+the reference for valid worlds, those whose capability atoms pass the
+domain's checks and name no CVE like a template object, and samples whose
+mapped atoms do not contradict the types the world's atoms give: there the
+world-based builder must reproduce its problem's name, objects, init and
+goal, or the same error. A world that fails its checks is rejected when
+the assets load, and a mapped atom that contradicts the world's types is
+the sample's error; this builder may instead blame whichever atom sorts
+later.
 """
 
 from planhunt.errors import InputError

@@ -468,6 +468,34 @@ def test_bad_asset_file_is_one_error_naming_it(flag, content, command, tmp_path,
     assert captured.out == "" and not out.exists()
 
 
+# Capability rows that parse but fail the domain's checks, with the error.
+WORLD_ERRORS = {
+    "type-clash": (
+        "cve_1 enables-sensor app core", "object 'app' used as sensor but declared as app"
+    ),
+    "template-name": (
+        "cve_1 pivot-exploit-from-to camera extended",
+        "object 'camera' used as vuln but declared as sensor",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command", [["hunt", "-o"], ["batch", "--reports"], ["batch", "--workers", "2", "--reports"]],
+    ids=["hunt", "batch", "batch-workers-2"],
+)
+@pytest.mark.parametrize("row", list(WORLD_ERRORS))
+def test_capability_table_failing_the_domain_is_one_error_at_load(row, command, tmp_path, capsys):
+    line, message = WORLD_ERRORS[row]
+    bad = tmp_path / "cve-capabilities"
+    bad.write_text(f"{defaults.asset_text(defaults.CAPABILITIES_FILE)}{line}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    target = sample("dirtycow_demo.jsonl") if command[0] == "hunt" else str(CORPUS)
+    assert main([command[0], target, *command[1:], str(out), "--capabilities", str(bad)]) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
+    assert not out.exists()
+
+
 def test_bad_file_in_asset_directory_is_named(tmp_path, capsys):
     for name in _OVERRIDE_FLAGS.values():
         (tmp_path / name).write_text(defaults.asset_text(name), encoding="utf-8")

@@ -93,7 +93,7 @@ def random_base(pack, rng):
     """A random extensional base respecting the pack's declared arities."""
     base = Relations()
     names = ["a", "b", "c", "d"]
-    for predicate in sorted(pack.extensional()):
+    for predicate in sorted(set(pack.declared) - pack.intensional()):
         arity = pack.arity_of(predicate)
         for _ in range(rng.randrange(0, 7)):
             if predicate == "invoked":
@@ -158,7 +158,8 @@ class TestStratification:
             "b :- a.\nc :- not b.\n"
         )
         program = stratify(pack)
-        assert program.stratum_of["c"] > program.stratum_of["b"]
+        level = {r.rule.head.predicate: i for i, group in enumerate(program.strata) for r in group}
+        assert level["c"] > level["b"]
 
     def test_recursion_through_negation_rejected(self):
         text = (

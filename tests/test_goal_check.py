@@ -24,9 +24,9 @@ def padded(task: GroundedTask, goal: set) -> GroundedTask:
     ``goal`` as its mask. No action or init holds the added atoms, so every
     state and plan is unchanged, but the goal has a mask and the full
     search runs."""
-    atoms = task.atoms + tuple(a for a in goal if a not in task.atom_index)
+    atoms = task.atoms + tuple(a for a in goal if a not in task.atoms)
     index = {a: i for i, a in enumerate(atoms)}
-    return replace(task, atoms=atoms, atom_index=index, goal=sum(1 << index[a] for a in goal))
+    return replace(task, atoms=atoms, goal=sum(1 << index[a] for a in goal))
 
 
 def settles_like_search(task: GroundedTask, goal: set) -> bool:
@@ -36,7 +36,7 @@ def settles_like_search(task: GroundedTask, goal: set) -> bool:
     searched = find_top_k(padded(task, goal))
     assert (result.plans, result.status) == (searched.plans, searched.status)
     settled = task.goal is None
-    assert settled == any(a not in task.atom_index for a in goal)
+    assert settled == any(a not in task.atoms for a in goal)
     assert (result.expanded == 0) is settled
     return settled
 

@@ -87,7 +87,7 @@ class TestGrounding:
 
     def test_unreachable_atoms_are_outside_the_universe(self):
         task = walk_task()
-        assert ("at", ("z",)) not in task.atom_index
+        assert ("at", ("z",)) not in task.atoms
         assert set(task.atoms) == {
             ("at", ("x",)),
             ("at", ("y",)),
@@ -185,7 +185,7 @@ class TestReachabilityFiltering:
         (go,) = [a for a in task.actions if a.schema == "go"]
         assert go.pre_neg == 0
         assert go.delete == 0
-        assert ("ghost", ()) not in task.atom_index
+        assert ("ghost", ()) not in task.atoms
 
     def test_self_contradictory_disjunct_never_grounds(self):
         assert all(a.schema != "odd" for a in self.task().actions)
@@ -229,7 +229,7 @@ class TestGoalMask:
                         states.append(succ)
         for goal in self.GOALS:
             task = walk_task(goal)
-            assert (task.goal is None) == any(atom not in task.atom_index for atom in goal)
+            assert (task.goal is None) == any(atom not in task.atoms for atom in goal)
             for state in states:
                 assert task.satisfies_goal(state) == (
                     task.goal is not None and set(goal) <= state_atoms(task, state)
@@ -290,7 +290,6 @@ def random_instance(rng: random.Random):
 
     domain = DomainModel(
         name="rand",
-        requirements=(),
         types=types,
         predicates=predicates,
         constants={},

@@ -130,7 +130,6 @@ def tiny_task(args=("app", "cve_x"), disjunct=None):
     )
     return GroundedTask(
         atoms=(atom,),
-        atom_index={atom: 0},
         actions=(action,),
         init=0,
         goal=1,

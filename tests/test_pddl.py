@@ -42,13 +42,6 @@ class TestDomainParsing:
     def test_structure(self):
         domain = toy()
         assert domain.name == "toy"
-        assert domain.requirements == (
-            ":strips",
-            ":typing",
-            ":negative-preconditions",
-            ":disjunctive-preconditions",
-            ":action-costs",
-        )
         assert domain.constants == {"depot": "room"}
         assert set(domain.predicates) == {"in", "open", "sealed"}
         assert domain.predicates["in"].param_types == ("box", "room")

@@ -55,7 +55,6 @@ class TestFindTopK:
         assert list(result.plans) == CHAIN_PLANS
         assert result.status == "complete"
         assert result.expanded > 0
-        assert result.wall_time >= 0.0
 
     def test_truncated_at_k(self):
         result = find_top_k(chain_task(), Limits(k=2))

@@ -1,7 +1,8 @@
 """The static world: problems built on a bundle's shared world, against the
 reference builder that typed each problem's whole init
-(tests/oracles/build_problem.py), and per-hypothesis work that must not
-grow with the capability catalog."""
+(tests/oracles/build_problem.py); capability tables the world rejects at
+load; and per-hypothesis work that must not grow with the capability
+catalog."""
 
 import pickle
 
@@ -10,7 +11,7 @@ import pytest
 from oracles.build_problem import build_problem as reference_build_problem
 from oracles.cartesian_ground import ground_task as cartesian_ground_task
 from planhunt import defaults
-from planhunt.errors import PlanHuntError
+from planhunt.errors import InputError, PlanHuntError
 from planhunt.hunt import (
     HuntAssets,
     HuntConfig,
@@ -64,58 +65,108 @@ def test_corpus_problems_match_the_reference_builder(setup, tmp_path):
             ), (path.name, hypothesis.label)
 
 
+BUNDLED_CAPS = defaults.asset_text(defaults.CAPABILITIES_FILE)
 BUNDLED_MAP = defaults.asset_text(defaults.STATE_MAP_FILE)
 WIDGET = "cve_1 enables-sensor widget core\n"  # widget: not a template object
+APP_AS_SENSOR = "cve_1 enables-sensor app core\n"
+
+
+def assert_load_rejects(text, message, tmp_path, monkeypatch):
+    """``HuntAssets.load`` with ``text`` as its capability table raises one
+    InputError: ``message`` after the table's path, which is the override's
+    path, DIR/cve-capabilities, or the bundled name."""
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    for name in (defaults.DOMAIN_FILE, defaults.RULES_FILE, defaults.STATE_MAP_FILE,
+                 defaults.INDICATOR_MAP_FILE):
+        (bundle / name).write_text(defaults.asset_text(name), encoding="utf-8")
+    table = bundle / defaults.CAPABILITIES_FILE
+    table.write_text(text, encoding="utf-8")
+    override = tmp_path / "caps"
+    override.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(defaults, "BUNDLE", bundle)
+    loads = {
+        str(override): lambda: HuntAssets.load(overrides={defaults.CAPABILITIES_FILE: override}),
+        str(table): lambda: HuntAssets.load(root=bundle),
+        defaults.CAPABILITIES_FILE: HuntAssets.load,
+    }
+    for where, load in loads.items():
+        with pytest.raises(InputError) as info:
+            load()
+        assert str(info.value) == f"{where}: {message}"
 
 
 @pytest.mark.parametrize(
-    "capabilities,mapping,facts",
+    "capabilities,mapping,facts,expected",
     [
-        pytest.param("", "haunted/1 (haunted $1)\n", [("haunted", ("app",))], id="undeclared"),
         pytest.param(
-            "", "exploited/2 (exploited $1 $2)\n", [("exploited", ("cve_1", "extra"))], id="arity"
+            "", "haunted/1 (haunted $1)\n", [("haunted", ("app",))], None, id="undeclared"
+        ),
+        pytest.param(
+            "", "exploited/2 (exploited $1 $2)\n", [("exploited", ("cve_1", "extra"))], None,
+            id="arity",
         ),
         pytest.param(
             None, "perm-granted/2 (perm-granted $2 $1)\n",
-            [("perm-granted", ("camera", "camera"))], id="type-clash",
+            [("perm-granted", ("camera", "camera"))], None, id="type-clash",
         ),
         # objects outside the world, typed by the mapped atoms alone
         pytest.param(
             None, BUNDLED_MAP,
             [("a11y-service-active", ("other_app",)), ("perm-granted", ("other_app", "camera"))],
-            id="own-objects",
+            None, id="own-objects",
         ),
         # an object typed by a capability atom and named by a mapped atom
         pytest.param(
             WIDGET, BUNDLED_MAP,
-            [("perm-granted", ("app", "widget")), ("exploited", ("cve_1",))], id="shared",
+            [("perm-granted", ("app", "widget")), ("exploited", ("cve_1",))], None, id="shared",
         ),
-        pytest.param(WIDGET, BUNDLED_MAP, [("exploited", ("widget",))], id="shared-clash"),
+        pytest.param(WIDGET, BUNDLED_MAP, [("exploited", ("widget",))], None, id="shared-clash"),
+        # The reference builder meets the mapped atom first and blames the
+        # table; the world's types come first, so the sample is to blame.
         pytest.param(
-            WIDGET, BUNDLED_MAP, [("a11y-service-active", ("widget",))], id="shared-clash-first"
+            WIDGET, BUNDLED_MAP, [("a11y-service-active", ("widget",))],
+            ("problem", "object 'widget' used as app but declared as sensor"),
+            id="shared-clash-first",
         ),
-        # capability atoms that fail their own checks
+        # capability atoms that fail their own checks: no world, whatever the sample
         pytest.param(
-            "cve_1 enables-sensor app core\n", BUNDLED_MAP, [("exploited", ("cve_1",))],
-            id="world-clash",
+            APP_AS_SENSOR, BUNDLED_MAP, [("exploited", ("cve_1",))],
+            ("world", "object 'app' used as sensor but declared as app"), id="world-clash",
         ),
         pytest.param(
-            "cve_1 enables-sensor app core\n", BUNDLED_MAP,
-            [("a11y-service-active", ("cve_1",))], id="world-clash-later",
+            APP_AS_SENSOR, BUNDLED_MAP, [("a11y-service-active", ("cve_1",))],
+            ("world", "object 'app' used as sensor but declared as app"),
+            id="world-clash-later",
         ),
     ],
 )
-def test_hand_made_tables_match_the_reference_builder(capabilities, mapping, facts):
+def test_hand_made_tables_match_the_reference_builder(
+    capabilities, mapping, facts, expected, tmp_path, monkeypatch
+):
+    """The problem, or the error, of the reference builder; where a case
+    expects an error, exactly that error instead: from building the
+    problem, or from building the world, which also stops
+    ``HuntAssets.load``."""
     domain = HuntAssets.load().domain
-    table = load_capability_table(
-        defaults.asset_text(defaults.CAPABILITIES_FILE) if capabilities is None else capabilities
-    )
+    text = BUNDLED_CAPS if capabilities is None else capabilities
+    table = load_capability_table(text)
     mapping = load_mapping_table(mapping)
     derived = Relations([Fact(p, args) for p, args in facts])
     sample = SampleRecord(sample_id="s1", events=(), permissions=(), intents=())
     hypothesis = ThreatHypothesis("surveillance", "permission")
+    stage, message = expected or (None, None)
+    if stage == "world":
+        with pytest.raises(InputError) as info:
+            StaticWorld.build(domain, table)
+        assert str(info.value) == message
+        assert_load_rejects(text, message, tmp_path, monkeypatch)
+        return
     world = StaticWorld.build(domain, table)
     built = outcome(lambda: build_problem(derived, sample, world, mapping, hypothesis))
+    if stage == "problem":
+        assert built == ("InputError", message)
+        return
     assert built == outcome(
         lambda: reference_build_problem(derived, sample, domain, table, mapping, hypothesis)
     )
@@ -124,6 +175,41 @@ def test_hand_made_tables_match_the_reference_builder(capabilities, mapping, fac
     except PlanHuntError:
         return
     assert_same_task(ground_task(domain, problem), cartesian_ground_task(domain, problem))
+
+
+@pytest.mark.parametrize(
+    "row,name,declared",
+    [
+        ("cve_1 pivot-exploit-from-to camera extended", "camera", "sensor"),
+        ("cve_1 pivot-exploit-from-to app extended", "app", "app"),
+        ("screen enables-privilege-escalation - core", "screen", "sensor"),
+        ("acct enables-privilege-escalation - core", "acct", "account"),
+        ("cve_1 pivot-exploit-from-to sms_otp extended", "sms_otp", "factor"),
+    ],
+)
+def test_a_cve_named_like_a_template_object_is_rejected_at_load(
+    row, name, declared, tmp_path, monkeypatch
+):
+    text = f"{BUNDLED_CAPS}{row}\n"
+    message = f"object {name!r} used as vuln but declared as {declared}"
+    with pytest.raises(InputError) as info:
+        StaticWorld.build(HuntAssets.load().domain, load_capability_table(text))
+    assert str(info.value) == message
+    assert_load_rejects(text, message, tmp_path, monkeypatch)
+
+
+def test_capability_tokens_are_case_insensitive(tmp_path):
+    path = tmp_path / "cve-capabilities"
+    path.write_text(BUNDLED_CAPS.upper(), encoding="utf-8")
+    upper = HuntAssets.load(overrides={defaults.CAPABILITIES_FILE: path})
+    bundled = HuntAssets.load()
+    assert upper.capabilities == bundled.capabilities
+    for sample in map(load_sample, CORPUS):
+        assert report_to_json(identify_threats(sample, upper), include_wall_time=False) == (
+            report_to_json(identify_threats(sample, bundled), include_wall_time=False)
+        )
+    dirtycow = identify_threats(load_sample(CORPUS_DIR / "dirtycow_demo.jsonl"), upper)
+    assert "surveillance/permission" in dirtycow.possible_threats
 
 
 def corpus_work(assets, monkeypatch):
@@ -185,7 +271,7 @@ def test_pickled_assets_keep_their_world(tmp_path):
     config = HuntConfig(confirm=True)
     sample = load_sample(CORPUS_DIR / "pivot_demo.jsonl")
     report = report_to_json(identify_threats(sample, assets, config), include_wall_time=False)
-    assert "seed" in vars(assets.world)  # first use built the grounding seed
+    assert "seed" in vars(assets.world)  # the first grounding built the seed
 
     copy = pickle.loads(pickle.dumps(assets))
     assert copy.world.domain is copy.domain  # so grounding starts from the seed
