@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import defaults
-from .errors import DuplicateSampleId, InputError, MalformedRecord, PlanHuntError
+from .errors import DuplicateSampleId, GroundingExplosion, InputError, MalformedRecord, PlanHuntError
 from .inference.engine import Relations, StratifiedProgram, evaluate, stratify
 from .inference.rules import Atom, Literal, Rule, RulePack, Var, parse_rule_pack, render_body
 from .planner import Limits, Plan, PlanSet, find_top_k
@@ -118,6 +118,8 @@ def parse_indicator_map(text: str) -> tuple[IndicatorSpec, ...]:
             if "=" not in item:
                 raise MalformedRecord(lineno, f"field {item!r} has no '='")
             key, _, value = item.partition("=")
+            if key in dict(fields) or (key, parts[1]) == ("patterns", "syscall-pattern"):
+                raise MalformedRecord(lineno, f"field {key!r} repeated or filled by the hunt")
             fields.append((key, value))
         specs.append(IndicatorSpec(head, disjunct, parts[1], tuple(fields)))
     return tuple(specs)
@@ -443,20 +445,22 @@ def identify_threats(
     findings: list[ThreatFinding] = []
     for hypothesis in default_catalog():
         remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            findings.append(ThreatFinding(
-                hypothesis.threat, hypothesis.mechanism, STATUS_TIMED_OUT, STATUS_TIMED_OUT, (), ()
-            ))
-            continue
-        limits = replace(
-            config.limits, wall_time=min(config.limits.wall_time, remaining)
-        )
-        task, planset = hypothesis_plans(facts, assets, hypothesis, limits)
-        findings.append(
-            _finding_from_planset(
-                hypothesis, task, planset, assets, facts.relations, config
-            )
-        )
+        # A hypothesis whose budget runs out before the search is undecided:
+        # the sample's time (timed_out), or the ground actions (truncated_limit).
+        planner_status = STATUS_TIMED_OUT
+        if remaining > 0:
+            limits = replace(config.limits, wall_time=min(config.limits.wall_time, remaining))
+            try:
+                task, planset = hypothesis_plans(facts, assets, hypothesis, limits)
+            except GroundingExplosion:
+                planner_status = "truncated_limit"
+            else:
+                findings.append(_finding_from_planset(
+                    hypothesis, task, planset, assets, facts.relations, config))
+                continue
+        findings.append(ThreatFinding(
+            hypothesis.threat, hypothesis.mechanism, STATUS_TIMED_OUT, planner_status, (), ()
+        ))
     return HuntReport(
         sample_id=sample.sample_id,
         unknown_tokens=tuple(flagged),
@@ -516,48 +520,61 @@ def _finding_from_planset(
 # --- report serialization -----------------------------------------------------
 
 
+# Reports are written directly in the layout of ``json.dumps(payload, indent=2,
+# sort_keys=True)``, whose ``indent`` runs the pure-Python encoder before
+# Python 3.13: keys as sorted literals, strings through the C escaper. The
+# payload version in ``tests/oracles/report_json.py`` is the reference.
+_str = json.encoder.encode_basestring_ascii
+
+
+def _layout(pad: int, brackets: str = "[]"):
+    """Lay out rendered items as a JSON list (object members with "{}") opened at ``pad``."""
+    inner = "\n" + " " * (pad + 2)
+    head, sep, tail = brackets[0] + inner, "," + inner, "\n" + " " * pad + brackets[1]
+    return lambda items: head + sep.join(items) + tail if items else brackets
+
+
+_list2, _list6, _list8, _list10 = (_layout(pad) for pad in (2, 6, 8, 10))
+_meta, _detail = _layout(2, "{}"), _layout(12, "{}")
+_REPORT = _layout(0, "{}")([f'"{key}": %s' for key in (
+    "findings", "meta", "possible_threats", "sample_id", "schema_version", "unknown_tokens")]) + "\n"
+_FINDING = _layout(4, "{}")([f'"{key}": %s' for key in (
+    "confirmation", "indicators", "mechanism", "planner_status", "plans", "status", "threat")])
+_PLAN = _layout(8, "{}")(['"cost": %d', '"steps": %s'])
+# A record's text before and after its source step.
+_RECORD, _RECORD_END = _layout(10, "{}")(['"detail": %s', '"kind": %s', '"source_step": @']).split("@")
+
+
+def _finding_json(f: ThreatFinding) -> str:
+    seen: dict[tuple, str] = {}  # a record's (kind, detail) recurs across plans
+
+    def record(r: IoCRecord) -> str:
+        if (r.kind, r.detail) not in seen:
+            detail = [f"{_str(key)}: {_str(value)}" for key, value in sorted(r.detail)]
+            seen[r.kind, r.detail] = _RECORD % (_detail(detail), _str(r.kind))
+        return f"{seen[r.kind, r.detail]}{r.source_step:d}{_RECORD_END}"
+
+    indicators = [_list8([*map(record, records)]) for records in f.indicators]
+    plans = [_PLAN % (cost, _list10([*map(_str, steps)])) for cost, steps in f.plans]
+    return _FINDING % (
+        _str(f.confirmation), _list6(indicators), _str(f.mechanism),
+        _str(f.planner_status), _list6(plans), _str(f.status), _str(f.threat),
+    )
+
+
 def report_to_json(report: HuntReport, include_wall_time: bool = True) -> str:
-    """Serialize a report deterministically; batch files drop the wall time
-    so repeated runs stay byte-identical."""
-    meta: dict[str, object] = {
-        "k": report.k,
-        "strict_domain": report.strict_domain,
-        "confirm": report.confirm,
-    }
+    """Serialize a report deterministically, byte for byte as
+    ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``; batch files
+    drop the wall time so repeated runs stay byte-identical."""
+    meta = [f'"confirm": {json.dumps(report.confirm)}', f'"k": {report.k:d}',
+            f'"strict_domain": {json.dumps(report.strict_domain)}']
     if include_wall_time:
-        meta["wall_time_s"] = round(report.wall_time_s, 3)
-    payload = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "sample_id": report.sample_id,
-        "unknown_tokens": list(report.unknown_tokens),
-        "possible_threats": list(report.possible_threats),
-        "findings": [
-            {
-                "threat": f.threat,
-                "mechanism": f.mechanism,
-                "status": f.status,
-                "planner_status": f.planner_status,
-                "confirmation": f.confirmation,
-                "plans": [
-                    {"cost": cost, "steps": list(steps)} for cost, steps in f.plans
-                ],
-                "indicators": [
-                    [
-                        {
-                            "kind": r.kind,
-                            "detail": r.detail_dict(),
-                            "source_step": r.source_step,
-                        }
-                        for r in records
-                    ]
-                    for records in f.indicators
-                ],
-            }
-            for f in report.findings
-        ],
-        "meta": meta,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        meta.append(f'"wall_time_s": {json.dumps(round(report.wall_time_s, 3))}')
+    return _REPORT % (
+        _list2([_finding_json(f) for f in report.findings]), _meta(meta),
+        _list2([*map(_str, report.possible_threats)]), _str(report.sample_id),
+        _str(REPORT_SCHEMA_VERSION), _list2([*map(_str, report.unknown_tokens)]),
+    )
 
 
 # --- batch mode -----------------------------------------------------------------

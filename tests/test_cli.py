@@ -159,6 +159,18 @@ class TestHunt:
         assert main(["batch", str(CORPUS), *argv]) == 1
         assert capsys.readouterr().err == err
 
+    def test_repeated_indicator_field_fails_at_load(self, tmp_path, capsys):
+        text = defaults.asset_text(defaults.INDICATOR_MAP_FILE)
+        line = "pivot-exploit syscall-pattern cve=$1"
+        indicator_map = tmp_path / "indicator-map"
+        indicator_map.write_text(text.replace(line, f"{line} cve=$2"), encoding="utf-8")
+        lineno = text.splitlines().index(line) + 1
+        argv = ["hunt", sample("pivot_demo.jsonl"), "--indicator-map", str(indicator_map)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {indicator_map}: line {lineno}: field 'cve' ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_k_is_threaded_through(self, capsys):
         assert main(["hunt", sample("clean_demo.jsonl"), "-k", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -35,6 +35,7 @@ from planhunt.hunt import (
 from planhunt.inference.engine import Relations
 from planhunt.planner import Limits, Plan
 from planhunt.planning_model.ground import GroundAction, GroundedTask
+from planhunt.planning_model.ground import ground_task as real_ground_task
 from planhunt.telemetry import Fact, load_sample
 
 CORPUS = Path("src/planhunt/assets/corpus")
@@ -208,6 +209,29 @@ class TestConstructIndicators:
         assets = HuntAssets.load(overrides={defaults.INDICATOR_MAP_FILE: path})
         assert [spec.disjunct for spec in assets.indicator_specs] == [3, 7]
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("pivot-exploit syscall-pattern cve=$1 cve=$2", "cve"),
+            ("probe api-call api=ping via=$1 api=pong", "api"),
+            ("pivot-exploit syscall-pattern cve=$1 patterns=x", "patterns"),
+        ],
+    )
+    def test_repeated_or_hunt_filled_field_fails_at_load(self, tmp_path, line, key):
+        # A record's detail has one value per key: a repeated key used to
+        # keep only its last value in the report, and construct_indicators
+        # appends a syscall pattern's ``patterns`` itself.
+        bundled = defaults.asset_text(defaults.INDICATOR_MAP_FILE)
+        path = tmp_path / "indicator-map"
+        path.write_text(f"{bundled}{line}\n", encoding="utf-8")
+        lineno = len(bundled.splitlines()) + 1
+        with pytest.raises(InputError) as err:
+            HuntAssets.load(overrides={defaults.INDICATOR_MAP_FILE: path})
+        assert str(err.value).startswith(f"{path}: line {lineno}: field {key!r} ")
+        path.write_text("probe api-call api=ping patterns=x\n", encoding="utf-8")
+        assets = HuntAssets.load(overrides={defaults.INDICATOR_MAP_FILE: path})
+        assert assets.indicator_specs[0].fields == (("api", "ping"), ("patterns", "x"))
+
     def test_slots_of_undeclared_actions_are_not_checked(self, tmp_path):
         # A custom domain may omit an action the indicator map names.
         path = tmp_path / "indicator-map"
@@ -365,6 +389,40 @@ class TestIdentifyThreats:
         assert all(f.status == STATUS_TIMED_OUT for f in report.findings)
         assert all(f.plans == () for f in report.findings)
         assert report.possible_threats == ()
+
+    def test_ground_action_budget_leaves_the_hypothesis_undecided(self, assets, monkeypatch):
+        # Only the surveillance/permission task gets a ground-action budget
+        # it exceeds; the sample's other hypotheses are still hunted.
+        unlimited = hunt("camera_perm_demo", assets)
+
+        def ground_task(domain, problem):
+            ((_, (threat, mechanism, _)),) = problem.goal
+            limited = (threat, mechanism) == ("surveillance", "permission")
+            return real_ground_task(domain, problem, max_ground_actions=5 if limited else 10**6)
+
+        monkeypatch.setattr("planhunt.hunt.ground_task", ground_task)
+        report = hunt("camera_perm_demo", assets)
+        finding = by_label(report, "surveillance/permission")
+        assert (finding.status, finding.planner_status) == (STATUS_TIMED_OUT, "truncated_limit")
+        assert (finding.plans, finding.indicators) == ((), ())
+        others = [f for f in unlimited.findings if f.label != finding.label]
+        assert [f for f in report.findings if f is not finding] == others
+
+    def test_batch_reports_a_sample_over_the_ground_action_budget(self, assets, monkeypatch):
+        monkeypatch.setattr(
+            "planhunt.hunt.ground_task",
+            lambda domain, problem: real_ground_task(domain, problem, max_ground_actions=5),
+        )
+        names = ("camera_perm_demo", "clean_demo", "pivot_demo")
+        reports, summary = batch_hunt([CORPUS / f"{name}.jsonl" for name in names], assets)
+        assert [r.sample_id for r in reports] == list(names)
+        assert summary.failures == () and summary.timed_out == 2
+        for report in reports:
+            undecided = report.sample_id != "clean_demo"
+            assert all(
+                (f.status, f.planner_status) == (STATUS_TIMED_OUT, "truncated_limit")
+                for f in report.findings
+            ) is undecided
 
     def test_search_cut_by_memory_budget_is_timed_out(self, assets, caplog):
         # One byte of frontier memory ends the search before its first plan,
