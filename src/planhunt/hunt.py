@@ -19,12 +19,18 @@ import json
 import logging
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import defaults
-from .errors import DuplicateSampleId, GroundingExplosion, InputError, MalformedRecord, PlanHuntError
+from .errors import (
+    DuplicateSampleId,
+    GroundingExplosion,
+    InputError,
+    MalformedRecord,
+    PlanHuntError,
+    ResourceLimit,
+)
 from .inference.engine import Relations, StratifiedProgram, evaluate, stratify
 from .inference.rules import Atom, Literal, Rule, RulePack, Var, parse_rule_pack, render_body
 from .planner import Limits, Plan, PlanSet, find_top_k
@@ -203,36 +209,49 @@ def construct_indicators(
     plan: Plan,
     specs: tuple[IndicatorSpec, ...],
     patterns: dict[str, str],
+    expanded: dict[int, tuple[tuple[str, tuple], ...]] | None = None,
 ) -> tuple[IoCRecord, ...]:
     """Expand each plan step through the indicator templates, whose slots
     ``HuntAssets.load`` checked; a syscall-pattern record gets its CVE's
     ``patterns``.
 
     Records equal up to their source step are deduplicated, keeping the
-    earliest step.
+    earliest step. ``expanded`` keeps each action's (kind, detail) pairs
+    across the plans of one task, so an action shared by several plans is
+    expanded once.
     """
+    if expanded is None:
+        expanded = {}
     records: list[IoCRecord] = []
     seen: set[tuple] = set()
     for step, index in enumerate(plan.steps):
-        action = task.actions[index]
-        for spec in specs:
-            if spec.schema != action.schema:
-                continue
-            if spec.disjunct is not None and spec.disjunct != action.disjunct:
-                continue
-            detail = [
-                (key, action.args[int(value[1:]) - 1] if value.startswith("$") else value)
-                for key, value in spec.fields
-            ]
-            cve = dict(detail).get("cve")
-            if spec.kind == "syscall-pattern" and cve in patterns:
-                detail.append(("patterns", patterns[cve]))
-            key = (spec.kind, tuple(detail))
-            if key in seen:
-                continue
-            seen.add(key)
-            records.append(IoCRecord(spec.kind, tuple(detail), step))
+        pairs = expanded.get(index)
+        if pairs is None:
+            pairs = expanded[index] = _expand(task.actions[index], specs, patterns)
+        for key in pairs:
+            if key not in seen:
+                seen.add(key)
+                records.append(IoCRecord(*key, step))
     return tuple(records)
+
+
+def _expand(action, specs, patterns) -> tuple[tuple[str, tuple], ...]:
+    """One ground action's (kind, detail) pairs, in template order."""
+    pairs = []
+    for spec in specs:
+        if spec.schema != action.schema:
+            continue
+        if spec.disjunct is not None and spec.disjunct != action.disjunct:
+            continue
+        detail = [
+            (key, action.args[int(value[1:]) - 1] if value.startswith("$") else value)
+            for key, value in spec.fields
+        ]
+        cve = dict(detail).get("cve")
+        if spec.kind == "syscall-pattern" and cve in patterns:
+            detail.append(("patterns", patterns[cve]))
+        pairs.append((spec.kind, tuple(detail)))
+    return tuple(pairs)
 
 
 # Per indicator kind checkable against already-captured telemetry, the
@@ -439,16 +458,20 @@ def identify_threats(
     start = time.monotonic()
     deadline = start + config.sample_budget()
 
-    facts = infer_facts(sample, assets)
+    try:
+        facts = infer_facts(sample, assets)
+    except ResourceLimit:
+        facts = None
     flagged = unknown_tokens(sample, assets.pack.token_table)
 
     findings: list[ThreatFinding] = []
     for hypothesis in default_catalog():
         remaining = deadline - time.monotonic()
         # A hypothesis whose budget runs out before the search is undecided:
-        # the sample's time (timed_out), or the ground actions (truncated_limit).
-        planner_status = STATUS_TIMED_OUT
-        if remaining > 0:
+        # the sample's time (timed_out), or the derived facts or the ground
+        # actions (truncated_limit).
+        planner_status = "truncated_limit" if facts is None else STATUS_TIMED_OUT
+        if facts is not None and remaining > 0:
             limits = replace(config.limits, wall_time=min(config.limits.wall_time, remaining))
             try:
                 task, planset = hypothesis_plans(facts, assets, hypothesis, limits)
@@ -491,13 +514,13 @@ def _finding_from_planset(
 
     plans: list[tuple[int, tuple[str, ...]]] = []
     indicators: list[tuple[IoCRecord, ...]] = []
+    expanded: dict[int, tuple] = {}
     for plan in planset.plans:
         plans.append(
             (plan.cost, tuple(task.actions[i].render() for i in plan.steps))
         )
-        indicators.append(
-            construct_indicators(task, plan, assets.indicator_specs, assets.patterns)
-        )
+        indicators.append(construct_indicators(
+            task, plan, assets.indicator_specs, assets.patterns, expanded))
 
     confirmation = CONFIRM_NOT_ATTEMPTED
     if config.confirm and status == STATUS_POSSIBLE:
@@ -684,6 +707,10 @@ def batch_hunt(
     if workers == 1:
         outcomes = [_hunt_path(path, assets, config) for path in paths]
     else:
+        # Imported here: the process pool's multiprocessing machinery adds
+        # about 2 MB to the resident set of every process that loads it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,

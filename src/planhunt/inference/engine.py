@@ -3,7 +3,10 @@
 ``saturate`` runs a ``StratifiedProgram`` (see ``inference.strata``) over
 a caller's store, semi-naive within each stratum: after one naive round, a
 rule only re-fires with one current-stratum body atom restricted to the
-rows new in the last round.
+rows new in the last round. A caller that extends a model it saturated
+before passes the rows it added as a delta: the strata whose model stays
+valid skip the naive round and start from the delta, through every body
+atom that reads it.
 
 Facts live in a ``Relations`` store, the one fact container of the
 pipeline: the rows of each predicate plus hash indexes per (predicate,
@@ -11,7 +14,9 @@ bound positions), each built on its first lookup and updated by every later
 add. Telemetry fills a store with the extensional rows; ``evaluate``
 saturates a copy of it and returns that copy with the derived rows, and
 confirmation probes that copy's model with ``Relations.holds``.
-Grounding seeds a store of its own and reads its model straight from it.
+Grounding seeds a store of its own and reads its model straight from it;
+on a static world, that store is an overlay of the world's saturated store,
+which shares the world's rows and indexes until it adds to a predicate.
 
 Kernels. A planned rule runs as a kernel, one per delta position (or none,
 for the naive round), compiled from its plan on first use: a chain of
@@ -128,6 +133,22 @@ class Relations:
         out._indexes = {pred: {} for pred in self._rows}
         return out
 
+    def overlay(self) -> "Relations":
+        """A store with the same rows that reads this one's rows and indexes
+        and copies a predicate's rows only when it adds a row to it, so
+        the predicates it leaves alone cost nothing. This store must not
+        change while the overlay is in use."""
+        out = _Overlay()
+        out._rows = dict(self._rows)
+        out.arity = dict(self.arity)
+        out._indexes = dict(self._indexes)
+        out._borrowed = set(self._rows)
+        return out
+
+    def __getstate__(self) -> dict:
+        # Indexes hold closures, which do not pickle; lookups rebuild them.
+        return {"_rows": self._rows, "arity": self.arity, "_indexes": {p: {} for p in self._rows}}
+
     def __len__(self) -> int:
         return sum(map(len, self._rows.values()))
 
@@ -195,6 +216,21 @@ class Relations:
             index.file(rows)
         bucket = index.buckets.get(key, ())
         return bucket if least is None or not bucket else bucket.values()
+
+
+class _Overlay(Relations):
+    """A store over another's rows and indexes; see ``Relations.overlay``.
+    ``_borrowed`` holds the predicates whose rows it still shares."""
+
+    def add(self, predicate: str, row: tuple) -> bool:
+        if predicate in self._borrowed:
+            rows = self._rows[predicate]
+            if row in rows:
+                return False
+            self._borrowed.discard(predicate)
+            self._rows[predicate] = set(rows)
+            self._indexes[predicate] = {}
+        return super().add(predicate, row)
 
 
 def _getter(positions: tuple[int, ...]):
@@ -281,24 +317,47 @@ def saturate(
     program: StratifiedProgram,
     relations: Relations,
     max_derived: int = DEFAULT_FACT_LIMIT,
+    delta: dict[str, Collection[tuple]] | None = None,
+    saturated: int = 0,
 ) -> None:
     """Add the program's perfect model to ``relations``, taking the rows it
     holds as facts, at their declared arities: rows of an intensional
     predicate hold as if bodiless rules stated them. Raises ResourceLimit
-    past ``max_derived`` derived rows."""
+    past ``max_derived`` derived rows.
+
+    A caller that extends a model passes the rows it added as ``delta``
+    (per predicate, rows the store holds) and the count of leading strata
+    whose model of the other rows the store already holds, ``saturated``.
+    Those strata start their semi-naive rounds from the delta and the rows
+    earlier strata derive from it, skipping the naive round, which is sound
+    only when none of them reads negated a row the delta adds or derives
+    that could retract a row of that model; the later strata run naive.
+    """
     for pred, arity in relations.arity.items():
         declared = program.pack.arity_of(pred)
         if declared is not None and declared != arity:
             raise ArityConflict(pred, arity, declared)
 
     derived_total = 0
+    # Per predicate, the rows new to the store in this call.
+    changed = {pred: list(rows) for pred, rows in (delta or {}).items()}
     for stratum_index, planned in enumerate(program.strata):
         readers = program.readers[stratum_index]
-        # The first round (no delta yet) is naive over everything known so
-        # far; in later rounds one recursive body atom ranges over the last
-        # round's delta. Each firing is materialized before insertion so
-        # rows and index buckets stay stable while the kernel reads them.
-        firings = [(rule, None, None) for rule in planned]
+        # A naive first round (no delta rows) reads everything known so far;
+        # in later rounds, and in the first round of a saturated stratum,
+        # one body atom ranges over the delta rows. Each firing is
+        # materialized before insertion so rows and index buckets stay
+        # stable while the kernel reads them.
+        if stratum_index < saturated:
+            inputs = program.inputs[stratum_index]
+            firings = [
+                (rule, position, rows)
+                for pred, rows in changed.items()
+                if rows
+                for rule, position in inputs.get(pred, ())
+            ]
+        else:
+            firings = [(rule, None, None) for rule in planned]
         while firings:
             fresh: dict[str, list[tuple]] = {}
             for rule, position, rows in firings:
@@ -315,6 +374,9 @@ def saturate(
                         new.append(args)
                         derived_total += 1
             _check_budget(derived_total, max_derived)
+            if stratum_index + 1 < saturated:
+                for pred, rows in fresh.items():
+                    changed.setdefault(pred, []).extend(rows)
             firings = [
                 (rule, position, rows)
                 for pred, rows in fresh.items()

@@ -11,7 +11,7 @@ on first use and keeps them on the rule.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..errors import NegationCycle, UnsafeRule
 from .rules import Atom, BodyItem, Comparison, Literal, Rule, RulePack, Var
@@ -54,6 +54,18 @@ class StratifiedProgram:
     # Per stratum, each predicate's delta readers: (rule, body index).
     readers: tuple[dict[str, list[tuple[PlannedRule, int]]], ...]
     intensional: frozenset[str]
+    # Per stratum, each predicate's readers at every positive body atom,
+    # recursive or not: where rows given as a delta enter the stratum.
+    inputs: tuple[dict[str, list[tuple[PlannedRule, int]]], ...]
+
+    def prefix(self, count: int) -> "StratifiedProgram":
+        """The program's first ``count`` strata."""
+        return replace(
+            self,
+            strata=self.strata[:count],
+            readers=self.readers[:count],
+            inputs=self.inputs[:count],
+        )
 
 
 def stratify(pack: RulePack) -> StratifiedProgram:
@@ -100,16 +112,22 @@ def stratify(pack: RulePack) -> StratifiedProgram:
         for group in strata
     )
     readers: list[dict[str, list[tuple[PlannedRule, int]]]] = []
+    inputs: list[dict[str, list[tuple[PlannedRule, int]]]] = []
     for group in planned:
         readers.append({})
+        inputs.append({})
         for rule in group:
             for i in rule.recursive:
                 readers[-1].setdefault(rule.rule.body[i].atom.predicate, []).append((rule, i))
+            for i, item in enumerate(rule.rule.body):
+                if isinstance(item, Literal) and not item.negated:
+                    inputs[-1].setdefault(item.atom.predicate, []).append((rule, i))
     return StratifiedProgram(
         pack=pack,
         strata=planned,
         readers=tuple(readers),
         intensional=frozenset(pack.intensional()),
+        inputs=tuple(inputs),
     )
 
 

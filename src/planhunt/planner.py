@@ -9,11 +9,11 @@ found too. No state-level dominance pruning is applied: with the
 simple-path constraint such pruning can drop valid plans, and shipped task
 sizes do not need it.
 
-Before searching, a task without a goal mask, whose goal names an atom
-outside the task's atoms, is answered ``no_plan`` with no expansion,
-whatever the budget. A grounded task's atoms are its delete-relaxed
-reachable atoms, so most impossible hypotheses are settled this way instead
-of by exhausting every simple path.
+Before searching, a task without a goal mask, whose goal names an atom no
+state can hold, is answered ``no_plan`` with no expansion, whatever the
+budget. A grounded task's atoms are its fluent delete-relaxed reachable
+atoms, so most impossible hypotheses are settled this way instead of by
+exhausting every simple path.
 """
 
 import heapq
@@ -60,10 +60,10 @@ class PlanSet:
     truncated_k     k plans returned, candidate paths remained
     truncated_limit the memory budget cut enumeration short
     timed_out       the wall clock expired
-    no_plan         exhaustive search found nothing, or a goal atom is
-                    not among the task's atoms (for a grounded task: it is
-                    delete-relaxed unreachable), settled without search
-                    with expanded 0
+    no_plan         exhaustive search found nothing, or the task has no
+                    goal mask (for a grounded task: a goal atom is
+                    delete-relaxed unreachable, or static and not in the
+                    init), settled without search with expanded 0
     """
 
     plans: tuple[Plan, ...]
@@ -88,6 +88,7 @@ def find_top_k(task: GroundedTask, limits: Limits | None = None) -> PlanSet:
     deadline = time.monotonic() + limits.wall_time
 
     actions = task.actions
+    # A state is an int over the task's atoms, which are fluent only.
     state_bytes = 48 + (len(task.atoms) >> 3)
     heap: list[tuple[int, tuple[int, ...], int]] = [(0, (), task.init)]
     plans: list[Plan] = []

@@ -8,26 +8,34 @@ under the relaxation, so its cost follows that output, not the typed
 bindings. Disjunctive preconditions are compiled at the lifted level into
 DNF; each disjunct becomes its own ground action (identical effects) whose
 name gains a ``~orN`` suffix when a schema has more than one disjunct.
-Static precondition literals (predicate never occurring in any effect) must
-hold in the initial state, and negative literals and deletes over atoms
-that can never become true are dropped.
+
+Static atoms (predicate never occurring in any effect) are init checks, not
+state variables. The applicability rules join static precondition literals
+against the init, so a ground action's static preconditions hold in every
+state and leave its masks; a static goal atom is checked against the init
+once, and the task's atom indices cover only the fluent reachable atoms.
+Negative literals and deletes over atoms that can never become true are
+dropped.
 
 A problem seeds a ``Relations`` store with rows: its init atoms, each as
 a row of its own predicate, and one type row per object and parameter type
 it belongs to, found by walking the object's type chain once.
 ``state.build_problem`` builds every problem on its bundle's static world
-(``state.StaticWorld``, checked when the assets load). Grounding such a
-problem copies the world's seed, which holds the rows of the world's
-atoms, its objects and the domain's constants, built on the first
-grounding, and adds only the problem's own rows. A problem without a
-world, such as a hand-made one, is seeded from an empty store.
-``saturate`` adds the model to that store, and the task is decoded from
-its fluent and applicability rows; no fact objects are built on the way.
+(``state.StaticWorld``, checked when the assets load). The world's seed
+holds the rows of the world's atoms, its objects and the domain's
+constants, and is saturated under the program once per world, on the
+first grounding. Grounding a problem on the world reads that model through
+an overlay, adds only the problem's own rows, and extends the model from
+them (semi-naive rounds from those rows only), so the per-problem work does
+not grow with the world. A problem without a world, such as a hand-made
+one, is seeded from an empty store and saturated from scratch. The task is
+decoded from the fluent and applicability rows; no fact objects are built
+on the way.
 
 A goal is a set of ground atoms that must all hold, so the task keeps it as
-one mask. A goal atom outside the reachable atoms cannot hold in any
-state; the task then has no goal mask, and the planner answers ``no_plan``
-without search.
+one mask. A goal atom that cannot hold in any state, a fluent one outside
+the reachable atoms or a static one outside the init, leaves the task
+without a goal mask, and the planner answers ``no_plan`` without search.
 """
 
 import logging
@@ -77,11 +85,14 @@ class GroundAction:
 class GroundedTask:
     """A propositional task: indexed atoms, bitmask init and goal, actions.
 
-    Atom indices are a bijection onto the delete-relaxed reachable atom set;
-    action order (the tie-break order for plan enumeration) follows schema
-    declaration order, then parameter binding order over alphabetically
-    sorted objects, then disjunct index. ``goal`` is the mask of the goal
-    atoms, or None when one of them is not among the task's atoms.
+    Atom indices are a bijection onto the fluent delete-relaxed reachable
+    atoms, in sorted order; a static atom (its predicate occurs in no
+    effect) never changes, so grounding checks it once against the initial
+    state and leaves it out of the masks. Action order (the tie-break order
+    for plan enumeration) follows schema declaration order, then parameter
+    binding order over alphabetically sorted objects, then disjunct index.
+    ``goal`` is the mask of the goal atoms, or None when one of them cannot
+    hold in any state.
     """
 
     atoms: tuple[GroundAtom, ...]
@@ -106,11 +117,11 @@ class GroundedTask:
         ``action_specs`` rows: (name, schema, args, disjunct, pre_pos,
         pre_neg, add, delete, cost), the four middle entries being atom
         collections that become the action's bitmasks. ``goal_atoms`` is a
-        collection of atoms that must all hold.
+        collection of atoms that must all hold, or None for a goal that
+        cannot hold.
         """
         atoms = tuple(atoms)
         index = {atom: i for i, atom in enumerate(atoms)}
-        goal_atoms = set(goal_atoms)
 
         def mask(atom_iter) -> int:
             out = 0
@@ -133,11 +144,13 @@ class GroundedTask:
             for name, schema, args, disjunct, pre_pos, pre_neg, add, delete, cost
             in action_specs
         )
+        if goal_atoms is not None and not all(a in index for a in goal_atoms):
+            goal_atoms = None
         return cls(
             atoms=atoms,
             actions=actions,
             init=mask(init_atoms),
-            goal=mask(goal_atoms) if all(a in index for a in goal_atoms) else None,
+            goal=None if goal_atoms is None else mask(goal_atoms),
         )
 
 
@@ -183,11 +196,14 @@ class Exploration:
 
     program: StratifiedProgram
     # predicates some effect mentions
-    fluents: tuple[str, ...]
+    fluents: frozenset[str]
     # parameter type -> its TYPE relation
     types: dict[str, str]
-    # applicability predicate -> (schema index, disjunct or 0, pre+, pre-)
+    # applicability predicate -> (schema index, disjunct or 0, fluent pre+,
+    # fluent pre-); static literals hold wherever the predicate has a row
     actions: dict[str, tuple[int, int, list[FAtom], list[FAtom]]]
+    # per stratum, the static predicates its rules read negated
+    negated: tuple[frozenset[str], ...]
 
 
 def explore_domain(domain: DomainModel) -> Exploration:
@@ -227,12 +243,27 @@ def explore_domain(domain: DomainModel) -> Exploration:
             rules.append(Rule(head, tuple(dict.fromkeys(body))))
             rules += [Rule(_atom(a), (Literal(head),)) for a in schema.add]
             label = d_index if len(disjuncts) > 1 else 0
-            actions[head.predicate] = (index, label, positive, negative)
+            actions[head.predicate] = (
+                index,
+                label,
+                [atom for atom in positive if atom.predicate in arity],
+                [atom for atom in negative if atom.predicate in arity],
+            )
+    program = stratify(rule_pack(rules))
     return Exploration(
-        program=stratify(rule_pack(rules)),
-        fluents=tuple(arity),
+        program=program,
+        fluents=frozenset(arity),
         types={p.type: TYPE.format(p.type) for s in domain.actions for p in s.parameters},
         actions=actions,
+        negated=tuple(
+            frozenset(
+                item.atom.predicate
+                for planned in stratum
+                for item in planned.rule.body
+                if isinstance(item, Literal) and item.negated and item.atom.predicate in static
+            )
+            for stratum in program.strata
+        ),
     )
 
 
@@ -275,13 +306,19 @@ def _guard(name: str, schema, unifier: dict[str, str]) -> tuple[Rule, Literal]:
 
 def add_rows(
     relations: Relations, domain: DomainModel, atoms, objects: dict[str, str]
-) -> None:
+) -> dict[str, list[tuple]]:
     """Add grounding rows to a store: each atom as a row of its own
     predicate, and per object one row for each parameter type on its type
-    chain."""
+    chain. Returns the rows the store did not hold, per predicate."""
     exploration = domain.exploration
+    added: dict[str, list[tuple]] = {}
+
+    def add(pred: str, row: tuple) -> None:
+        if relations.add(pred, row):
+            added.setdefault(pred, []).append(row)
+
     for pred, args in atoms:
-        relations.add(pred, args)
+        add(pred, args)
     typed: dict[str, list[str]] = {}
     for obj, obj_type in objects.items():
         names = typed.get(obj_type)
@@ -291,7 +328,8 @@ def add_rows(
                 if t in exploration.types
             ]
         for name in names:
-            relations.add(name, (obj,))
+            add(name, (obj,))
+    return added
 
 
 def ground_task(
@@ -300,9 +338,15 @@ def ground_task(
     max_ground_actions: int = DEFAULT_ACTION_LIMIT,
 ) -> GroundedTask:
     """Ground a problem by saturating a store seeded with its rows under
-    its domain's exploration program. A problem built on a static world
-    for this domain starts from a copy of the world's seed and adds only
-    the rows the world lacks.
+    its domain's exploration program.
+
+    A problem built on a static world for this domain reads the world's
+    model, saturated once per world, through an overlay, adds only the rows
+    the world lacks, and extends the model from them. Rows a problem adds
+    to a static predicate that some stratum reads negated could retract a
+    row of that model, so from the first such stratum on, the model is
+    rebuilt. Other problems are seeded from an empty store. The world's
+    derived rows count against the budget as if each call had derived them.
 
     Raises ArityConflict when the init uses a predicate at two arities, or
     at another arity than the program's rules, and GroundingExplosion when the
@@ -311,23 +355,28 @@ def ground_task(
     """
     exploration = domain.exploration
     world = problem.world
-    if world is not None and world.domain is domain:
-        relations = world.seed.copy()
-        atoms = problem.init - world.atoms
-        objects = {obj: t for obj, t in problem.objects.items() if obj not in world.objects}
-    else:
-        relations = Relations()
-        atoms = problem.init
-        objects = {**domain.constants, **problem.objects}
-    add_rows(relations, domain, atoms, objects)
     try:
-        saturate(exploration.program, relations, max_ground_actions)
+        if world is not None and world.domain is domain:
+            own, objects = problem.init.own, problem.objects.maps[0]
+            touched = {pred for pred, _ in own}
+            saturated = next(
+                (i for i, negated in enumerate(exploration.negated) if negated & touched),
+                len(exploration.negated),
+            )
+            model, derived = world.saturated(saturated)
+            relations = model.overlay()
+        else:
+            relations, saturated, derived = Relations(), 0, 0
+            own, objects = problem.init, {**domain.constants, **problem.objects}
+        delta = add_rows(relations, domain, own, objects)
+        if derived > max_ground_actions:
+            raise ResourceLimit(max_ground_actions)
+        saturate(exploration.program, relations, max_ground_actions - derived, delta, saturated)
     except ResourceLimit as exc:
         raise GroundingExplosion(max_ground_actions) from exc
 
-    reachable: set[GroundAtom] = set(problem.init)
-    for pred in exploration.fluents:
-        reachable.update((pred, args) for args in relations.rows(pred))
+    atoms = sorted((pred, args) for pred in exploration.fluents for args in relations.rows(pred))
+    reachable = set(atoms)
     found = [
         (args, spec)
         for pred, spec in exploration.actions.items()
@@ -357,7 +406,14 @@ def ground_task(
             )
         )
 
-    task = GroundedTask.assemble(tuple(sorted(reachable)), specs, problem.init, problem.goal)
+    # A static goal atom holds in every state or in none.
+    goal = problem.goal
+    if any(a[0] not in exploration.fluents and a not in problem.init for a in goal):
+        goal = None
+    else:
+        goal = [a for a in goal if a[0] in exploration.fluents]
+    init = [a for a in atoms if a in problem.init]
+    task = GroundedTask.assemble(atoms, specs, init, goal)
     logger.debug(
         "grounded %s/%s: %d atoms, %d actions",
         domain.name,

@@ -1,7 +1,9 @@
 """Typed STRIPS model: types, predicates, formulas, actions, problems."""
 
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from ..errors import UndeclaredType
@@ -22,6 +24,7 @@ __all__ = [
     "ActionSchema",
     "DomainModel",
     "ProblemInstance",
+    "WorldAtoms",
     "GroundAtom",
     "ThreatHypothesis",
     "THREAT_POSSIBLE",
@@ -145,16 +148,40 @@ class DomainModel:
         return replace(self, actions=tuple(a for a in self.actions if a.name not in names))
 
 
+class WorldAtoms(Set):
+    """A problem's init on a static world, read through without a copy:
+    the world's atoms and ``own``, the problem's atoms the world lacks."""
+
+    __slots__ = ("world", "own")
+
+    def __init__(self, world: frozenset[GroundAtom], own: frozenset[GroundAtom]):
+        self.world = world
+        self.own = own
+
+    def __contains__(self, atom) -> bool:
+        return atom in self.own or atom in self.world
+
+    def __iter__(self):
+        return chain(self.world, self.own)
+
+    def __len__(self) -> int:
+        return len(self.world) + len(self.own)
+
+    # Set operators on a view build frozensets.
+    _from_iterable = frozenset
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     name: str
     domain_name: str
-    objects: dict[str, str]  # object -> type (domain constants excluded)
-    init: frozenset[GroundAtom]
+    objects: Mapping[str, str]  # object -> type (domain constants excluded)
+    init: Set[GroundAtom]
     goal: frozenset[GroundAtom]  # every atom must hold
-    # The state.StaticWorld this problem extends: init holds its atoms and
-    # objects its objects at their types. Set by state.build_problem; a copy
-    # with another init or other objects must reset it to None.
+    # The state.StaticWorld this problem extends. state.build_problem sets
+    # it, with ``init`` a WorldAtoms view and ``objects`` a ChainMap whose
+    # first map holds the objects the world lacks, so neither copies the
+    # world; a copy with another init or other objects must reset it to None.
     world: "StaticWorld | None" = field(default=None, compare=False, repr=False)
 
 

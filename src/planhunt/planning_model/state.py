@@ -11,26 +11,31 @@ A problem has two parts. The static world (``StaticWorld``) holds the
 capability atoms and the objects of the template and of those atoms,
 checked against the domain once: ``HuntAssets.load`` builds it, so a table
 that fails the checks is rejected at load, and every sample and hypothesis
-of the bundle shares it. Its grounding seed is built on the first
-grounding. Per hypothesis, ``build_problem`` checks and types only the
-mapped atoms the world lacks, on top of the world's objects.
+of the bundle shares it. Its grounding seed, and the seed's model under the
+domain's exploration program, are built on the first grounding. Per
+hypothesis, ``build_problem`` checks and types only the mapped atoms the
+world lacks, on top of the world's objects, and the problem's init and
+objects read the world's through views instead of copying them.
 """
 
 import re
-from dataclasses import dataclass
+from collections import ChainMap
+from collections.abc import MutableMapping
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from ..errors import InputError, MalformedRecord, UnmappedPredicate
-from ..inference.engine import Relations
+from ..inference.engine import Relations, saturate
 from ..telemetry import SampleRecord
 from ..vocab import ACCOUNT, APP, FACTOR, SENSORS
-from .ground import add_rows
+from .ground import DEFAULT_ACTION_LIMIT, add_rows
 from .model import (
     DomainModel,
     GroundAtom,
     ProblemInstance,
     ThreatHypothesis,
     THREAT_POSSIBLE,
+    WorldAtoms,
 )
 
 __all__ = [
@@ -194,7 +199,7 @@ def construct_goal(hypothesis: ThreatHypothesis) -> GroundAtom:
     return (THREAT_POSSIBLE, (hypothesis.threat, hypothesis.mechanism, APP))
 
 
-def _type_atoms(atoms, objects: dict[str, str], domain: DomainModel) -> None:
+def _type_atoms(atoms, objects: MutableMapping[str, str], domain: DomainModel) -> None:
     """Check atoms, in sorted order, against their predicate schemas; an
     object that neither ``objects`` nor the domain's constants hold is
     typed into ``objects`` from the first atom it appears in."""
@@ -239,6 +244,10 @@ class StaticWorld:
     domain: DomainModel
     atoms: frozenset[GroundAtom]
     objects: dict[str, str]
+    # strata count -> the seed's model under that many strata, and its size
+    _models: dict[int, tuple[Relations, int]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @classmethod
     def build(cls, domain: DomainModel, capabilities: CapabilityTable) -> "StaticWorld":
@@ -263,6 +272,18 @@ class StaticWorld:
         add_rows(seed, self.domain, self.atoms, {**self.domain.constants, **self.objects})
         return seed
 
+    def saturated(self, strata: int) -> tuple[Relations, int]:
+        """The seed with the model of the first ``strata`` strata of the
+        domain's exploration program, and the count of rows that model
+        derives; built once per count, on the first grounding that needs
+        it. Raises ResourceLimit past ``DEFAULT_ACTION_LIMIT`` rows."""
+        model = self._models.get(strata)
+        if model is None:
+            store = self.seed.copy()
+            saturate(self.domain.exploration.program.prefix(strata), store, DEFAULT_ACTION_LIMIT)
+            model = self._models[strata] = store, len(store) - len(self.seed)
+        return model
+
 
 def build_problem(
     derived: Relations,
@@ -273,7 +294,9 @@ def build_problem(
 ) -> ProblemInstance:
     """Assemble the per-sample planning problem for one hypothesis.
 
-    The init is the world's atoms plus the mapped derived atoms. The mapped
+    The init is the world's atoms plus the mapped derived atoms, read
+    through a ``WorldAtoms`` view, and the objects are the world's plus
+    those the mapped atoms type, through a ``ChainMap``. The mapped
     atoms the world lacks are checked, in sorted order, on top of the
     world's objects, so an atom that contradicts the world's types is the
     sample's error; an object only they name is typed from the first of
@@ -281,13 +304,13 @@ def build_problem(
     """
     domain = world.domain
     own = mapped_atoms(derived, mapping) - world.atoms
-    objects = dict(world.objects)
+    objects = ChainMap({}, world.objects)
     _type_atoms(own, objects, domain)
     return ProblemInstance(
         name=f"hunt-{sample.sample_id}-{hypothesis.threat}-{hypothesis.mechanism}",
         domain_name=domain.name,
         objects=objects,
-        init=world.atoms | own,
+        init=WorldAtoms(world.atoms, own),
         goal=frozenset({construct_goal(hypothesis)}),
         world=world,
     )

@@ -141,6 +141,20 @@ class TestHunt:
         }
         assert confirmations["surveillance/permission"] == "unconfirmed"
 
+    def test_derived_fact_budget_is_a_reported_status(self, monkeypatch, capsys):
+        from planhunt.inference.engine import evaluate
+
+        monkeypatch.setattr(
+            "planhunt.hunt.evaluate",
+            lambda program, base: evaluate(program, base, max_derived=1),
+        )
+        assert main(["hunt", sample("pivot_demo.jsonl"), "--confirm"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["possible_threats"] == []
+        assert {(f["status"], f["planner_status"]) for f in payload["findings"]} == {
+            ("timed_out", "truncated_limit")
+        }
+
     def test_strict_domain_silences_producer_threats(self, capsys):
         assert main(["hunt", sample("fraud_demo.jsonl"), "--strict-domain"]) == 0
         payload = json.loads(capsys.readouterr().out)

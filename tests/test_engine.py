@@ -1,6 +1,7 @@
 """Stratified evaluation against the naive reference evaluator."""
 
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -292,6 +293,35 @@ class TestStore:
         assert len(copy.lookup("edge", (0,), ("a",))) == 3
         with pytest.raises(ArityConflict):
             copy.add("edge", ("a",))
+
+
+    def test_overlay_reads_through_until_it_adds(self):
+        store = Relations([Fact("edge", ("a", "b")), Fact("mark", ())])
+        assert len(store.lookup("edge", (0,), ("a",))) == 1
+        overlay = store.overlay()
+        assert overlay == store
+        # A lookup reads the store's index; an index the overlay builds on
+        # rows it has not changed serves the store too.
+        assert overlay.lookup("edge", (0,), ("a",)) is store.lookup("edge", (0,), ("a",))
+        overlay.lookup("edge", (1,), ("b",))
+        assert ((1,), None) in store._indexes["edge"]
+        assert not overlay.add("edge", ("a", "b"))
+        assert overlay.add("edge", ("a", "c"))
+        assert overlay.add("node", ("a",))
+        assert len(overlay.lookup("edge", (0,), ("a",))) == 2
+        assert store == Relations([Fact("edge", ("a", "b")), Fact("mark", ())])
+        assert len(store.lookup("edge", (0,), ("a",))) == 1
+        assert overlay.rows("mark") is store.rows("mark")
+        with pytest.raises(ArityConflict):
+            overlay.add("mark", ("x",))
+
+    def test_pickles_leave_the_indexes_out(self):
+        store = Relations([Fact("edge", ("a", "b"))])
+        store.lookup("edge", (0,), ("a",))
+        copy = pickle.loads(pickle.dumps(store))
+        assert copy == store
+        assert copy._indexes == {"edge": {}}
+        assert copy.lookup("edge", (0,), ("a",)) == [("a", "b")]
 
 
 class TestHolds:

@@ -60,6 +60,17 @@ def walk_task(goal=WALK_PROBLEM.goal):
     return ground_task(parse_domain(WALK_DOMAIN), replace(WALK_PROBLEM, goal=frozenset(goal)))
 
 
+def static_init(domain, problem) -> frozenset:
+    """The init atoms whose predicate no effect mentions: they hold in every
+    state, so a grounded task checks them once and leaves them out."""
+    fluent = {a.predicate for schema in domain.actions for a in (*schema.add, *schema.delete)}
+    return frozenset(atom for atom in problem.init if atom[0] not in fluent)
+
+
+# link and lit occur in no effect.
+WALK_STATIC = static_init(parse_domain(WALK_DOMAIN), WALK_PROBLEM)
+
+
 class TestGrounding:
     def test_action_order_and_disjunct_naming(self):
         task = walk_task()
@@ -80,30 +91,25 @@ class TestGrounding:
     def test_static_literals_prune_and_survive(self):
         task = walk_task()
         # link never appears in an effect, so walk bindings without a link
-        # fact are gone; the satisfied literal stays in the precondition.
+        # fact are gone; the satisfied literal held at grounding and leaves
+        # the precondition with the task's atoms.
         assert task.find_action("walk", ("y", "x")) is None
         walk = task.actions[0]
-        assert ("link", ("x", "y")) in state_atoms(task, walk.pre_pos)
+        assert state_atoms(task, walk.pre_pos) == {("at", ("x",))}
+        assert ("link", ("x", "y")) not in task.atoms
 
     def test_unreachable_atoms_are_outside_the_universe(self):
         task = walk_task()
         assert ("at", ("z",)) not in task.atoms
-        assert set(task.atoms) == {
-            ("at", ("x",)),
-            ("at", ("y",)),
-            ("link", ("x", "y")),
-            ("lit", ("z",)),
-            ("done", ()),
-        }
+        # Only fluent atoms: the static link and lit hold in every state.
+        assert set(task.atoms) == {("at", ("x",)), ("at", ("y",)), ("done", ())}
 
     def test_transition_semantics(self):
         task = walk_task()
         walk = task.actions[0]
         assert applicable(task.init, walk)
         after = apply(task.init, walk)
-        assert state_atoms(task, after) == frozenset(
-            {("at", ("y",)), ("link", ("x", "y")), ("lit", ("z",))}
-        )
+        assert state_atoms(task, after) == frozenset({("at", ("y",))})
         assert not applicable(after, walk)
         assert not task.satisfies_goal(after)
         finish = task.actions[3]
@@ -216,6 +222,7 @@ class TestGoalMask:
         (("at", ("x",)), ("at", ("y",))),
         (("at", ("q",)),),  # outside the task's atoms
         (("done", ()), ("at", ("q",))),
+        (("link", ("y", "x")),),  # static, and not in init
     ]
 
     def test_mask_and_set_inclusion_agree(self):
@@ -229,10 +236,11 @@ class TestGoalMask:
                         states.append(succ)
         for goal in self.GOALS:
             task = walk_task(goal)
-            assert (task.goal is None) == any(atom not in task.atoms for atom in goal)
+            possible = set(task.atoms) | WALK_STATIC
+            assert (task.goal is None) == any(atom not in possible for atom in goal)
             for state in states:
                 assert task.satisfies_goal(state) == (
-                    task.goal is not None and set(goal) <= state_atoms(task, state)
+                    set(goal) <= state_atoms(task, state) | WALK_STATIC
                 )
 
 
@@ -311,8 +319,9 @@ def random_instance(rng: random.Random):
     return domain, problem
 
 
-def explore_task(task: GroundedTask, cap: int = 20000):
-    """Reachable state graph of a grounded task, keyed by atom sets."""
+def explore_task(task: GroundedTask, static: frozenset = frozenset(), cap: int = 20000):
+    """Reachable state graph of a grounded task, keyed by atom sets, each
+    with the ``static`` atoms the task leaves out."""
     graph: dict[int, set[int]] = {}
     frontier = [task.init]
     while frontier:
@@ -328,7 +337,7 @@ def explore_task(task: GroundedTask, cap: int = 20000):
         graph[state] = successors
         frontier.extend(succ for succ in successors if succ not in graph)
     return {
-        state_atoms(task, state): {state_atoms(task, s) for s in successors}
+        state_atoms(task, state) | static: {state_atoms(task, s) | static for s in successors}
         for state, successors in graph.items()
     }
 
@@ -364,7 +373,8 @@ def test_random_grounding_matches_lifted_semantics():
         except ExplorationCap:
             continue
         task = ground_task(domain, problem)
-        assert explore_task(task) == reference, f"seed {seed}"
+        static = static_init(domain, problem)
+        assert explore_task(task, static) == reference, f"seed {seed}"
         assert task_optimal_cost(task) == optimal_cost(domain, problem), f"seed {seed}"
         compared += 1
         if compared >= 60:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from planhunt import defaults
+from planhunt import hunt as hunt_module
 from planhunt.defaults import corpus_paths
 from planhunt.errors import DuplicateSampleId, InputError
 from planhunt.hunt import (
@@ -27,15 +28,19 @@ from planhunt.hunt import (
     batch_hunt,
     confirm_threat,
     construct_indicators,
+    hypothesis_plans,
     identify_threats,
+    infer_facts,
     parse_indicator_map,
     report_to_json,
     summary_to_csv,
 )
 from planhunt.inference.engine import Relations
+from planhunt.inference.engine import evaluate as real_evaluate
 from planhunt.planner import Limits, Plan
 from planhunt.planning_model.ground import GroundAction, GroundedTask
 from planhunt.planning_model.ground import ground_task as real_ground_task
+from planhunt.planning_model.model import ThreatHypothesis, default_catalog
 from planhunt.telemetry import Fact, load_sample
 
 CORPUS = Path("src/planhunt/assets/corpus")
@@ -168,6 +173,36 @@ class TestConstructIndicators:
         )
         records = construct_indicators(task, Plan((0,), 1), specs, assets.patterns)
         assert [r.kind for r in records] == ["clipboard-access", "api-call"]
+
+    def test_each_action_expands_once_per_hypothesis(self, assets, monkeypatch):
+        # A hypothesis's plans share most steps: each action's templates are
+        # expanded once, and every plan still gets the records a fresh
+        # expansion gives it, each at its earliest step.
+        expand = hunt_module._expand
+        calls = []
+
+        def counting(action, specs, patterns):
+            calls.append(action)
+            return expand(action, specs, patterns)
+
+        for path in corpus_paths():
+            with monkeypatch.context() as patch:
+                patch.setattr(hunt_module, "_expand", counting)
+                report = identify_threats(load_sample(path), assets)
+            facts = infer_facts(load_sample(path), assets)
+            for finding in report.findings:
+                hypothesis = ThreatHypothesis(finding.threat, finding.mechanism)
+                task, planset = hypothesis_plans(facts, assets, hypothesis, Limits())
+                actions = {index for plan in planset.plans for index in plan.steps}
+                assert sorted(calls[: len(actions)], key=task.actions.index) == [
+                    task.actions[index] for index in sorted(actions)
+                ]
+                del calls[: len(actions)]
+                assert finding.indicators == tuple(
+                    construct_indicators(task, plan, assets.indicator_specs, assets.patterns)
+                    for plan in planset.plans
+                )
+        assert calls == []
 
     def test_slot_out_of_range(self, tmp_path):
         # Slots are checked once, when the assets load, against the full
@@ -423,6 +458,38 @@ class TestIdentifyThreats:
                 (f.status, f.planner_status) == (STATUS_TIMED_OUT, "truncated_limit")
                 for f in report.findings
             ) is undecided
+
+    def test_derived_fact_budget_leaves_every_hypothesis_undecided(self, assets, monkeypatch):
+        monkeypatch.setattr(
+            "planhunt.hunt.evaluate",
+            lambda program, base: real_evaluate(program, base, max_derived=1),
+        )
+        report = hunt("pivot_demo", assets, confirm=True)
+        assert [f.label for f in report.findings] == [h.label for h in default_catalog()]
+        for finding in report.findings:
+            assert (finding.status, finding.planner_status) == (STATUS_TIMED_OUT, "truncated_limit")
+            assert (finding.plans, finding.indicators) == ((), ())
+            assert finding.confirmation == CONFIRM_NOT_ATTEMPTED
+
+    def test_batch_reports_every_sample_over_the_derived_fact_budget(self, assets, monkeypatch):
+        derived = {
+            path.stem: len(infer_facts(load_sample(path), assets).derived)
+            for path in corpus_paths()
+        }
+        monkeypatch.setattr(
+            "planhunt.hunt.evaluate",
+            lambda program, base: real_evaluate(program, base, max_derived=1),
+        )
+        reports, summary = batch_hunt(corpus_paths(), assets)
+        assert summary.failures == ()
+        assert sorted(r.sample_id for r in reports) == sorted(derived)
+        assert summary.timed_out == sum(count > 1 for count in derived.values()) > 0
+        for report in reports:
+            over = derived[report.sample_id] > 1
+            assert all(
+                (f.status, f.planner_status) == (STATUS_TIMED_OUT, "truncated_limit")
+                for f in report.findings
+            ) is over
 
     def test_search_cut_by_memory_budget_is_timed_out(self, assets, caplog):
         # One byte of frontier memory ends the search before its first plan,

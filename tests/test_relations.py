@@ -161,6 +161,44 @@ def test_indexed_packs_match_the_oracle():
             )
 
 
+def test_a_model_extended_from_a_delta_matches_the_oracle():
+    # A store saturated over part of a base by the strata before the first
+    # negation, read through an overlay that adds the rest as a delta: those
+    # strata start from the delta alone, the rest run naive, and the model
+    # is the whole base's. The saturated store is left as it was.
+    rng = random.Random(20261019)
+    for directives, rules in [*INDEXED_PACKS, WILDCARD_PROJECTED]:
+        order = list(range(len(rules)))
+        for _ in range(60):
+            rng.shuffle(order)
+            pack = build_pack(directives, rules, order)
+            program = stratify(pack)
+            base = random_base(pack, rng)
+            negation = next(
+                (
+                    i
+                    for i, stratum in enumerate(program.strata)
+                    for planned in stratum
+                    if any(isinstance(item, Literal) and item.negated for item in planned.rule.body)
+                ),
+                len(program.strata),
+            )
+            world = Relations(fact for fact in base if rng.random() < 0.5)
+            saturate(program.prefix(negation), world)
+            before = world.copy()
+            store = world.overlay()
+            delta: dict[str, list[tuple]] = {}
+            for fact in base:
+                if store.add(fact.predicate, fact.args):
+                    delta.setdefault(fact.predicate, []).append(fact.args)
+            saturate(program, store, delta=delta, saturated=negation)
+            expected = base.copy()
+            for fact in evaluate_naive(pack, base):
+                expected.add(fact.predicate, fact.args)
+            assert store == expected, f"rules {order}"
+            assert world == before
+
+
 def test_wildcard_negation_after_an_indexed_join():
     for head, body in WILDCARD_RULES:
         with pytest.raises(UnsafeRule):

@@ -9,7 +9,6 @@ import pickle
 import pytest
 
 from oracles.build_problem import build_problem as reference_build_problem
-from oracles.cartesian_ground import ground_task as cartesian_ground_task
 from planhunt import defaults
 from planhunt.errors import InputError, PlanHuntError
 from planhunt.hunt import (
@@ -32,7 +31,13 @@ from planhunt.planning_model.state import (
     load_mapping_table,
 )
 from planhunt.telemetry import Fact, SampleRecord, load_sample
-from test_ground_program import CORPUS, CORPUS_DIR, assert_same_task, unreachable_pivots
+from test_ground_program import (
+    CORPUS,
+    CORPUS_DIR,
+    assert_same_task,
+    cartesian_task,
+    unreachable_pivots,
+)
 
 
 def outcome(build):
@@ -174,7 +179,7 @@ def test_hand_made_tables_match_the_reference_builder(
         problem = build_problem(derived, sample, world, mapping, hypothesis)
     except PlanHuntError:
         return
-    assert_same_task(ground_task(domain, problem), cartesian_ground_task(domain, problem))
+    assert_same_task(ground_task(domain, problem), cartesian_task(domain, problem))
 
 
 @pytest.mark.parametrize(
@@ -227,8 +232,9 @@ def corpus_work(assets, monkeypatch):
 
     def counting_add_rows(relations, domain, atoms, objects):
         before = len(relations)
-        add_rows(relations, domain, atoms, objects)
+        added = add_rows(relations, domain, atoms, objects)
         counted.append(len(relations) - before)
+        return added
 
     with monkeypatch.context() as patch:
         patch.setattr(state, "_type_atoms", counting_type_atoms)
@@ -252,6 +258,14 @@ def corpus_tasks(assets):
         facts = infer_facts(load_sample(path), assets)
         tasks += [hypothesis_task(facts, assets, h) for h in default_catalog()]
     return tasks
+
+
+def test_unreachable_catalog_rows_leave_every_task_as_it_is(tmp_path):
+    # A task holds only fluent atoms, and unreachable CVEs add none, nor
+    # any action: atoms, init, goal and masks match the bundled table's.
+    bundled = corpus_tasks(HuntAssets.load())
+    for task, wide in zip(bundled, corpus_tasks(load_assets("extra_400", tmp_path)), strict=True):
+        assert_same_task(wide, task)
 
 
 def test_alternating_bundles_ground_like_fresh_loads(tmp_path):
