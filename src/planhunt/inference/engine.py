@@ -4,19 +4,19 @@
 a caller's store, semi-naive within each stratum: after one naive round, a
 rule only re-fires with one current-stratum body atom restricted to the
 rows new in the last round. A caller that extends a model it saturated
-before passes the rows it added as a delta: the strata whose model stays
-valid skip the naive round and start from the delta, through every body
-atom that reads it.
+before passes the rows it added as a delta: every stratum then skips the
+naive round and starts from the delta, through every body atom that reads
+it.
 
 Facts live in a ``Relations`` store, the one fact container of the
 pipeline: the rows of each predicate plus hash indexes per (predicate,
 bound positions), each built on its first lookup and updated by every later
 add. Telemetry fills a store with the extensional rows; ``evaluate``
-saturates a copy of it and returns that copy with the derived rows, and
-confirmation probes that copy's model with ``Relations.holds``.
-Grounding seeds a store of its own and reads its model straight from it;
-on a static world, that store is an overlay of the world's saturated store,
-which shares the world's rows and indexes until it adds to a predicate.
+saturates an overlay of it, which shares its rows and indexes, and
+returns the overlay with the derived rows, and confirmation probes that
+model with ``Relations.holds``. Grounding seeds a store of its own and
+reads its model straight from it; on a static world, that store is an
+overlay of the world's saturated store.
 
 Kernels. A planned rule runs as a kernel, one per delta position (or none,
 for the naive round), compiled from its plan on first use: a chain of
@@ -125,14 +125,6 @@ class Relations:
     def rows(self, predicate: str) -> Collection[tuple]:
         return self._rows.get(predicate, ())
 
-    def copy(self) -> "Relations":
-        """A store with the same rows and no indexes."""
-        out = Relations()
-        out._rows = {pred: set(rows) for pred, rows in self._rows.items()}
-        out.arity = dict(self.arity)
-        out._indexes = {pred: {} for pred in self._rows}
-        return out
-
     def overlay(self) -> "Relations":
         """A store with the same rows that reads this one's rows and indexes
         and copies a predicate's rows only when it adds a row to it, so
@@ -145,9 +137,11 @@ class Relations:
         out._borrowed = set(self._rows)
         return out
 
-    def __getstate__(self) -> dict:
+    def __reduce__(self):
         # Indexes hold closures, which do not pickle; lookups rebuild them.
-        return {"_rows": self._rows, "arity": self.arity, "_indexes": {p: {} for p in self._rows}}
+        # An overlay pickles as a plain store of its rows.
+        state = {"_rows": self._rows, "arity": self.arity, "_indexes": {p: {} for p in self._rows}}
+        return Relations, (), state
 
     def __len__(self) -> int:
         return sum(map(len, self._rows.values()))
@@ -304,7 +298,7 @@ def evaluate(
     for pred in base.arity:
         if pred in program.intensional:
             raise DeclarationConflict(pred, "intensional predicate given as input")
-    relations = base.copy()
+    relations = base.overlay()
     saturate(program, relations, max_derived)
     out = Relations()
     for pred in sorted(program.intensional):
@@ -318,7 +312,6 @@ def saturate(
     relations: Relations,
     max_derived: int = DEFAULT_FACT_LIMIT,
     delta: dict[str, Collection[tuple]] | None = None,
-    saturated: int = 0,
 ) -> None:
     """Add the program's perfect model to ``relations``, taking the rows it
     holds as facts, at their declared arities: rows of an intensional
@@ -326,12 +319,12 @@ def saturate(
     past ``max_derived`` derived rows.
 
     A caller that extends a model passes the rows it added as ``delta``
-    (per predicate, rows the store holds) and the count of leading strata
-    whose model of the other rows the store already holds, ``saturated``.
-    Those strata start their semi-naive rounds from the delta and the rows
-    earlier strata derive from it, skipping the naive round, which is sound
-    only when none of them reads negated a row the delta adds or derives
-    that could retract a row of that model; the later strata run naive.
+    (per predicate, rows the store holds): the store must hold the
+    program's model of its other rows. Each stratum then starts its
+    semi-naive rounds from the delta and the rows earlier strata derive
+    from it, skipping the naive round. That is sound only when no rule
+    reads negated a row the delta adds or derives that could retract a
+    row of that model.
     """
     for pred, arity in relations.arity.items():
         declared = program.pack.arity_of(pred)
@@ -340,24 +333,18 @@ def saturate(
 
     derived_total = 0
     # Per predicate, the rows new to the store in this call.
-    changed = {pred: list(rows) for pred, rows in (delta or {}).items()}
+    changed = None if delta is None else {pred: list(rows) for pred, rows in delta.items()}
     for stratum_index, planned in enumerate(program.strata):
         readers = program.readers[stratum_index]
         # A naive first round (no delta rows) reads everything known so far;
-        # in later rounds, and in the first round of a saturated stratum,
-        # one body atom ranges over the delta rows. Each firing is
-        # materialized before insertion so rows and index buckets stay
-        # stable while the kernel reads them.
-        if stratum_index < saturated:
-            inputs = program.inputs[stratum_index]
-            firings = [
-                (rule, position, rows)
-                for pred, rows in changed.items()
-                if rows
-                for rule, position in inputs.get(pred, ())
-            ]
-        else:
+        # in later rounds, and in every round of an extension, one body atom
+        # ranges over the delta rows. Each firing is materialized before
+        # insertion so rows and index buckets stay stable while the kernel
+        # reads them.
+        if changed is None:
             firings = [(rule, None, None) for rule in planned]
+        else:
+            firings = _firings(readers, changed)
         while firings:
             fresh: dict[str, list[tuple]] = {}
             for rule, position, rows in firings:
@@ -374,18 +361,23 @@ def saturate(
                         new.append(args)
                         derived_total += 1
             _check_budget(derived_total, max_derived)
-            if stratum_index + 1 < saturated:
+            if changed is not None:
                 for pred, rows in fresh.items():
                     changed.setdefault(pred, []).extend(rows)
-            firings = [
-                (rule, position, rows)
-                for pred, rows in fresh.items()
-                if rows
-                for rule, position in readers.get(pred, ())
-            ]
+            firings = _firings(readers, fresh)
         logger.debug(
             "stratum %d fixpoint: %d facts derived so far", stratum_index, derived_total
         )
+
+
+def _firings(readers: dict, rows_of: dict[str, list[tuple]]) -> list[tuple]:
+    """(rule, delta position, rows) for each reader of each predicate's rows."""
+    return [
+        (rule, position, rows)
+        for pred, rows in rows_of.items()
+        if rows
+        for rule, position in readers.get(pred, ())
+    ]
 
 
 def _check_budget(total: int, limit: int) -> None:

@@ -11,7 +11,7 @@ on first use and keeps them on the rule.
 """
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import NegationCycle, UnsafeRule
 from .rules import Atom, BodyItem, Comparison, Literal, Rule, RulePack, Var
@@ -25,7 +25,7 @@ PlanStep = tuple[int, tuple[int, ...], Least]
 
 
 class PlannedRule:
-    """A rule, its body order, and its positive current-stratum atoms.
+    """A rule and its body order.
 
     Each plan step is (body index, argument positions bound when the
     literal runs, minimum); a comparison's positions are empty, and the
@@ -33,16 +33,15 @@ class PlannedRule:
     rewrite. ``kernels`` holds the engine's compiled kernels per delta
     position, filled on first use and left out of pickles."""
 
-    __slots__ = ("rule", "plan", "recursive", "kernels")
+    __slots__ = ("rule", "plan", "kernels")
 
-    def __init__(self, rule: Rule, plan: tuple[PlanStep, ...], recursive: tuple[int, ...]):
+    def __init__(self, rule: Rule, plan: tuple[PlanStep, ...]):
         self.rule = rule
         self.plan = plan
-        self.recursive = recursive
         self.kernels: dict = {}
 
     def __reduce__(self):
-        return PlannedRule, (self.rule, self.plan, self.recursive)
+        return PlannedRule, (self.rule, self.plan)
 
 
 @dataclass(frozen=True)
@@ -51,21 +50,11 @@ class StratifiedProgram:
 
     pack: RulePack
     strata: tuple[tuple[PlannedRule, ...], ...]
-    # Per stratum, each predicate's delta readers: (rule, body index).
+    # Per stratum, each predicate's readers at every positive body atom:
+    # (rule, body index). A round derives rows of the stratum's own
+    # predicates, read there at its recursive atoms; a delta enters anywhere.
     readers: tuple[dict[str, list[tuple[PlannedRule, int]]], ...]
     intensional: frozenset[str]
-    # Per stratum, each predicate's readers at every positive body atom,
-    # recursive or not: where rows given as a delta enter the stratum.
-    inputs: tuple[dict[str, list[tuple[PlannedRule, int]]], ...]
-
-    def prefix(self, count: int) -> "StratifiedProgram":
-        """The program's first ``count`` strata."""
-        return replace(
-            self,
-            strata=self.strata[:count],
-            readers=self.readers[:count],
-            inputs=self.inputs[:count],
-        )
 
 
 def stratify(pack: RulePack) -> StratifiedProgram:
@@ -107,27 +96,19 @@ def stratify(pack: RulePack) -> StratifiedProgram:
     strata: list[list[Rule]] = [[] for _ in range(height)]
     for rule in pack.rules:
         strata[pred_level[rule.head.predicate]].append(rule)
-    planned = tuple(
-        tuple(plan_rule(rule, {r.head.predicate for r in group}) for rule in group)
-        for group in strata
-    )
+    planned = tuple(tuple(plan_rule(rule) for rule in group) for group in strata)
     readers: list[dict[str, list[tuple[PlannedRule, int]]]] = []
-    inputs: list[dict[str, list[tuple[PlannedRule, int]]]] = []
     for group in planned:
         readers.append({})
-        inputs.append({})
         for rule in group:
-            for i in rule.recursive:
-                readers[-1].setdefault(rule.rule.body[i].atom.predicate, []).append((rule, i))
             for i, item in enumerate(rule.rule.body):
                 if isinstance(item, Literal) and not item.negated:
-                    inputs[-1].setdefault(item.atom.predicate, []).append((rule, i))
+                    readers[-1].setdefault(item.atom.predicate, []).append((rule, i))
     return StratifiedProgram(
         pack=pack,
         strata=planned,
         readers=tuple(readers),
         intensional=frozenset(pack.intensional()),
-        inputs=tuple(inputs),
     )
 
 
@@ -192,12 +173,11 @@ def variable_uses(rule: Rule) -> Counter:
     return Counter(term.name for term in terms if isinstance(term, Var))
 
 
-def plan_rule(rule: Rule, local: set[str]) -> PlannedRule:
+def plan_rule(rule: Rule) -> PlannedRule:
     """Order body items for evaluation: each positive atom in written order,
     with comparisons and negations placed as soon as their variables bind.
     Each literal records the argument positions bound when it runs: its
-    constants and the variables earlier items bind. Positive atoms over
-    ``local`` predicates are the recursive positions. Raises UnsafeRule when
+    constants and the variables earlier items bind. Raises UnsafeRule when
     a comparison or negation variable never binds.
 
     A positive atom is marked to read a minimum index (see
@@ -266,9 +246,4 @@ def plan_rule(rule: Rule, local: set[str]) -> PlannedRule:
     for _i, item in pending:
         needs = item.atom.variables() if isinstance(item, Literal) else item.variables()
         raise UnsafeRule(str(rule), min(needs - bound))
-    recursive = tuple(
-        i
-        for i, item in enumerate(rule.body)
-        if isinstance(item, Literal) and not item.negated and item.atom.predicate in local
-    )
-    return PlannedRule(rule, tuple(plan), recursive)
+    return PlannedRule(rule, tuple(plan))

@@ -21,16 +21,17 @@ A problem seeds a ``Relations`` store with rows: its init atoms, each as
 a row of its own predicate, and one type row per object and parameter type
 it belongs to, found by walking the object's type chain once.
 ``state.build_problem`` builds every problem on its bundle's static world
-(``state.StaticWorld``, checked when the assets load). The world's seed
-holds the rows of the world's atoms, its objects and the domain's
-constants, and is saturated under the program once per world, on the
-first grounding. Grounding a problem on the world reads that model through
-an overlay, adds only the problem's own rows, and extends the model from
-them (semi-naive rounds from those rows only), so the per-problem work does
-not grow with the world. A problem without a world, such as a hand-made
-one, is seeded from an empty store and saturated from scratch. The task is
-decoded from the fluent and applicability rows; no fact objects are built
-on the way.
+(``state.StaticWorld``, checked when the assets load). The world's model
+is a store of the rows of the world's atoms, its objects and the domain's
+constants, saturated under the program once per world, on the first
+grounding. Grounding a problem on the world reads that model through an
+overlay, adds only the problem's own rows, and extends the model from them
+as a delta (every stratum's semi-naive rounds start from those rows), so
+the per-problem work does not grow with the world. A problem whose own
+rows reach a static predicate that some rule reads negated, or a problem
+without a world, such as a hand-made one, is seeded from an empty store
+and saturated from scratch. The task is decoded from the fluent and
+applicability rows; no fact objects are built on the way.
 
 A goal is a set of ground atoms that must all hold, so the task keeps it as
 one mask. A goal atom that cannot hold in any state, a fluent one outside
@@ -202,8 +203,8 @@ class Exploration:
     # applicability predicate -> (schema index, disjunct or 0, fluent pre+,
     # fluent pre-); static literals hold wherever the predicate has a row
     actions: dict[str, tuple[int, int, list[FAtom], list[FAtom]]]
-    # per stratum, the static predicates its rules read negated
-    negated: tuple[frozenset[str], ...]
+    # the static predicates some rule reads negated
+    negated: frozenset[str]
 
 
 def explore_domain(domain: DomainModel) -> Exploration:
@@ -220,6 +221,7 @@ def explore_domain(domain: DomainModel) -> Exploration:
     static = set(domain.predicates) - set(arity)
     rules: list[Rule] = []
     actions = {}
+    negated: set[str] = set()
     for index, schema in enumerate(domain.actions):
         params = tuple(p.name for p in schema.parameters)
         typing = [FAtom(TYPE.format(p.type), (p.name,)) for p in schema.parameters]
@@ -237,6 +239,7 @@ def explore_domain(domain: DomainModel) -> Exploration:
             head = _atom(FAtom(f"applicable {index} {d_index}", params))
             body = [Literal(_atom(a)) for a in (*positive, *typing)]
             body += [Literal(_atom(a), negated=True) for a in negative if a.predicate in static]
+            negated.update(a.predicate for a in negative if a.predicate in static)
             guards = [_guard(f"{head.predicate} clash {g}", schema, u) for g, u in enumerate(unifiers)]
             rules += [guard for guard, _ in guards]
             body += [negation for _, negation in guards]
@@ -249,21 +252,12 @@ def explore_domain(domain: DomainModel) -> Exploration:
                 [atom for atom in positive if atom.predicate in arity],
                 [atom for atom in negative if atom.predicate in arity],
             )
-    program = stratify(rule_pack(rules))
     return Exploration(
-        program=program,
+        program=stratify(rule_pack(rules)),
         fluents=frozenset(arity),
         types={p.type: TYPE.format(p.type) for s in domain.actions for p in s.parameters},
         actions=actions,
-        negated=tuple(
-            frozenset(
-                item.atom.predicate
-                for planned in stratum
-                for item in planned.rule.body
-                if isinstance(item, Literal) and item.negated and item.atom.predicate in static
-            )
-            for stratum in program.strata
-        ),
+        negated=frozenset(negated),
     )
 
 
@@ -343,10 +337,11 @@ def ground_task(
     A problem built on a static world for this domain reads the world's
     model, saturated once per world, through an overlay, adds only the rows
     the world lacks, and extends the model from them. Rows a problem adds
-    to a static predicate that some stratum reads negated could retract a
-    row of that model, so from the first such stratum on, the model is
-    rebuilt. Other problems are seeded from an empty store. The world's
-    derived rows count against the budget as if each call had derived them.
+    to a static predicate that some rule reads negated could retract a row
+    of that model, so such a problem, like one without a world, is seeded
+    from an empty store; the guard rows a problem's objects derive name
+    those objects and retract nothing. The world's derived rows count
+    against the budget as if each call had derived them.
 
     Raises ArityConflict when the init uses a predicate at two arities, or
     at another arity than the program's rules, and GroundingExplosion when the
@@ -356,22 +351,20 @@ def ground_task(
     exploration = domain.exploration
     world = problem.world
     try:
-        if world is not None and world.domain is domain:
-            own, objects = problem.init.own, problem.objects.maps[0]
-            touched = {pred for pred, _ in own}
-            saturated = next(
-                (i for i, negated in enumerate(exploration.negated) if negated & touched),
-                len(exploration.negated),
-            )
-            model, derived = world.saturated(saturated)
+        if (
+            world is not None
+            and world.domain is domain
+            and exploration.negated.isdisjoint(pred for pred, _ in problem.init.own)
+        ):
+            model, derived = world.model
             relations = model.overlay()
+            delta = add_rows(relations, domain, problem.init.own, problem.objects.maps[0])
         else:
-            relations, saturated, derived = Relations(), 0, 0
-            own, objects = problem.init, {**domain.constants, **problem.objects}
-        delta = add_rows(relations, domain, own, objects)
+            relations, derived, delta = Relations(), 0, None
+            add_rows(relations, domain, problem.init, {**domain.constants, **problem.objects})
         if derived > max_ground_actions:
             raise ResourceLimit(max_ground_actions)
-        saturate(exploration.program, relations, max_ground_actions - derived, delta, saturated)
+        saturate(exploration.program, relations, max_ground_actions - derived, delta)
     except ResourceLimit as exc:
         raise GroundingExplosion(max_ground_actions) from exc
 

@@ -11,17 +11,18 @@ A problem has two parts. The static world (``StaticWorld``) holds the
 capability atoms and the objects of the template and of those atoms,
 checked against the domain once: ``HuntAssets.load`` builds it, so a table
 that fails the checks is rejected at load, and every sample and hypothesis
-of the bundle shares it. Its grounding seed, and the seed's model under the
-domain's exploration program, are built on the first grounding. Per
-hypothesis, ``build_problem`` checks and types only the mapped atoms the
-world lacks, on top of the world's objects, and the problem's init and
-objects read the world's through views instead of copying them.
+of the bundle shares it. Its model, the store of its grounding rows
+saturated under the domain's exploration program, is built on the first
+grounding. Per hypothesis, ``build_problem`` checks and types only the
+mapped atoms the world lacks, on top of the world's objects, and the
+problem's init and objects read the world's through views instead of
+copying them.
 """
 
 import re
 from collections import ChainMap
 from collections.abc import MutableMapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import InputError, MalformedRecord, UnmappedPredicate
@@ -156,27 +157,30 @@ class MappingTable:
 
 
 def load_mapping_table(text: str) -> MappingTable:
+    """Parse ``pred/arity (name $i ...)`` and ``ignore pred/arity`` lines;
+    a second line for one predicate/arity raises MalformedRecord."""
     entries: dict[tuple[str, int], tuple[str, tuple[int, ...]]] = {}
     ignored: set[tuple[str, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        match = _IGNORE_RE.match(line)
-        if match:
-            ignored.add((match.group("pred"), int(match.group("arity"))))
-            continue
-        match = _ENTRY_RE.match(line)
+        match = _IGNORE_RE.match(line) or _ENTRY_RE.match(line)
         if match is None:
             raise MalformedRecord(lineno, f"bad mapping line: {line!r}")
+        key = (match.group("pred"), int(match.group("arity")))
+        if key in entries or key in ignored:
+            raise MalformedRecord(lineno, f"second line for {key[0]}/{key[1]}")
+        if match.re is _IGNORE_RE:
+            ignored.add(key)
+            continue
         template = _TEMPLATE_RE.match(match.group("template"))
         if template is None:
             raise MalformedRecord(lineno, f"bad atom template: {match.group('template')!r}")
-        arity = int(match.group("arity"))
         slots = tuple(int(s[1:]) for s in template.group("slots").split())
-        if any(s < 1 or s > arity for s in slots):
+        if any(s < 1 or s > key[1] for s in slots):
             raise MalformedRecord(lineno, "template slot out of range")
-        entries[(match.group("pred"), arity)] = (template.group("name"), slots)
+        entries[key] = (template.group("name"), slots)
     return MappingTable(entries=entries, ignored=frozenset(ignored))
 
 
@@ -244,10 +248,6 @@ class StaticWorld:
     domain: DomainModel
     atoms: frozenset[GroundAtom]
     objects: dict[str, str]
-    # strata count -> the seed's model under that many strata, and its size
-    _models: dict[int, tuple[Relations, int]] = field(
-        default_factory=dict, init=False, repr=False
-    )
 
     @classmethod
     def build(cls, domain: DomainModel, capabilities: CapabilityTable) -> "StaticWorld":
@@ -264,25 +264,17 @@ class StaticWorld:
         return cls(domain, atoms, objects)
 
     @cached_property
-    def seed(self) -> Relations:
-        """The grounding store's rows for the world: its atoms, and the
-        type rows of its objects and the domain's constants. Built on the
-        first grounding, since it needs the domain's exploration program."""
-        seed = Relations()
-        add_rows(seed, self.domain, self.atoms, {**self.domain.constants, **self.objects})
-        return seed
-
-    def saturated(self, strata: int) -> tuple[Relations, int]:
-        """The seed with the model of the first ``strata`` strata of the
-        domain's exploration program, and the count of rows that model
-        derives; built once per count, on the first grounding that needs
-        it. Raises ResourceLimit past ``DEFAULT_ACTION_LIMIT`` rows."""
-        model = self._models.get(strata)
-        if model is None:
-            store = self.seed.copy()
-            saturate(self.domain.exploration.program.prefix(strata), store, DEFAULT_ACTION_LIMIT)
-            model = self._models[strata] = store, len(store) - len(self.seed)
-        return model
+    def model(self) -> tuple[Relations, int]:
+        """The grounding store of the world's rows (its atoms, and the type
+        rows of its objects and the domain's constants) with their model
+        under the domain's exploration program, and the count of rows that
+        model derives. Built on the first grounding, since it needs the
+        program. Raises ResourceLimit past ``DEFAULT_ACTION_LIMIT`` rows."""
+        store = Relations()
+        add_rows(store, self.domain, self.atoms, {**self.domain.constants, **self.objects})
+        given = len(store)
+        saturate(self.domain.exploration.program, store, DEFAULT_ACTION_LIMIT)
+        return store, len(store) - given
 
 
 def build_problem(

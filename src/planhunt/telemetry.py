@@ -9,7 +9,7 @@ Two input layouts are supported:
   supplied key=value mapping file. Mapping keys ``ts, syscall, pid`` are
   required; ``tid, object, mode, ret`` are optional per-event columns;
   ``permissions, intents, sample_id`` name columns read from the first data
-  row (list cells are ``;``-separated).
+  row (list cells are ``;``-separated). Any other key raises MalformedRecord.
 
 Both layouts, and the column mapping file, must be UTF-8: a file that is
 not raises MalformedRecord on the line of its first undecodable byte.
@@ -243,6 +243,10 @@ def _event_from_mapping(record: dict, lineno: int, normalize) -> TelemetryEvent:
         raise MalformedRecord(lineno, str(exc)) from exc
 
 
+_EVENT_KEYS = ("ts", "syscall", "pid", "tid", "object", "mode", "ret")
+_COLUMN_KEYS = (*_EVENT_KEYS, "permissions", "intents", "sample_id")
+
+
 def _load_csv(path: Path, column_map: str | Path | None) -> SampleRecord:
     map_path = Path(column_map) if column_map else path.with_suffix(".colmap")
     if not map_path.is_file():
@@ -255,7 +259,10 @@ def _load_csv(path: Path, column_map: str | Path | None) -> SampleRecord:
         if "=" not in line:
             raise MalformedRecord(lineno, f"column map line has no '=': {line!r}")
         key, _, value = line.partition("=")
-        mapping[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _COLUMN_KEYS:
+            raise MalformedRecord(lineno, f"unknown column map key {key!r}")
+        mapping[key] = value.strip()
     for required in ("ts", "syscall", "pid"):
         if required not in mapping:
             raise MalformedRecord(0, f"column map missing required key {required!r}")
@@ -273,7 +280,7 @@ def _load_csv(path: Path, column_map: str | Path | None) -> SampleRecord:
             raise MalformedRecord(1, f"mapped column {column!r} not in header")
     for rowno, row in enumerate(reader, start=2):
         record: dict[str, object] = {"type": "event"}
-        for key in ("ts", "syscall", "pid", "tid", "object", "mode", "ret"):
+        for key in _EVENT_KEYS:
             column = mapping.get(key)
             if column is not None and row.get(column, "") != "":
                 record[key] = row[column]

@@ -100,11 +100,16 @@ class TestMappingTable:
             "exploited/1 (Exploited $1)",
             "exploited/1 (exploited $2)",
             "exploited (exploited $1)",
+            # A second line for one predicate/arity would silently win.
+            "exploited/1 (exploited $1)\nexploited/1 (pwned $1)",
+            "exploited/1 (exploited $1)\nignore exploited/1",
+            "ignore exploited/1\nexploited/1 (exploited $1)",
         ],
     )
     def test_malformed_lines(self, line):
-        with pytest.raises(MalformedRecord):
+        with pytest.raises(MalformedRecord) as err:
             load_mapping_table(line + "\n")
+        assert err.value.line == line.count("\n") + 1
 
     def test_integer_arguments_become_strings(self):
         table = load_mapping_table("hits/2 (hits $1 $2)\n")

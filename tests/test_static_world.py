@@ -285,10 +285,10 @@ def test_pickled_assets_keep_their_world(tmp_path):
     config = HuntConfig(confirm=True)
     sample = load_sample(CORPUS_DIR / "pivot_demo.jsonl")
     report = report_to_json(identify_threats(sample, assets, config), include_wall_time=False)
-    assert "seed" in vars(assets.world)  # the first grounding built the seed
+    assert "model" in vars(assets.world)  # the first grounding built the model
 
     copy = pickle.loads(pickle.dumps(assets))
-    assert copy.world.domain is copy.domain  # so grounding starts from the seed
+    assert copy.world.domain is copy.domain  # so grounding extends the model
     assert report_to_json(identify_threats(sample, copy, config), include_wall_time=False) == report
     for task, original in zip(corpus_tasks(copy), corpus_tasks(assets), strict=True):
         assert_same_task(task, original)

@@ -192,6 +192,15 @@ class TestCsvLoading:
         with pytest.raises(MalformedRecord):
             load_sample(path)
 
+    def test_colmap_unknown_key(self, tmp_path):
+        # A misspelled key would leave its column unread and the events
+        # without that field.
+        colmap = "ts=time\nsyscall=call\npid=proc\n# object\nobjct=target\n"
+        path = self.write_csv(tmp_path, "time,call,proc,target\n1,mmap,p1,file\n", colmap)
+        with pytest.raises(MalformedRecord) as err:
+            load_sample(path)
+        assert (err.value.line, err.value.reason) == (5, "unknown column map key 'objct'")
+
     def test_non_utf8_csv_row(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"time,call,proc\n1,mmap,p1\n2,re\xffad,p1\n")
