@@ -37,12 +37,13 @@ from .telemetry import SampleRecord, load_sample
 
 logger = logging.getLogger(__name__)
 
+# Per-file asset override flag -> (bundled file it replaces, help)
 _OVERRIDE_FLAGS = {
-    "domain": defaults.DOMAIN_FILE,
-    "rules": defaults.RULES_FILE,
-    "capabilities": defaults.CAPABILITIES_FILE,
-    "state_map": defaults.STATE_MAP_FILE,
-    "indicator_map": defaults.INDICATOR_MAP_FILE,
+    "--domain": (defaults.DOMAIN_FILE, "PDDL domain override"),
+    "--rules": (defaults.RULES_FILE, "rule pack override"),
+    "--capabilities": (defaults.CAPABILITIES_FILE, "capability table override"),
+    "--state-map": (defaults.STATE_MAP_FILE, "state mapping override"),
+    "--indicator-map": (defaults.INDICATOR_MAP_FILE, "indicator map override"),
 }
 
 
@@ -52,11 +53,8 @@ def _asset_args(parser: argparse.ArgumentParser) -> None:
         "--assets", type=Path, metavar="DIR",
         help="directory replacing the bundled asset set",
     )
-    group.add_argument("--domain", type=Path, help="PDDL domain override")
-    group.add_argument("--rules", type=Path, help="rule pack override")
-    group.add_argument("--capabilities", type=Path, help="capability table override")
-    group.add_argument("--state-map", type=Path, help="state mapping override")
-    group.add_argument("--indicator-map", type=Path, help="indicator map override")
+    for flag, (_, text) in _OVERRIDE_FLAGS.items():
+        group.add_argument(flag, type=Path, help=text)
     group.add_argument(
         "--strict-domain", action="store_true",
         help="drop the extended producer actions from the domain",
@@ -82,8 +80,8 @@ def _limit_args(parser: argparse.ArgumentParser) -> None:
 
 def _overrides(args: argparse.Namespace) -> dict[str, Path]:
     out: dict[str, Path] = {}
-    for attr, filename in _OVERRIDE_FLAGS.items():
-        value = getattr(args, attr, None)
+    for flag, (filename, _) in _OVERRIDE_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
             out[filename] = value
     return out
@@ -179,11 +177,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     sample = _sample(args)
     hypothesis = _hypothesis(args.hypothesis)
     task = hypothesis_task(infer_facts(sample, assets), assets, hypothesis)
-    text = defaults.read_input(args.plan_file).read()
-    try:
-        plan = parse_plan_text(task, text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    with defaults.naming(args.plan_file):
+        plan = parse_plan_text(task, defaults.read_input(args.plan_file).read())
     result = validate_plan(task, plan)
     if result.ok:
         print(f"valid: {len(plan.steps)} steps, cost {plan.cost}")
@@ -315,11 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    level = logging.WARNING
-    if args.verbose == 1:
-        level = logging.INFO
-    elif args.verbose >= 2:
-        level = logging.DEBUG
+    level = (logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)]
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)

@@ -5,10 +5,12 @@ state mapping, indicator map, and a small demo corpus under
 ``planhunt/assets/``. ``HuntAssets.load`` decides which copy of each asset
 loads: a per-file override, else the file of that name in an ``--assets``
 directory, else the bundled one. No environment variable changes that.
-Every input file, sample or asset, is decoded by ``read_input``.
+Every input file, sample or asset, is decoded by ``read_input``, and an
+error in one names it through ``naming``.
 """
 
 import io
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import InputError, MalformedRecord
@@ -23,6 +25,8 @@ __all__ = [
     "BUNDLE",
     "EXTENDED_ACTIONS",
     "read_input",
+    "naming",
+    "table_lines",
     "asset_text",
     "sample_files",
     "corpus_paths",
@@ -53,6 +57,26 @@ def read_input(path: Path, newline: str | None = None) -> io.StringIO:
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise MalformedRecord(line, "not valid UTF-8") from None
     return io.StringIO(text, newline=newline)
+
+
+@contextmanager
+def naming(path: Path | str):
+    """A block that reads one file: an InputError raised in it gets the
+    file's path in front of its message, and keeps its type and attributes."""
+    try:
+        yield
+    except InputError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def table_lines(text: str):
+    """(line number, line) for each line of an asset table that holds more
+    than a ``#`` comment, with the comment and surrounding blanks cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def asset_text(name: str) -> str:

@@ -22,6 +22,16 @@ class InputError(PlanHuntError):
     """Bad user input: malformed files, inconsistent declarations, bad flags."""
 
 
+class PositionedSyntaxError(InputError):
+    """Lex or parse failure in a text; carries line and column."""
+
+    def __init__(self, line: int, col: int, reason: str):
+        self.line = line
+        self.col = col
+        self.reason = reason
+        super().__init__(f"line {line}, col {col}: {reason}")
+
+
 # --- telemetry ---------------------------------------------------------------
 
 class MalformedRecord(InputError):
@@ -48,14 +58,8 @@ class ArityConflict(InputError):
 
 # --- rule language ------------------------------------------------------------
 
-class RuleSyntaxError(InputError):
-    """Lex or parse failure in rule/fact text; carries line and column."""
-
-    def __init__(self, line: int, col: int, reason: str):
-        self.line = line
-        self.col = col
-        self.reason = reason
-        super().__init__(f"line {line}, col {col}: {reason}")
+class RuleSyntaxError(PositionedSyntaxError):
+    """Lex or parse failure in rule/fact text."""
 
 
 class UnsafeRule(InputError):
@@ -94,7 +98,8 @@ class NegationCycle(InputError):
 
 
 class ResourceLimit(PlanHuntError):
-    """Derived-fact count exceeded the evaluation budget."""
+    """A count budget ran out: the facts a rule program derives, in
+    inference or in grounding, where each ground action is one of them."""
 
     def __init__(self, limit: int):
         self.limit = limit
@@ -107,14 +112,8 @@ class ComparisonTypeError(InputError):
 
 # --- planning model -----------------------------------------------------------
 
-class PddlSyntaxError(InputError):
-    """Lex or structural failure in a PDDL file; carries line and column."""
-
-    def __init__(self, line: int, col: int, reason: str):
-        self.line = line
-        self.col = col
-        self.reason = reason
-        super().__init__(f"line {line}, col {col}: {reason}")
+class PddlSyntaxError(PositionedSyntaxError):
+    """Lex or structural failure in a PDDL file."""
 
 
 class UnsupportedRequirement(InputError):
@@ -155,14 +154,6 @@ class UnmappedPredicate(InputError):
         super().__init__(
             f"derived predicate {predicate!r} has no initial-state mapping"
         )
-
-
-class GroundingExplosion(PlanHuntError):
-    """Candidate ground-action count exceeded the grounding budget."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        super().__init__(f"ground-action limit exceeded ({limit})")
 
 
 # --- hunt ---------------------------------------------------------------------

@@ -25,7 +25,6 @@ from pathlib import Path
 from . import defaults
 from .errors import (
     DuplicateSampleId,
-    GroundingExplosion,
     InputError,
     MalformedRecord,
     PlanHuntError,
@@ -105,10 +104,7 @@ class IndicatorSpec:
 def parse_indicator_map(text: str) -> tuple[IndicatorSpec, ...]:
     """Parse ``action[@disjunct] kind key=value ...`` lines."""
     specs: list[IndicatorSpec] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in defaults.table_lines(text):
         parts = line.split()
         if len(parts) < 2:
             raise MalformedRecord(lineno, "need action and kind")
@@ -331,7 +327,6 @@ class HuntAssets:
     """Everything the pipeline needs besides the sample itself."""
 
     domain: DomainModel
-    pack: RulePack
     program: StratifiedProgram
     # cve -> its syscall-pattern indicators' patterns text; see cve_patterns.
     patterns: dict[str, str]
@@ -364,10 +359,8 @@ class HuntAssets:
 
         def parsed(name: str, parse):
             path = overrides.get(name) or (root / name if root else None)
-            try:
+            with defaults.naming(path or name):
                 return parse(defaults.read_input(Path(path or defaults.BUNDLE / name)).read())
-            except InputError as exc:
-                raise InputError(f"{path or name}: {exc}") from exc
 
         domain = parsed(defaults.DOMAIN_FILE, parse_domain)
         specs = parsed(defaults.INDICATOR_MAP_FILE, parse_indicator_map)
@@ -383,7 +376,6 @@ class HuntAssets:
         capabilities, world = parsed(defaults.CAPABILITIES_FILE, table_and_world)
         return cls(
             domain=domain,
-            pack=pack,
             program=stratify(pack),
             patterns=cve_patterns(pack),
             capabilities=capabilities,
@@ -462,7 +454,7 @@ def identify_threats(
         facts = infer_facts(sample, assets)
     except ResourceLimit:
         facts = None
-    flagged = unknown_tokens(sample, assets.pack.token_table)
+    flagged = unknown_tokens(sample, assets.program.pack.token_table)
 
     findings: list[ThreatFinding] = []
     for hypothesis in default_catalog():
@@ -475,7 +467,7 @@ def identify_threats(
             limits = replace(config.limits, wall_time=min(config.limits.wall_time, remaining))
             try:
                 task, planset = hypothesis_plans(facts, assets, hypothesis, limits)
-            except GroundingExplosion:
+            except ResourceLimit:
                 planner_status = "truncated_limit"
             else:
                 findings.append(_finding_from_planset(
@@ -611,40 +603,25 @@ class BatchSummary:
     samples: int
     detected: int
     timed_out: int
-    clean: int
     # (file name, message) per sample that could not be hunted, in path order.
     failures: tuple[tuple[str, str], ...] = ()
 
 
 def aggregate(reports: list[HuntReport]) -> BatchSummary:
-    order: list[tuple[str, str]] = []
-    samples_with: dict[tuple[str, str], int] = {}
-    plan_totals: dict[tuple[str, str], int] = {}
+    # (threat, mechanism) -> (samples, plans), in order of first appearance
+    cells: dict[tuple[str, str], tuple[int, int]] = {}
     for report in reports:
-        for finding in report.findings:
-            key = (finding.threat, finding.mechanism)
-            if key not in samples_with:
-                order.append(key)
-                samples_with[key] = 0
-                plan_totals[key] = 0
-            if finding.status == STATUS_POSSIBLE:
-                samples_with[key] += 1
-            plan_totals[key] += len(finding.plans)
-    detected = sum(1 for r in reports if r.possible_threats)
-    timed_out = sum(
-        1
-        for r in reports
-        if any(f.status == STATUS_TIMED_OUT for f in r.findings)
-    )
+        for f in report.findings:
+            samples, plans = cells.get((f.threat, f.mechanism), (0, 0))
+            cells[f.threat, f.mechanism] = (
+                samples + (f.status == STATUS_POSSIBLE), plans + len(f.plans))
     return BatchSummary(
-        cells=tuple(
-            (threat, mechanism, samples_with[(threat, mechanism)], plan_totals[(threat, mechanism)])
-            for threat, mechanism in order
-        ),
+        cells=tuple((*key, *counts) for key, counts in cells.items()),
         samples=len(reports),
-        detected=detected,
-        timed_out=timed_out,
-        clean=len(reports) - detected,
+        detected=sum(1 for r in reports if r.possible_threats),
+        timed_out=sum(
+            1 for r in reports if any(f.status == STATUS_TIMED_OUT for f in r.findings)
+        ),
     )
 
 

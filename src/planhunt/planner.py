@@ -20,7 +20,9 @@ import heapq
 import time
 from dataclasses import dataclass
 
+from .errors import MalformedRecord
 from .planning_model.ground import GroundedTask
+from .planning_model.model import FAtom
 
 __all__ = [
     "Limits",
@@ -161,24 +163,14 @@ def validate_plan(task: GroundedTask, plan: Plan) -> ValidationResult:
         if index < 0 or index >= len(task.actions):
             raise ValueError(f"plan references unknown action index {index}")
         action = task.actions[index]
-        missing = action.pre_pos & ~state
-        if missing:
-            atom = _render_atom(task.atoms[_lowest_bit(missing)])
-            return ValidationResult(
-                False,
-                position,
-                f"step {position} ({action.name}): precondition "
-                f"{atom} not satisfied",
-            )
-        violated = action.pre_neg & state
-        if violated:
-            atom = _render_atom(task.atoms[_lowest_bit(violated)])
-            return ValidationResult(
-                False,
-                position,
-                f"step {position} ({action.name}): negative precondition "
-                f"(not {atom}) violated",
-            )
+        for unmet, problem in (
+            (action.pre_pos & ~state, "precondition {} not satisfied"),
+            (action.pre_neg & state, "negative precondition (not {}) violated"),
+        ):
+            if unmet:
+                atom = FAtom(*task.atoms[_lowest_bit(unmet)]).render()
+                reason = f"step {position} ({action.name}): " + problem.format(atom)
+                return ValidationResult(False, position, reason)
         state = (state & ~action.delete) | action.add
         total += action.cost
     if not task.satisfies_goal(state):
@@ -192,10 +184,6 @@ def validate_plan(task: GroundedTask, plan: Plan) -> ValidationResult:
 
 def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
-
-
-def _render_atom(atom: tuple[str, tuple[str, ...]]) -> str:
-    return "(" + " ".join((atom[0],) + atom[1]) + ")"
 
 
 # --- plan text ---------------------------------------------------------------------
@@ -212,7 +200,8 @@ def parse_plan_text(task: GroundedTask, text: str) -> Plan:
     """Parse plan text back into indices against ``task``.
 
     Step names are matched through the action-alias table, so underscored
-    renderings resolve to the same actions.
+    renderings resolve to the same actions. A line that is not a step of
+    ``task`` raises MalformedRecord.
     """
     from .planning_model.aliases import canonical_action_name
 
@@ -232,15 +221,15 @@ def parse_plan_text(task: GroundedTask, text: str) -> Plan:
                     pass
             continue
         if not (line.startswith("(") and line.endswith(")")):
-            raise ValueError(f"line {lineno}: expected (name args...)")
+            raise MalformedRecord(lineno, "expected (name args...)")
         parts = line[1:-1].split()
         if not parts:
-            raise ValueError(f"line {lineno}: empty step")
+            raise MalformedRecord(lineno, "empty step")
         name = canonical_action_name(parts[0].lower())
         args = tuple(p.lower() for p in parts[1:])
         index = task.find_action(name, args)
         if index is None:
-            raise ValueError(f"line {lineno}: unknown action ({name} {' '.join(args)})")
+            raise MalformedRecord(lineno, f"unknown action ({name} {' '.join(args)})")
         steps.append(index)
         total += task.actions[index].cost
     return Plan(steps=tuple(steps), cost=declared_cost if declared_cost is not None else total)

@@ -42,7 +42,7 @@ without a goal mask, and the planner answers ``no_plan`` without search.
 import logging
 from dataclasses import dataclass
 
-from ..errors import GroundingExplosion, ResourceLimit
+from ..errors import InputError, ResourceLimit
 from ..inference.engine import Relations, StratifiedProgram, saturate, stratify
 from ..inference.rules import Atom, Literal, Rule, Var, rule_pack
 from .model import DomainModel, FAnd, FAtom, FNot, FOr, Formula, GroundAtom, ProblemInstance
@@ -58,7 +58,8 @@ __all__ = [
 ]
 
 DEFAULT_ACTION_LIMIT = 10**6
-# DNF size guard: disjunct count per schema beyond this is a modeling error.
+# DNF size guard: disjunct count per schema beyond this is a modeling error,
+# which parse_domain reports at the action.
 MAX_DISJUNCTS = 64
 
 
@@ -77,9 +78,7 @@ class GroundAction:
     delete: int
 
     def render(self) -> str:
-        if self.args:
-            return f"({self.name} {' '.join(self.args)})"
-        return f"({self.name})"
+        return f"({' '.join((self.name, *self.args))})"
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,8 @@ class GroundedTask:
 
 
 def _dnf(formula: Formula) -> list[list[tuple[FAtom, bool]]]:
-    """Lifted DNF: a list of disjuncts, each a list of (atom, negated)."""
+    """Lifted DNF: a list of disjuncts, each a list of (atom, negated).
+    Raises InputError past ``MAX_DISJUNCTS`` disjuncts."""
     if isinstance(formula, FAtom):
         return [[(formula, False)]]
     if isinstance(formula, FNot):
@@ -167,22 +167,18 @@ def _dnf(formula: Formula) -> list[list[tuple[FAtom, bool]]]:
     if isinstance(formula, FAnd):
         disjuncts: list[list[tuple[FAtom, bool]]] = [[]]
         for part in formula.parts:
-            expanded = []
-            for left in disjuncts:
-                for right in _dnf(part):
-                    expanded.append(left + right)
-                    if len(expanded) > MAX_DISJUNCTS:
-                        raise GroundingExplosion(MAX_DISJUNCTS)
-            disjuncts = expanded
+            right = _dnf(part)
+            disjuncts = _capped([left + r for left in disjuncts for r in right])
         return disjuncts
     if isinstance(formula, FOr):
-        out: list[list[tuple[FAtom, bool]]] = []
-        for part in formula.parts:
-            out.extend(_dnf(part))
-            if len(out) > MAX_DISJUNCTS:
-                raise GroundingExplosion(MAX_DISJUNCTS)
-        return out
+        return _capped([d for part in formula.parts for d in _dnf(part)])
     raise TypeError(f"unknown formula node {formula!r}")
+
+
+def _capped(disjuncts: list) -> list:
+    if len(disjuncts) > MAX_DISJUNCTS:
+        raise InputError(f"precondition has more than {MAX_DISJUNCTS} disjuncts")
+    return disjuncts
 
 
 # --- grounding ---------------------------------------------------------------------
@@ -344,29 +340,26 @@ def ground_task(
     against the budget as if each call had derived them.
 
     Raises ArityConflict when the init uses a predicate at two arities, or
-    at another arity than the program's rules, and GroundingExplosion when the
+    at another arity than the program's rules, and ResourceLimit when the
     program derives more than ``max_ground_actions`` rows; each ground
     action is one of them.
     """
     exploration = domain.exploration
     world = problem.world
-    try:
-        if (
-            world is not None
-            and world.domain is domain
-            and exploration.negated.isdisjoint(pred for pred, _ in problem.init.own)
-        ):
-            model, derived = world.model
-            relations = model.overlay()
-            delta = add_rows(relations, domain, problem.init.own, problem.objects.maps[0])
-        else:
-            relations, derived, delta = Relations(), 0, None
-            add_rows(relations, domain, problem.init, {**domain.constants, **problem.objects})
-        if derived > max_ground_actions:
-            raise ResourceLimit(max_ground_actions)
-        saturate(exploration.program, relations, max_ground_actions - derived, delta)
-    except ResourceLimit as exc:
-        raise GroundingExplosion(max_ground_actions) from exc
+    if (
+        world is not None
+        and world.domain is domain
+        and exploration.negated.isdisjoint(pred for pred, _ in problem.init.own)
+    ):
+        model, derived = world.model
+        relations = model.overlay()
+        delta = add_rows(relations, domain, problem.init.own, problem.objects.maps[0])
+    else:
+        relations, derived, delta = Relations(), 0, None
+        add_rows(relations, domain, problem.init, {**domain.constants, **problem.objects})
+    if derived > max_ground_actions:
+        raise ResourceLimit(max_ground_actions)
+    saturate(exploration.program, relations, max_ground_actions - derived, delta)
 
     atoms = sorted((pred, args) for pred in exploration.fluents for args in relations.rows(pred))
     reachable = set(atoms)

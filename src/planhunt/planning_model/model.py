@@ -94,9 +94,7 @@ class FAtom(Formula):
     args: tuple[str, ...]  # parameter names ("?x") or object names
 
     def render(self) -> str:
-        if not self.args:
-            return f"({self.predicate})"
-        return f"({self.predicate} {' '.join(self.args)})"
+        return f"({' '.join((self.predicate, *self.args))})"
 
 
 @dataclass(frozen=True)

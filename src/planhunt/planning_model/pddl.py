@@ -4,7 +4,8 @@ Domains are read from PDDL text; problems are built in memory (see
 ``state.build_problem``) and only rendered, for ``plan --dump-problem``.
 Supported requirements: :strips :typing :negative-preconditions
 :disjunctive-preconditions :action-costs. Preconditions are and/or trees
-over literals with negation applied to atoms only; effects are add/delete
+over literals with negation applied to atoms only, with at most
+``ground.MAX_DISJUNCTS`` disjuncts in their DNF; effects are add/delete
 lists plus an optional constant (increase (total-cost) n). Symbols are
 case-insensitive and normalized to lowercase; ``;`` starts a comment.
 """
@@ -13,6 +14,7 @@ import re
 from dataclasses import dataclass
 
 from ..errors import (
+    InputError,
     PddlSyntaxError,
     UndeclaredObject,
     UndeclaredPredicate,
@@ -20,6 +22,7 @@ from ..errors import (
     UndeclaredVariable,
     UnsupportedRequirement,
 )
+from .ground import _dnf
 from .model import (
     ActionSchema,
     DomainModel,
@@ -246,6 +249,10 @@ def _parse_action(section, types, predicates, constants) -> ActionSchema:
         precondition = _parse_formula(
             fields[":precondition"], predicates, param_types, constants, types
         )
+        try:
+            _dnf(precondition)
+        except InputError as exc:
+            raise _err(section, f"action {name}: {exc}") from None
 
     add: list[FAtom] = []
     delete: list[FAtom] = []

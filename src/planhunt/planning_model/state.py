@@ -25,6 +25,7 @@ from collections.abc import MutableMapping
 from dataclasses import dataclass
 from functools import cached_property
 
+from ..defaults import table_lines
 from ..errors import InputError, MalformedRecord, UnmappedPredicate
 from ..inference.engine import Relations, saturate
 from ..telemetry import SampleRecord
@@ -96,11 +97,8 @@ def load_capability_table(text: str) -> CapabilityTable:
     are case-insensitive and normalized to lowercase, like PDDL symbols.
     """
     rows: list[CapabilityRow] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip().lower()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, line in table_lines(text):
+        parts = line.lower().split()
         if len(parts) != 4:
             raise MalformedRecord(lineno, f"expected 4 columns, got {len(parts)}")
         cve, capability, argument, origin = parts
@@ -113,13 +111,7 @@ def load_capability_table(text: str) -> CapabilityTable:
             raise MalformedRecord(lineno, f"{capability} needs an argument")
         if origin not in SOURCES:
             raise MalformedRecord(lineno, f"unknown source {origin!r}")
-        rows.append(
-            CapabilityRow(
-                cve=cve,
-                capability=capability,
-                argument=None if argument == "-" else argument,
-            )
-        )
+        rows.append(CapabilityRow(cve, capability, None if argument == "-" else argument))
     return CapabilityTable(rows=tuple(rows))
 
 
@@ -161,10 +153,7 @@ def load_mapping_table(text: str) -> MappingTable:
     a second line for one predicate/arity raises MalformedRecord."""
     entries: dict[tuple[str, int], tuple[str, tuple[int, ...]]] = {}
     ignored: set[tuple[str, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in table_lines(text):
         match = _IGNORE_RE.match(line) or _ENTRY_RE.match(line)
         if match is None:
             raise MalformedRecord(lineno, f"bad mapping line: {line!r}")

@@ -9,7 +9,8 @@ Two input layouts are supported:
   supplied key=value mapping file. Mapping keys ``ts, syscall, pid`` are
   required; ``tid, object, mode, ret`` are optional per-event columns;
   ``permissions, intents, sample_id`` name columns read from the first data
-  row (list cells are ``;``-separated). Any other key raises MalformedRecord.
+  row (list cells are ``;``-separated). Any other key raises MalformedRecord,
+  and so does a row with more or fewer cells than the header.
 
 Both layouts, and the column mapping file, must be UTF-8: a file that is
 not raises MalformedRecord on the line of its first undecodable byte.
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .defaults import read_input
-from .errors import MalformedRecord
+from .defaults import naming, read_input
+from .errors import InputError, MalformedRecord
 from .inference.engine import Fact, Relations
 from .vocab import (
     APP,
@@ -131,14 +132,22 @@ def load_sample(path: str | Path, column_map: str | Path | None = None) -> Sampl
 
     CSV files need a column mapping: either pass ``column_map`` or place a
     ``<stem>.colmap`` file next to the CSV. Raises FileNotFoundError for a
-    missing file and MalformedRecord for records that cannot be normalized.
+    missing file and MalformedRecord for records that cannot be normalized;
+    an error in a file starts with that file's path.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(str(path))
     if path.suffix.lower() == ".csv":
-        return _load_csv(path, column_map)
-    return _load_jsonl(path)
+        map_path = Path(column_map) if column_map else path.with_suffix(".colmap")
+        if not map_path.is_file():
+            raise FileNotFoundError(str(map_path))
+        with naming(map_path):
+            mapping = _column_map(map_path)
+        with naming(path):
+            return _load_csv(path, mapping)
+    with naming(path):
+        return _load_jsonl(path)
 
 
 def _load_jsonl(path: Path) -> SampleRecord:
@@ -247,10 +256,7 @@ _EVENT_KEYS = ("ts", "syscall", "pid", "tid", "object", "mode", "ret")
 _COLUMN_KEYS = (*_EVENT_KEYS, "permissions", "intents", "sample_id")
 
 
-def _load_csv(path: Path, column_map: str | Path | None) -> SampleRecord:
-    map_path = Path(column_map) if column_map else path.with_suffix(".colmap")
-    if not map_path.is_file():
-        raise FileNotFoundError(str(map_path))
+def _column_map(map_path: Path) -> dict[str, str]:
     mapping: dict[str, str] = {}
     for lineno, raw in enumerate(read_input(map_path), start=1):
         line = raw.strip()
@@ -265,8 +271,11 @@ def _load_csv(path: Path, column_map: str | Path | None) -> SampleRecord:
         mapping[key] = value.strip()
     for required in ("ts", "syscall", "pid"):
         if required not in mapping:
-            raise MalformedRecord(0, f"column map missing required key {required!r}")
+            raise InputError(f"column map missing required key {required!r}")
+    return mapping
 
+
+def _load_csv(path: Path, mapping: dict[str, str]) -> SampleRecord:
     events: list[TelemetryEvent] = []
     permissions: list[str] = []
     intents: list[str] = []
@@ -278,7 +287,11 @@ def _load_csv(path: Path, column_map: str | Path | None) -> SampleRecord:
     for key, column in mapping.items():
         if column not in reader.fieldnames:
             raise MalformedRecord(1, f"mapped column {column!r} not in header")
+    width = len(reader.fieldnames)
     for rowno, row in enumerate(reader, start=2):
+        # csv keys a long row's extra cells by None and fills a short row with None.
+        if None in row or None in row.values():
+            raise MalformedRecord(rowno, f"row does not have the header's {width} cells")
         record: dict[str, object] = {"type": "event"}
         for key in _EVENT_KEYS:
             column = mapping.get(key)

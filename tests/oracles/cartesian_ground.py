@@ -11,7 +11,7 @@ init, goal, masks and action order.
 
 import itertools
 
-from planhunt.errors import GroundingExplosion
+from planhunt.errors import ResourceLimit
 from planhunt.planning_model.ground import GroundedTask, _dnf
 from planhunt.planning_model.model import DomainModel, FAtom, GroundAtom, ProblemInstance
 
@@ -45,7 +45,7 @@ def ground_task(
             combos *= len(pool)
         budget += combos * len(disjuncts)
         if budget > max_ground_actions:
-            raise GroundingExplosion(max_ground_actions)
+            raise ResourceLimit(max_ground_actions)
         suffix_needed = len(disjuncts) > 1
         for assignment in itertools.product(*pools):
             binding = {

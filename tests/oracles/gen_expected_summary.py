@@ -34,7 +34,7 @@ def build() -> str:
     plan_totals = {(h.threat, h.mechanism): 0 for h in catalog}
     for path in defaults.corpus_paths():
         sample = load_sample(path)
-        derived = evaluate_naive(assets.pack, events_to_facts(sample))
+        derived = evaluate_naive(assets.program.pack, events_to_facts(sample))
         for hypothesis in catalog:
             problem = build_problem(
                 derived, sample, assets.domain, assets.capabilities,

@@ -6,8 +6,9 @@ scanner: ``json.loads`` on every stripped line, and a token memo keyed by
 ``_event_from_mapping`` and ``_token_memo`` are kept as they were, except
 that a boolean ``syscall``, ``name`` or ``action``, and a ``sample_id``
 that is not a plain file name (empty, ``.``, ``..``, or holding ``/``,
-``\\`` or NUL), raise MalformedRecord with their line, as the loader now
-does: this reader is the reference for decoding, not for those errors.
+``\\`` or NUL), raise MalformedRecord with their line, and that every
+error starts with the file's path, as the loader now does: this reader is
+the reference for decoding, not for those errors.
 Only the sample containers and the token normalizer come from the
 package, so a result compares equal to the loader's.
 """
@@ -15,6 +16,7 @@ package, so a result compares equal to the loader's.
 import json
 from pathlib import Path
 
+from planhunt.defaults import naming
 from planhunt.errors import MalformedRecord
 from planhunt.telemetry import (
     Arg,
@@ -135,4 +137,6 @@ def _event_from_mapping(record: dict, lineno: int, normalize) -> TelemetryEvent:
 
 def load_jsonl(path: str | Path) -> SampleRecord:
     """Load one JSON-lines sample the way the package did before."""
-    return _load_jsonl(Path(path))
+    path = Path(path)
+    with naming(path):
+        return _load_jsonl(path)

@@ -227,6 +227,17 @@ class TestValidate:
         assert code == 1
         assert capsys.readouterr().out.startswith("invalid:")
 
+    def test_aliased_action_names(self, tmp_path, capsys):
+        # Underscored renderings resolve through planning_model.aliases.
+        text = (
+            "(pivot_exploit cve_2019_2194 cve_2019_2103)\n"
+            "(surveillance_possible_mechanism_exploit app cve_2019_2103 screen)\n"
+            "; cost = 2\n"
+        )
+        argv = ["validate", sample("pivot_demo.jsonl"), "surveillance/exploit"]
+        assert main([*argv, self.plan_file(tmp_path, text)]) == 0
+        assert capsys.readouterr() == ("valid: 2 steps, cost 2\n", "")
+
     def test_rejects_unknown_action(self, tmp_path, capsys):
         code = main(
             [
@@ -308,7 +319,8 @@ class TestBatch:
             assert main(["batch", str(target), "--workers", workers]) == 1
             errs.append(capsys.readouterr().err)
         assert errs[0] == errs[1]
-        assert "error: line 1: event missing 'syscall'" in errs[0]
+        bad = target / "bad.jsonl"
+        assert errs[0] == f"error: {bad}: line 1: event missing 'syscall' (bad.jsonl)\n"
 
     def test_malformed_sample_leaves_the_rest_reported(self, tmp_path, capsys):
         good = self.corpus_subset(tmp_path, ["camera_perm_demo.jsonl", "clean_demo.jsonl"])
@@ -326,7 +338,8 @@ class TestBatch:
             assert code == 1
             out, err = capsys.readouterr()
             assert out == expected_out
-            assert err == "error: line 1: event missing 'syscall' (bad.jsonl)\n"
+            bad = mixed / "bad.jsonl"
+            assert err == f"error: {bad}: line 1: event missing 'syscall' (bad.jsonl)\n"
             assert {p.name: p.read_bytes() for p in reports.iterdir()} == expected
 
     def test_non_utf8_sample_leaves_the_rest_reported(self, tmp_path, capsys):
@@ -339,7 +352,7 @@ class TestBatch:
         assert main(["batch", str(good), "--reports", str(reports)]) == 1
         out, err = capsys.readouterr()
         assert out == expected_out
-        assert err == "error: line 2: not valid UTF-8 (bad.jsonl)\n"
+        assert err == f"error: {good / 'bad.jsonl'}: line 2: not valid UTF-8 (bad.jsonl)\n"
         assert {p.name: p.read_bytes() for p in reports.iterdir()} == expected
 
     def test_record_without_its_probe_field_leaves_the_batch_whole(self, tmp_path, capsys):
@@ -363,8 +376,10 @@ class TestBatch:
         stdout, err = capsys.readouterr()
         assert stdout.startswith("threat,mechanism,sample_count,plan_count\n")
         assert err == (
-            "error: line 1: sample_id 'sub/dir' is not a file name (down.jsonl)\n"
-            "error: line 1: sample_id '../escaped' is not a file name (up.jsonl)\n"
+            f"error: {target}/down.jsonl: line 1: sample_id 'sub/dir' is not a file name"
+            " (down.jsonl)\n"
+            f"error: {target}/up.jsonl: line 1: sample_id '../escaped' is not a file name"
+            " (up.jsonl)\n"
         )
         assert sorted(p.name for p in reports.iterdir()) == ["camera_perm_demo.json", "summary.csv"]
         assert sorted(p.name for p in out.iterdir()) == ["reports"]
@@ -523,7 +538,7 @@ def test_capability_table_failing_the_domain_is_one_error_at_load(row, command, 
 
 
 def test_bad_file_in_asset_directory_is_named(tmp_path, capsys):
-    for name in _OVERRIDE_FLAGS.values():
+    for name, _ in _OVERRIDE_FLAGS.values():
         (tmp_path / name).write_text(defaults.asset_text(name), encoding="utf-8")
     path = tmp_path / defaults.STATE_MAP_FILE
     path.write_bytes(b"exploited/1 (exploited $1)\n\xff\n")
@@ -536,7 +551,62 @@ def test_non_utf8_plan_file_is_an_input_error(tmp_path, capsys):
     plan.write_bytes(b"(pivot-exploit cve_2019_2194 cve_2019_2103)\n\xff\n")
     argv = ["validate", sample("pivot_demo.jsonl"), "surveillance/exploit", str(plan)]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "error: line 2: not valid UTF-8\n"
+    assert capsys.readouterr().err == f"error: {plan}: line 2: not valid UTF-8\n"
+
+
+def named_error_cases(tmp_path):
+    """Per case, a command whose input file is bad and the error it must
+    print after ``error: ``, which starts with that file's path."""
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"type": "event", "syscall": "mmap", "pid": "p1"}\n', encoding="utf-8")
+    colmap = (CORPUS / "cross_sandbox_demo.colmap").read_text(encoding="utf-8")
+    misspelled = tmp_path / "misspelled.colmap"
+    misspelled.write_text(colmap.replace("\nobject = ", "\nobjct = "), encoding="utf-8")
+    no_ts = tmp_path / "no_ts.colmap"
+    no_ts.write_text(colmap.replace("\nts = time\n", "\n"), encoding="utf-8")
+    plan = tmp_path / "candidate.plan"
+    plan.write_text("(warp app)\n", encoding="utf-8")
+    csv = sample("cross_sandbox_demo.csv")
+    return {
+        "jsonl-line": (["hunt", str(bad)], f"{bad}: line 1: event missing 'ts'"),
+        "colmap-key": (
+            ["hunt", csv, "--column-map", str(misspelled)],
+            f"{misspelled}: line 6: unknown column map key 'objct'",
+        ),
+        "colmap-without-ts": (
+            ["hunt", csv, "--column-map", str(no_ts)],
+            f"{no_ts}: column map missing required key 'ts'",
+        ),
+        "plan-file": (
+            ["validate", sample("pivot_demo.jsonl"), "surveillance/exploit", str(plan)],
+            f"{plan}: line 1: unknown action (warp app)",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["jsonl-line", "colmap-key", "colmap-without-ts", "plan-file"])
+def test_input_error_names_its_file(case, tmp_path, capsys):
+    argv, message = named_error_cases(tmp_path)[case]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_over_wide_precondition_is_one_error_at_load(tmp_path, capsys):
+    # Seven two-way ors: 128 DNF disjuncts, past the bound of 64.
+    either = "(or (notification-accessible ?a) (clipboard-readable ?a))"
+    action = (
+        f"(:action wide :parameters (?a - app) :precondition (and {' '.join([either] * 7)})"
+        " :effect (cross-sandbox-reads ?a))"
+    )
+    domain = tmp_path / "wide.pddl"
+    text = defaults.asset_text(defaults.DOMAIN_FILE).rstrip()
+    assert text.endswith(")")
+    domain.write_text(f"{text[:-1]}\n  {action})\n", encoding="utf-8")
+    assert main(["hunt", sample("pivot_demo.jsonl"), "--domain", str(domain)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {domain}: line ")
+    assert err.endswith(": action wide: precondition has more than 64 disjuncts\n")
 
 
 def assert_one_error_line(argv):

@@ -77,7 +77,7 @@ def bundled():
 
 
 def test_listed_patterns_are_the_oracle_bodies(bundled):
-    bodies = lifting_bodies(bundled.pack)
+    bodies = lifting_bodies(bundled.program.pack)
     assert bundled.patterns == {
         cve: " | ".join(render_body(body) for body in alternatives)
         for cve, alternatives in bodies.items()
@@ -91,7 +91,7 @@ def test_corpus_plans_confirm_as_body_matching_does(setup, tmp_path):
         assets = HuntAssets.load(overrides={defaults.CAPABILITIES_FILE: path})
     else:
         assets = HuntAssets.load(strict_domain=setup == "strict_domain")
-    bodies = lifting_bodies(assets.pack)
+    bodies = lifting_bodies(assets.program.pack)
     outcomes = {True: 0, False: 0}
     syscall_outcomes = {True: 0, False: 0}
     for sample_path in CORPUS:
@@ -136,8 +136,8 @@ def random_trace(rng, patterns):
 
 def test_random_traces_confirm_as_body_matching_does(bundled):
     rng = random.Random(11)
-    bodies = lifting_bodies(bundled.pack)
-    patterns = rule_event_patterns(bundled.pack)
+    bodies = lifting_bodies(bundled.program.pack)
+    patterns = rule_event_patterns(bundled.program.pack)
     cves = sorted(bodies)
     dirty = bodies["cve_2016_5195"]
     assert len(dirty) == 2

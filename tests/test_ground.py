@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from oracles.lifted_search import ExplorationCap, explore, optimal_cost
-from planhunt.errors import ArityConflict, GroundingExplosion
+from planhunt.errors import ArityConflict, PddlSyntaxError, ResourceLimit
 from planhunt.planning_model.ground import GroundedTask, ground_task
 from planhunt.planning_model.model import (
     ActionSchema,
@@ -121,7 +121,7 @@ class TestGrounding:
         assert task.find_action("finish~or1", ("z",)) == 3
 
     def test_ground_action_budget(self):
-        with pytest.raises(GroundingExplosion):
+        with pytest.raises(ResourceLimit):
             ground_task(parse_domain(WALK_DOMAIN), WALK_PROBLEM, max_ground_actions=3)
 
     def test_init_arity_conflicts_raise(self):
@@ -148,16 +148,10 @@ class TestGrounding:
             f" (:action a :parameters () :precondition (and {clause})"
             "  :effect (r)))"
         )
-        with pytest.raises(GroundingExplosion):
-            domain = parse_domain(text)
-            problem = ProblemInstance(
-                name="p",
-                domain_name="wide",
-                objects={},
-                init=frozenset(),
-                goal=frozenset({("r", ())}),
-            )
-            ground_task(domain, problem)
+        # 2**7 disjuncts: a modeling error, reported at the action on load.
+        with pytest.raises(PddlSyntaxError) as err:
+            parse_domain(text)
+        assert err.value.reason == "action a: precondition has more than 64 disjuncts"
 
 
 UNREACHABLE_DOMAIN = """

@@ -577,7 +577,6 @@ class TestAggregation:
         assert summary.samples == 3
         assert summary.detected == 2
         assert summary.timed_out == 1
-        assert summary.clean == 1
 
     def test_csv_rendering(self):
         summary = BatchSummary(
@@ -585,7 +584,6 @@ class TestAggregation:
             samples=3,
             detected=2,
             timed_out=0,
-            clean=1,
         )
         assert summary_to_csv(summary) == (
             "threat,mechanism,sample_count,plan_count\n"
@@ -639,7 +637,7 @@ class TestBatchHunt:
         assert summary.samples == 1
         assert [name for name, _ in summary.failures] == ["z_missing.jsonl", "a_bad.jsonl"]
         assert str(missing) in summary.failures[0][1]
-        assert summary.failures[1][1] == "line 1: event missing 'syscall'"
+        assert summary.failures[1][1] == f"{bad}: line 1: event missing 'syscall'"
 
     def test_unusable_report_dir_raises_before_any_hunt(self, tmp_path, monkeypatch):
         hunted = []

@@ -96,7 +96,7 @@ def test_hand_written_cases(scratch, text):
 @pytest.mark.parametrize("case", [name for name in CASES if name.startswith("boolean-")])
 def test_boolean_token_is_a_malformed_record(scratch, case):
     result = assert_same(scratch, CASES[case])
-    assert result[1:] == (MalformedRecord, 2, "line 2: boolean field value")
+    assert result[1:] == (MalformedRecord, 2, f"{scratch}: line 2: boolean field value")
 
 
 @pytest.mark.parametrize("case", [name for name in CASES if "sample-id" in name])
@@ -109,7 +109,8 @@ def test_sample_id_that_is_not_a_file_name(scratch, case):
 def test_two_values_on_one_line_is_rejected(scratch):
     # The scanner alone would take the first value and drop the second.
     result = assert_same(scratch, f"{EVENT}\n{EVENT} {META}\n")
-    assert result[0] == "raised" and result[2:] == (2, "line 2: invalid JSON: Extra data")
+    assert result[0] == "raised"
+    assert result[2:] == (2, f"{scratch}: line 2: invalid JSON: Extra data")
 
 
 _SCALARS = st.one_of(

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from oracles.enumerate import CapExceeded, oracle_enumerate
+from planhunt.errors import MalformedRecord
 from planhunt.planner import (
     Limits,
     Plan,
@@ -197,8 +198,9 @@ class TestPlanText:
         "text", ["step1", "()", "(no-such-action)", "(step1 extra)"]
     )
     def test_bad_step_lines(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedRecord) as err:
             parse_plan_text(chain_task(), text)
+        assert err.value.line == 1
 
 
 class TestRandomizedContract:

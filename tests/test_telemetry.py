@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from planhunt.errors import ArityConflict, MalformedRecord
+from planhunt.errors import ArityConflict, InputError, MalformedRecord
 from planhunt.inference.engine import Relations
 from planhunt.telemetry import (
     Fact,
@@ -189,8 +189,10 @@ class TestCsvLoading:
 
     def test_colmap_missing_required_key(self, tmp_path):
         path = self.write_csv(tmp_path, "time,call\n1,mmap\n", "ts=time\nsyscall=call\n")
-        with pytest.raises(MalformedRecord):
+        # The error is about the whole map, so it names no line.
+        with pytest.raises(InputError) as err:
             load_sample(path)
+        assert str(err.value) == f"{tmp_path / 't.colmap'}: column map missing required key 'pid'"
 
     def test_colmap_unknown_key(self, tmp_path):
         # A misspelled key would leave its column unread and the events
@@ -200,6 +202,20 @@ class TestCsvLoading:
         with pytest.raises(MalformedRecord) as err:
             load_sample(path)
         assert (err.value.line, err.value.reason) == (5, "unknown column map key 'objct'")
+
+    @pytest.mark.parametrize(
+        "row", ["100,openat,7,7,file", "100,openat,7,7,file,read,0,extra"], ids=["short", "long"]
+    )
+    def test_row_width_must_match_the_header(self, tmp_path, row):
+        # Unchecked, csv would give a short row's missing cells None (the
+        # token "none") and set a long row's extra cells apart.
+        colmap = "ts=ts\nsyscall=sys\npid=pid\ntid=tid\nobject=obj\nmode=mode\nret=ret\n"
+        header = "ts,sys,pid,tid,obj,mode,ret\n"
+        path = self.write_csv(tmp_path, f"{header}1,read,7,7,file,read,0\n{row}\n", colmap)
+        with pytest.raises(MalformedRecord) as err:
+            load_sample(path)
+        assert (err.value.line, err.value.reason) == (3, "row does not have the header's 7 cells")
+        assert str(err.value).startswith(f"{path}: line 3: ")
 
     def test_non_utf8_csv_row(self, tmp_path):
         path = tmp_path / "t.csv"
