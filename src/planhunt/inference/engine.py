@@ -11,9 +11,13 @@ it.
 Facts live in a ``Relations`` store, the one fact container of the
 pipeline: the rows of each predicate plus hash indexes per (predicate,
 bound positions), each built on its first lookup and updated by every later
-add. Telemetry fills a store with the extensional rows; ``evaluate``
-saturates an overlay of it, which shares its rows and indexes, and
-returns the overlay with the derived rows, and confirmation probes that
+add. An index other than a plain one on one position is partitioned on its
+first position: it files the rows at a value there on that value's first
+lookup, from the plain index on that position, which the predicate's
+indexes share (after Subotić et al., PVLDB 2018), so it files only the
+values rules read. Telemetry fills a store with the extensional rows;
+``evaluate`` saturates an overlay of it, which shares its rows and indexes,
+and returns the overlay with the derived rows, and confirmation probes that
 model with ``Relations.holds``. Grounding seeds a store of its own and
 reads its model straight from it; on a static world, that store is an
 overlay of the world's saturated store.
@@ -44,7 +48,7 @@ not with the product of its two atoms' rows.
 """
 
 import logging
-from collections.abc import Callable, Collection, Iterable
+from collections.abc import Callable, Collection, Iterable, Sequence
 from dataclasses import dataclass
 from operator import ge, gt, itemgetter, le, lt
 
@@ -106,9 +110,9 @@ class Relations:
     integer at a timestamp position for each distinct value at its group
     positions, and every row whose timestamp is not an integer. Each index
     is built on the first lookup by its positions, and every later ``add``
-    updates it, so the store can grow while rules read it. ``arity`` maps
-    each predicate to the arity of its rows; a row of another arity raises
-    ArityConflict.
+    updates it (a partitioned one only at values it has filed), so the
+    store can grow while rules read it. ``arity`` maps each predicate to
+    the arity of its rows; a row of another arity raises ArityConflict.
 
     As a set of facts, the store has one ``Fact`` per row: its length
     counts rows over all predicates, and two stores are equal when they
@@ -173,8 +177,20 @@ class Relations:
             raise ArityConflict(predicate, len(row), self.arity[predicate])
         rows.add(row)
         for index in self._indexes[predicate].values():
-            index.file((row,))
+            if index.filed is None or row[index.first] in index.filed:
+                index.file((row,))
         return True
+
+    def update(self, predicate: str, rows: Sequence[tuple]) -> None:
+        """Store many rows of one predicate: as one set when the store holds
+        none of its rows yet and they share one arity."""
+        if predicate not in self._rows and rows and len(set(map(len, rows))) == 1:
+            self._rows[predicate] = set(rows)
+            self.arity[predicate] = len(rows[0])
+            self._indexes[predicate] = {}
+        else:
+            for row in rows:
+                self.add(predicate, row)
 
     def holds(self, predicate: str, pattern: tuple) -> bool:
         """Whether some row of ``predicate`` matches ``pattern``, where None
@@ -203,13 +219,31 @@ class Relations:
                 return rows
             if len(positions) == self.arity[predicate]:
                 return (key,) if key in rows else ()
-        indexes = self._indexes[predicate]
-        index = indexes.get((positions, least))
+        index = self._indexes[predicate].get((positions, least))
         if index is None:
-            index = indexes[positions, least] = _Index(positions, least)
-            index.file(rows)
-        bucket = index.buckets.get(key, ())
+            index = self._new_index(predicate, positions, least)
+        bucket = index.buckets.get(key)
+        if bucket is None:
+            filed = index.filed
+            if filed is None or key[0] in filed:
+                return ()
+            filed.add(key[0])
+            index.file(index.partition.buckets.get(key[:1], ()))
+            bucket = index.buckets.get(key, ())
         return bucket if least is None or not bucket else bucket.values()
+
+    def _new_index(self, predicate: str, positions: tuple[int, ...], least: Least) -> "_Index":
+        """A new index on ``positions``: filed with every row, or
+        partitioned (see the module docstring)."""
+        indexes = self._indexes[predicate]
+        index = indexes[positions, least] = _Index(positions, least)
+        if len(positions) > 1 or (positions and least is not None):
+            first = positions[:1]
+            index.partition = indexes.get((first, None)) or self._new_index(predicate, first, None)
+            index.filed = set()
+        else:
+            index.file(self._rows[predicate])
+        return index
 
 
 class _Overlay(Relations):
@@ -239,15 +273,20 @@ def _getter(positions: tuple[int, ...]):
 
 class _Index:
     """The buckets of one index: per key, a list of rows, or for a minimum
-    index a dict from group values to a row."""
+    index a dict from group values to a row. A partitioned index holds
+    only the rows whose first-position value is in ``filed``; the rest
+    wait in ``partition``, the plain index on that position."""
 
-    __slots__ = ("key", "group", "ts", "buckets")
+    __slots__ = ("key", "group", "ts", "buckets", "first", "filed", "partition")
 
     def __init__(self, positions: tuple[int, ...], least: Least):
         self.key = _getter(positions)
         self.group = None if least is None else _getter(least[0])
         self.ts = None if least is None else least[1]
         self.buckets: dict[tuple, list[tuple] | dict[tuple, tuple]] = {}
+        self.first = positions[0] if positions else None
+        self.filed: set | None = None
+        self.partition: _Index | None = None
 
     def file(self, rows: Iterable[tuple]) -> None:
         key_of, buckets = self.key, self.buckets

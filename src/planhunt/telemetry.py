@@ -25,6 +25,7 @@ import csv
 import json
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -81,9 +82,10 @@ def _normalize_token(value: object) -> Arg:
 
 
 def _token_memo():
-    """``_normalize_token`` memoized for one load. A string is its own key;
-    any other key holds the type because ``True == 1``: a boolean must not
-    reuse an integer's token."""
+    """``_normalize_token`` memoized for one load, and its memo. A string
+    is its own key; any other key holds the type because ``True == 1``: a
+    boolean must not reuse an integer's token. So a string is a key only
+    once this load has normalized it."""
     memo: dict[object, Arg] = {}
 
     def normalize(value: object) -> Arg:
@@ -96,7 +98,7 @@ def _token_memo():
             token = memo[key] = _normalize_token(value)
         return token
 
-    return normalize
+    return normalize, memo
 
 
 class TelemetryEvent(NamedTuple):
@@ -156,7 +158,7 @@ def _load_jsonl(path: Path) -> SampleRecord:
     permissions: list[str] = []
     intents: list[str] = []
     meta: list[tuple[str, str]] = []
-    normalize = _token_memo()
+    normalize, memo = _token_memo()
     for lineno, raw in enumerate(read_input(path), start=1):
         # The scanner takes a line that opens with its value and has only
         # whitespace after it; json.loads of the stripped line gives any
@@ -178,7 +180,19 @@ def _load_jsonl(path: Path) -> SampleRecord:
             raise MalformedRecord(lineno, "record is not an object")
         kind = record.get("type")
         if kind == "event":
-            events.append(_event_from_mapping(record, lineno, normalize))
+            # The common event, built with no call per field: integer ts and
+            # ret, and five strings this load has normalized before. Any
+            # other takes the checked path.
+            try:
+                ts, ret, syscall = record["ts"], record["ret"], memo[record["syscall"]]
+                row = (ts, syscall, memo[record["pid"]], memo[record["tid"]],
+                       memo[record["object"]], memo[record["mode"]], ret)
+            except (KeyError, TypeError):
+                row = None
+            if row and type(ts) is int and ts >= 0 and type(ret) is int and type(syscall) is str:
+                events.append(tuple.__new__(TelemetryEvent, row))
+            else:
+                events.append(_event_from_mapping(record, lineno, normalize))
         elif kind == "permission":
             permissions.append(_required_token(record, "name", lineno, normalize))
         elif kind == "intent":
@@ -280,7 +294,7 @@ def _load_csv(path: Path, mapping: dict[str, str]) -> SampleRecord:
     permissions: list[str] = []
     intents: list[str] = []
     sample_id = path.stem
-    normalize = _token_memo()
+    normalize, _memo = _token_memo()
     reader = csv.DictReader(read_input(path, newline=""))
     if reader.fieldnames is None:
         raise MalformedRecord(1, "CSV file has no header row")
@@ -288,7 +302,9 @@ def _load_csv(path: Path, mapping: dict[str, str]) -> SampleRecord:
         if column not in reader.fieldnames:
             raise MalformedRecord(1, f"mapped column {column!r} not in header")
     width = len(reader.fieldnames)
-    for rowno, row in enumerate(reader, start=2):
+    for row in reader:
+        # The row's last line: csv skips blank lines, and a quoted cell may span lines.
+        rowno = reader.line_num
         # csv keys a long row's extra cells by None and fills a short row with None.
         if None in row or None in row.values():
             raise MalformedRecord(rowno, f"row does not have the header's {width} cells")
@@ -298,7 +314,7 @@ def _load_csv(path: Path, mapping: dict[str, str]) -> SampleRecord:
             if column is not None and row.get(column, "") != "":
                 record[key] = row[column]
         events.append(_event_from_mapping(record, rowno, normalize))
-        if rowno == 2:
+        if len(events) == 1:
             if "sample_id" in mapping and row.get(mapping["sample_id"]):
                 sample_id = _sample_id(row[mapping["sample_id"]], rowno)
             for key, sink in (("permissions", permissions), ("intents", intents)):
@@ -320,7 +336,7 @@ def _finish_sample(
     meta: list[tuple[str, str]],
 ) -> SampleRecord:
     # Stable sort: equal timestamps keep file order.
-    ordered = tuple(sorted(events, key=lambda e: e.ts))
+    ordered = tuple(sorted(events, key=itemgetter(0)))
     return SampleRecord(
         sample_id=sample_id,
         events=ordered,
@@ -342,8 +358,7 @@ def events_to_facts(sample: SampleRecord) -> Relations:
     up to duplicates.
     """
     base = Relations()
-    for event in sample.events:
-        base.add(INVOKED, event)
+    base.update(INVOKED, sample.events)
     for permission in sample.permissions:
         base.add(DECLARED_PERMISSION, (APP, permission))
     for intent in sample.intents:
@@ -363,22 +378,22 @@ def unknown_tokens(
     vocab_syscall = token_table.get("syscall")
     vocab_object = token_table.get("object")
     vocab_mode = token_table.get("mode")
-    for event in sample.events:
-        if vocab_syscall is not None and event.syscall not in vocab_syscall:
-            flagged.add(f"syscall:{event.syscall}")
+    for syscall, obj, mode in set(map(itemgetter(1, 4, 5), sample.events)):
+        if vocab_syscall is not None and syscall not in vocab_syscall:
+            flagged.add(f"syscall:{syscall}")
         if (
             vocab_object is not None
-            and isinstance(event.obj, str)
-            and event.obj != WILDCARD
-            and event.obj not in vocab_object
+            and isinstance(obj, str)
+            and obj != WILDCARD
+            and obj not in vocab_object
         ):
-            flagged.add(f"object:{event.obj}")
+            flagged.add(f"object:{obj}")
         if (
             vocab_mode is not None
-            and isinstance(event.mode, str)
-            and event.mode != WILDCARD
-            and event.mode not in vocab_mode
+            and isinstance(mode, str)
+            and mode != WILDCARD
+            and mode not in vocab_mode
         ):
-            flagged.add(f"mode:{event.mode}")
+            flagged.add(f"mode:{mode}")
     return sorted(flagged)
 

@@ -246,6 +246,26 @@ class TestEvaluationContract:
             store.add("edge", ("a", "b", "c"))
         assert set(store.rows("edge")) == {("a", "b")}
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [("a", "b"), ("a", "b"), ("b", "c")], [("a", "b"), ("a",)], [("a",), ("a", "b")]],
+    )
+    @pytest.mark.parametrize("held", [(), (("edge", ("c", "d")),)], ids=["fresh", "held"])
+    def test_update_stores_what_adds_would(self, rows, held):
+        def outcome(fill):
+            store = Relations(Fact(*fact) for fact in held)
+            try:
+                fill(store)
+            except ArityConflict as exc:
+                return str(exc)
+            return store
+
+        def adds(store):
+            for row in rows:
+                store.add("edge", row)
+
+        assert outcome(lambda store: store.update("edge", rows)) == outcome(adds)
+
     def test_bodyless_rules_fire(self):
         pack = parse_rule_pack("#pred marked/1 intensional\nmarked(origin).\n")
         derived = evaluate(stratify(pack), Relations()).facts

@@ -6,6 +6,11 @@ JSON scanner and falls back to ``json.loads`` for any line the scanner does
 not take whole. On every input both must load equal samples (compared with
 the type of each event field) or raise the same exception type, line and
 message.
+
+The loader builds an event with no per-field calls when its ts and ret are
+integers and its five token fields are strings the load has normalized
+before. Files of complete event records, each repeated so that its second
+copy can take that path, check it and the checked path against the oracle.
 """
 
 import json
@@ -13,12 +18,17 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planhunt import telemetry
 from planhunt.errors import MalformedRecord
 from planhunt.telemetry import load_sample
 from oracles.jsonl_reader import load_jsonl
 
 EVENT = '{"type": "event", "ts": 1, "syscall": "mmap", "pid": "p1", "ret": 0}'
 META = '{"type": "meta", "sample_id": "alpha"}'
+FULL = (
+    '{"type": "event", "ts": 1, "syscall": "mmap", "pid": "7", "tid": "t0",'
+    ' "object": "buffer", "mode": "read", "ret": 0}'
+)
 
 
 def outcome(load, path):
@@ -85,6 +95,12 @@ CASES = {
     "sample-id-leaves-the-directory": f'{EVENT}\n{{"type": "meta", "sample_id": "../x"}}\n',
     "sample-id-with-backslash": f'{EVENT}\n{{"type": "meta", "sample_id": "a\\\\b"}}\n',
     "empty-sample-id": f'{EVENT}\n{{"type": "meta", "sample_id": ""}}\n',
+    # Each second event has only tokens the first normalized.
+    "known-token-as-syscall": FULL + "\n" + FULL.replace('"mmap"', '"7"') + "\n",
+    "negative-ts-after-its-tokens": FULL + "\n" + FULL.replace('"ts": 1', '"ts": -1') + "\n",
+    "float-ts-after-its-tokens": FULL + "\n" + FULL.replace('"ts": 1', '"ts": 2.0') + "\n",
+    "boolean-ret-after-its-tokens": FULL + "\n" + FULL.replace('"ret": 0', '"ret": false') + "\n",
+    "string-ret-after-its-tokens": FULL + "\n" + FULL.replace('"ret": 0', '"ret": "7"') + "\n",
 }
 
 
@@ -161,3 +177,51 @@ def _files(draw):
 @given(_files())
 def test_generated_files(scratch, text):
     assert_same(scratch, text)
+
+
+
+_TOKENS = st.sampled_from(
+    ["7", "-2", "", "_", "mmap", "MMap", " read ", "P1", "android.permission.CAMERA",
+     "Android.Intent.Action.VIEW", "0", "x/y"]
+)
+_NON_STRINGS = st.one_of(
+    st.integers(-2, 2), st.booleans(), st.sampled_from([1.0, 2.5, -1.0]), st.none()
+)
+
+
+@st.composite
+def _event_records(draw):
+    """Records with all seven event fields. Most fields hold what a trace
+    has, an integer ts or ret or a token from a pool of up to three per
+    file, so tokens recur, often in another field, where a token such as
+    "7" becomes an integer and so not a syscall; any field may hold any
+    scalar."""
+    token = st.sampled_from(draw(st.lists(_TOKENS, min_size=1, max_size=3, unique=True)))
+    odd = st.one_of(token, st.integers(-2, 9), _TOKENS, _NON_STRINGS)
+    records = []
+    for _ in range(draw(st.integers(1, 6))):
+        record = {"type": "event"}
+        for key in telemetry._EVENT_KEYS:
+            common = st.integers(-1, 9) if key in ("ts", "ret") else token
+            record[key] = draw(common if draw(st.integers(0, 4)) else odd)
+        records.append(record)
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(_event_records())
+def test_complete_event_records(scratch, records):
+    lines = [json.dumps(record) for record in records]
+    assert_same(scratch, "\n".join(lines + lines) + "\n")
+
+
+def test_a_repeated_event_skips_the_checked_path(scratch, monkeypatch):
+    checked = []
+    event = telemetry._event_from_mapping
+    monkeypatch.setattr(
+        telemetry, "_event_from_mapping", lambda *args: checked.append(args[1]) or event(*args)
+    )
+    # A float ts is no int, so its line takes the checked path.
+    float_ts = FULL.replace('"ts": 1', '"ts": 1.0')
+    assert_same(scratch, "\n".join([FULL, FULL, float_ts, FULL]) + "\n")
+    assert checked == [1, 3]

@@ -14,12 +14,18 @@ the planner must not apply it. A planner test pins which atoms of the
 bundled pack it marks, and a complexity guard counts order comparisons on
 traces where no event rule fires, so a join that grows with the square of
 the trace fails a test.
+
+Partitioned indexes file a first-position value on its first lookup. Rows
+added once such an index exists, at values it has filed and at values it
+has not, are checked against the oracle, and a second guard counts the
+rows an evaluation of a long trace files into indexes.
 """
 
 import random
 
 import pytest
 
+from benchmarks import gen
 from planhunt import defaults
 from planhunt.errors import ComparisonTypeError, UnsafeRule
 from planhunt.inference import engine
@@ -32,6 +38,7 @@ from planhunt.inference.rules import (
     render_body,
     rule_pack,
 )
+from planhunt.telemetry import events_to_facts, load_sample
 
 from bodies import parse_body
 from oracles.match_body import match_body
@@ -712,3 +719,107 @@ def test_order_comparisons_grow_linearly_with_the_trace(monkeypatch):
     # Four times the events give about four times the comparisons; a join
     # over pairs of events gives sixteen.
     assert 0 < counts[1] <= 4.5 * counts[0], counts
+
+
+# --- partitioned filing -----------------------------------------------------------
+
+# Every index on ev and mark but the plain ones on the kind alone is
+# partitioned on the kind: a minimum index for the a rows, plain (kind, pid)
+# indexes read once gate or door holds a pid, and mark, which grows while a
+# rule reads it through (kind, pid).
+PACK_PARTITIONED = (
+    [
+        "#pred ev/3 extensional",
+        "#pred gate/1 extensional",
+        "#pred door/1 extensional",
+        "#pred mark/3 intensional",
+        "#pred first/1 intensional",
+        "#pred gated/1 intensional",
+        "#pred doored/2 intensional",
+        "#pred chain/1 intensional",
+    ],
+    [
+        "first(P) :- ev(T1, a, P), ev(T2, b, P), T1 < T2.",
+        "gated(P) :- gate(P), ev(T, c, P).",
+        "doored(P, T) :- door(P), ev(T, d, P).",
+        "mark(K, P, T) :- ev(T, K, P).",
+        "mark(e, P, T) :- mark(a, P, T), gate(P).",
+        "chain(P) :- door(P), mark(e, P, T).",
+    ],
+)
+
+
+def partitioned_rows(rng, kinds, gates, doors):
+    rows = [("ev", (rng.randrange(0, 5), rng.choice(kinds), rng.choice(("p1", "p2", "p3"))))
+            for _ in range(rng.randrange(0, 12))]
+    rows += [("gate", (pid,)) for pid in ("p1", "p2", "p3") if rng.random() < gates]
+    rows += [("door", (pid,)) for pid in ("p1", "p2", "p3") if rng.random() < doors]
+    return rows
+
+
+def filed_kinds(store):
+    """Per partitioned ev index, the kinds it has filed."""
+    indexes = store._indexes.get("ev", {}).values()
+    return [set(index.filed) for index in indexes if index.filed is not None]
+
+
+@pytest.mark.parametrize("through", ["add", "delta"])
+def test_rows_added_after_partitioned_filing_match_the_oracle(through):
+    # Before the late rows, door is empty, so no lookup has filed kind d;
+    # the late rows add ev rows of every kind, and doors.
+    directives, rules = PACK_PARTITIONED
+    rng = random.Random(20261021)
+    order = list(range(len(rules)))
+    exercised = 0
+    for _ in range(80):
+        rng.shuffle(order)
+        pack = build_pack(directives, rules, order)
+        program = stratify(pack)
+        store = Relations()
+        for pred, row in partitioned_rows(rng, ("a", "b", "c"), 0.7, 0.0):
+            store.add(pred, row)
+        late = partitioned_rows(rng, ("a", "b", "c", "d"), 0.3, 0.7)
+        if through == "add":
+            # evaluate reads the store's indexes through an overlay, so the
+            # rows added to the store reach indexes filed by the first call.
+            evaluate(program, store)
+            kinds = filed_kinds(store)
+            for pred, row in late:
+                store.add(pred, row)
+            assert evaluate(program, store).facts == evaluate_naive(pack, store), f"rules {order}"
+        else:
+            saturate(program, store)
+            kinds = filed_kinds(store)
+            delta: dict[str, list[tuple]] = {}
+            for pred, row in late:
+                if store.add(pred, row):
+                    delta.setdefault(pred, []).append(row)
+            saturate(program, store, delta=delta)
+            base = Relations(f for f in store if f.predicate not in pack.intensional())
+            derived = Relations(f for f in store if f.predicate in pack.intensional())
+            assert derived == evaluate_naive(pack, base), f"rules {order}"
+        exercised += any("a" in k and "d" not in k for k in kinds) and any(
+            pred == "ev" and row[1] in ("a", "d") for pred, row in late
+        )
+    assert exercised > 40
+
+
+def test_partitioned_indexes_file_a_long_trace_about_twice(monkeypatch, tmp_path):
+    program = stratify(parse_rule_pack(defaults.asset_text(defaults.RULES_FILE)))
+    base = events_to_facts(load_sample(gen.long_trace(3, 0, tmp_path, events=300).path))
+    file = engine._Index.file
+    filed = 0
+
+    def counted(index, rows):
+        nonlocal filed
+        rows = list(rows)
+        filed += len(rows)
+        file(index, rows)
+
+    monkeypatch.setattr(engine._Index, "file", counted)
+    assert len(evaluate(program, base).facts) > 0
+    # Every row goes once into the plain index on the syscall, which the
+    # four invoked indexes of the event rules share as their partition;
+    # each of those files only the syscalls the rules read. Filing every
+    # row into each of the four gives 4x.
+    assert len(base) == 300 and filed < 2.5 * 300, filed

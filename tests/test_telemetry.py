@@ -217,6 +217,24 @@ class TestCsvLoading:
         assert (err.value.line, err.value.reason) == (3, "row does not have the header's 7 cells")
         assert str(err.value).startswith(f"{path}: line 3: ")
 
+    @pytest.mark.parametrize(
+        "body",
+        ["ts,sys,pid\n1,read,p1\n\n2,read\n", 'ts,sys,pid\n1,read,"p\n1"\n2,read\n'],
+        ids=["blank-line", "quoted-cell-over-two-lines"],
+    )
+    def test_row_error_names_the_file_line(self, tmp_path, body):
+        # Both short rows sit on line 4 but are the file's second record.
+        path = self.write_csv(tmp_path, body, "ts=ts\nsyscall=sys\npid=pid\n")
+        with pytest.raises(MalformedRecord) as err:
+            load_sample(path)
+        assert (err.value.line, err.value.reason) == (4, "row does not have the header's 3 cells")
+
+    def test_first_data_row_after_a_blank_line_names_the_sample(self, tmp_path):
+        colmap = "ts=time\nsyscall=call\npid=proc\nsample_id=name\npermissions=perms\n"
+        body = "time,call,proc,name,perms\n\n1,mmap,p1,beta,CAMERA\n2,read,p1,gamma,INTERNET\n"
+        sample = load_sample(self.write_csv(tmp_path, body, colmap))
+        assert (sample.sample_id, sample.permissions) == ("beta", ("camera",))
+
     def test_non_utf8_csv_row(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"time,call,proc\n1,mmap,p1\n2,re\xffad,p1\n")
