@@ -70,7 +70,7 @@ def _limit_args(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--sample-time-limit", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget across one sample's catalog (default 4x planner budget)",
+        help="wall-clock budget across one sample's catalog (default one planner budget per hypothesis)",
     )
     group.add_argument(
         "--memory-limit", type=int, default=8 * 2**30, metavar="BYTES",
@@ -117,14 +117,11 @@ def _sample(args: argparse.Namespace) -> SampleRecord:
     return load_sample(args.sample, column_map=args.column_map)
 
 
-def _hypothesis(label: str) -> ThreatHypothesis:
-    threat, sep, mechanism = label.partition("/")
-    if not sep:
-        raise InputError(f"hypothesis must look like threat/mechanism, got {label!r}")
-    try:
-        return ThreatHypothesis(threat=threat, mechanism=mechanism)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+def _hypothesis(label: str, assets: HuntAssets) -> ThreatHypothesis:
+    catalog = {hypothesis.label: hypothesis for hypothesis in assets.catalog}
+    if label not in catalog:
+        raise InputError(f"unknown hypothesis {label!r}; threat/mechanism is one of {', '.join(catalog)}")
+    return catalog[label]
 
 
 def _write_out(text: str, out: Path | None) -> None:
@@ -152,7 +149,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     assets = _assets(args)
     sample = _sample(args)
-    hypothesis = _hypothesis(args.hypothesis)
+    hypothesis = _hypothesis(args.hypothesis, assets)
     facts = infer_facts(sample, assets)
     if args.dump_problem:
         problem = hypothesis_problem(facts, assets, hypothesis)
@@ -175,7 +172,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     assets = _assets(args)
     sample = _sample(args)
-    hypothesis = _hypothesis(args.hypothesis)
+    hypothesis = _hypothesis(args.hypothesis, assets)
     task = hypothesis_task(infer_facts(sample, assets), assets, hypothesis)
     with defaults.naming(args.plan_file):
         plan = parse_plan_text(task, defaults.read_input(args.plan_file).read())

@@ -1,12 +1,12 @@
 """End-to-end threat hunting over telemetry samples.
 
 One sample flows through four stages: facts are extracted from telemetry,
-the rule pack derives exploit and capability facts, each catalog hypothesis
+the rule pack derives exploit and capability facts, each hypothesis of the
+domain's catalog (its threat constants times its mechanism constants)
 becomes a planning problem whose top-k plans are enumerated, and every plan
 is translated into indicator-of-compromise records. A hypothesis counts as
 a possible threat exactly when at least one plan was found; optional
-confirmation then audits the checkable indicators against the derived
-facts.
+confirmation then audits the checkable indicators against the derived facts.
 
 ``infer_facts``, ``hypothesis_problem``, ``hypothesis_task`` and
 ``hypothesis_plans`` are the one path from a sample to its plans; the
@@ -38,7 +38,7 @@ from .planning_model.model import (
     DomainModel,
     ProblemInstance,
     ThreatHypothesis,
-    default_catalog,
+    hypothesis_catalog,
 )
 from .planning_model.pddl import parse_domain
 from .planning_model.state import (
@@ -327,6 +327,8 @@ class HuntAssets:
     """Everything the pipeline needs besides the sample itself."""
 
     domain: DomainModel
+    # The hypotheses hunted, in report order; see hypothesis_catalog.
+    catalog: tuple[ThreatHypothesis, ...]
     program: StratifiedProgram
     # cve -> its syscall-pattern indicators' patterns text; see cve_patterns.
     patterns: dict[str, str]
@@ -349,10 +351,10 @@ class HuntAssets:
         ``overrides`` has one (keys are the bundled file names:
         threat-domain.pddl, threat.rules, cve-capabilities, state-mapping,
         indicator-map), else ``root/<name>`` if ``root`` is given, else the
-        bundled copy. A file that does not decode or parse, or a capability
-        table whose atoms fail the domain's checks, raises one InputError
-        whose message starts with its path (the bundled name for a bundled
-        file).
+        bundled copy. A file that does not decode or parse, a domain without
+        a threat or a mechanism constant, or a capability table whose atoms
+        fail the domain's checks, raises one InputError whose message starts
+        with its path (the bundled name for a bundled file).
         """
 
         overrides = overrides or {}
@@ -362,7 +364,11 @@ class HuntAssets:
             with defaults.naming(path or name):
                 return parse(defaults.read_input(Path(path or defaults.BUNDLE / name)).read())
 
-        domain = parsed(defaults.DOMAIN_FILE, parse_domain)
+        def domain_and_catalog(text: str) -> tuple[DomainModel, tuple[ThreatHypothesis, ...]]:
+            domain = parse_domain(text)
+            return domain, hypothesis_catalog(domain)
+
+        domain, catalog = parsed(defaults.DOMAIN_FILE, domain_and_catalog)
         specs = parsed(defaults.INDICATOR_MAP_FILE, parse_indicator_map)
         _check_indicator_slots(specs, domain)
         if strict_domain:
@@ -376,6 +382,7 @@ class HuntAssets:
         capabilities, world = parsed(defaults.CAPABILITIES_FILE, table_and_world)
         return cls(
             domain=domain,
+            catalog=catalog,
             program=stratify(pack),
             patterns=cve_patterns(pack),
             capabilities=capabilities,
@@ -390,14 +397,8 @@ class HuntAssets:
 class HuntConfig:
     limits: Limits = field(default_factory=Limits)
     confirm: bool = False
-    # Wall-clock budget across a sample's whole catalog; None means four
-    # planner budgets.
+    # Wall-clock budget across a sample's catalog; None: one planner budget per hypothesis.
     sample_wall_time: float | None = None
-
-    def sample_budget(self) -> float:
-        if self.sample_wall_time is not None:
-            return self.sample_wall_time
-        return 4.0 * self.limits.wall_time
 
 
 @dataclass(frozen=True)
@@ -448,7 +449,8 @@ def identify_threats(
     """Run the full pipeline for one sample and return its report."""
     config = config or HuntConfig()
     start = time.monotonic()
-    deadline = start + config.sample_budget()
+    budget = config.sample_wall_time
+    deadline = start + (len(assets.catalog) * config.limits.wall_time if budget is None else budget)
 
     try:
         facts = infer_facts(sample, assets)
@@ -457,7 +459,7 @@ def identify_threats(
     flagged = unknown_tokens(sample, assets.program.pack.token_table)
 
     findings: list[ThreatFinding] = []
-    for hypothesis in default_catalog():
+    for hypothesis in assets.catalog:
         remaining = deadline - time.monotonic()
         # A hypothesis whose budget runs out before the search is undecided:
         # the sample's time (timed_out), or the derived facts or the ground

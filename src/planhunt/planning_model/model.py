@@ -6,8 +6,7 @@ from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING
 
-from ..errors import UndeclaredType
-from ..vocab import MECHANISMS, THREATS
+from ..errors import InputError, UndeclaredType
 
 if TYPE_CHECKING:
     from .state import StaticWorld
@@ -27,6 +26,7 @@ __all__ = [
     "WorldAtoms",
     "GroundAtom",
     "ThreatHypothesis",
+    "hypothesis_catalog",
     "THREAT_POSSIBLE",
 ]
 
@@ -190,19 +190,26 @@ class ThreatHypothesis:
     threat: str
     mechanism: str
 
-    def __post_init__(self):
-        if self.threat not in THREATS:
-            raise ValueError(f"unknown threat {self.threat!r}")
-        if self.mechanism not in MECHANISMS:
-            raise ValueError(f"unknown mechanism {self.mechanism!r}")
-
     @property
     def label(self) -> str:
         return f"{self.threat}/{self.mechanism}"
 
 
+def hypothesis_catalog(domain: DomainModel) -> tuple[ThreatHypothesis, ...]:
+    """The hunt's hypotheses: each ``threat`` constant of ``domain`` with
+    each ``mechanism`` constant (a subtype's constants count), threat-major,
+    in declaration order. A domain without either raises InputError."""
+    threats, mechanisms = (
+        [name for name, type_name in domain.constants.items() if domain.types.is_subtype(type_name, kind)]
+        for kind in ("threat", "mechanism"))
+    if not (threats and mechanisms):
+        raise InputError(f"domain {domain.name} needs a threat constant and a mechanism constant")
+    return tuple(ThreatHypothesis(t, m) for t in threats for m in mechanisms)
+
+
 def default_catalog() -> tuple[ThreatHypothesis, ...]:
-    """All threat/mechanism combinations, in reporting order."""
-    return tuple(
-        ThreatHypothesis(threat, mechanism) for threat in THREATS for mechanism in MECHANISMS
-    )
+    """The bundled domain's catalog; the hunt reads ``HuntAssets.catalog``."""
+    from ..defaults import DOMAIN_FILE, asset_text
+    from .pddl import parse_domain  # pddl imports this module
+
+    return hypothesis_catalog(parse_domain(asset_text(DOMAIN_FILE)))

@@ -322,9 +322,7 @@ def _load_csv(path: Path, mapping: dict[str, str]) -> SampleRecord:
                 if column and row.get(column):
                     for item in str(row[column]).split(";"):
                         if item.strip():
-                            token = normalize(item)
-                            if not isinstance(token, int):
-                                sink.append(token)
+                            sink.append(_required_token({key: item}, key, rowno, normalize))
     return _finish_sample(sample_id, events, permissions, intents, [])
 
 

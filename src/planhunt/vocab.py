@@ -1,7 +1,7 @@
 """Reserved names shared across the pipeline.
 
 These tie the telemetry fact shapes to the rule packs and the planning layer,
-so they live in one place instead of being re-declared per module.
+so they live in one place; the threat catalog lives in the domain instead.
 """
 
 # Fact-side placeholder for a field the telemetry source did not report.
@@ -18,10 +18,6 @@ INVOKED_TS_ARG = 0
 
 DECLARED_PERMISSION = "declared_permission"
 DECLARED_INTENT = "declared_intent"
-
-# Threat catalog vocabulary (planning-domain constants).
-THREATS = ("surveillance", "financial_fraud")
-MECHANISMS = ("permission", "exploit")
 
 # Problem-template defaults: sensors the domain reasons about, plus the
 # single account/factor pair used by the credential-theft path.

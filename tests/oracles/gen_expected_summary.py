@@ -20,7 +20,6 @@ from oracles.naive_datalog import evaluate_naive
 from planhunt import defaults
 from planhunt.hunt import HuntAssets
 from planhunt.planning_model.ground import ground_task
-from planhunt.planning_model.model import default_catalog
 from planhunt.telemetry import events_to_facts, load_sample
 
 OUT = Path(__file__).resolve().parent.parent / "data" / "expected_summary.csv"
@@ -29,7 +28,7 @@ K = 10
 
 def build() -> str:
     assets = HuntAssets.load()
-    catalog = default_catalog()
+    catalog = assets.catalog
     samples_with = {(h.threat, h.mechanism): 0 for h in catalog}
     plan_totals = {(h.threat, h.mechanism): 0 for h in catalog}
     for path in defaults.corpus_paths():

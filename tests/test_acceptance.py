@@ -18,7 +18,7 @@ from planhunt.inference.engine import evaluate, stratify
 from planhunt.inference.rules import parse_rule_pack
 from planhunt.planner import Limits, find_top_k, validate_plan
 from planhunt.planning_model.ground import ground_task
-from planhunt.planning_model.model import ThreatHypothesis, default_catalog
+from planhunt.planning_model.model import ThreatHypothesis
 from planhunt.planning_model.state import StaticWorld, build_problem
 from planhunt.telemetry import Fact, events_to_facts, load_sample
 
@@ -228,7 +228,7 @@ def test_criterion_8_possible_set_mirrors_raw_planner_output():
         report = identify_threats(sample, assets, config)
         base = events_to_facts(sample)
         derived = evaluate(assets.program, base).facts
-        for hypothesis in default_catalog():
+        for hypothesis in assets.catalog:
             problem = build_problem(derived, sample, world, assets.mapping, hypothesis)
             planset = find_top_k(ground_task(assets.domain, problem), Limits())
             label = f"{hypothesis.threat}/{hypothesis.mechanism}"

@@ -105,12 +105,18 @@ class TestPlan:
         )
         assert result.returncode == 1
         assert result.stderr == (
-            "error: hypothesis must look like threat/mechanism, got 'bogus'\n"
+            "error: unknown hypothesis 'bogus'; threat/mechanism is one of "
+            "surveillance/permission, surveillance/exploit, "
+            "financial_fraud/permission, financial_fraud/exploit\n"
         )
 
     def test_unknown_hypothesis_parts(self, capsys):
         assert main(["plan", sample("pivot_demo.jsonl"), "surveillance/magic"]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: unknown hypothesis 'surveillance/magic'; threat/mechanism is one of "
+            "surveillance/permission, surveillance/exploit, "
+            "financial_fraud/permission, financial_fraud/exploit\n"
+        )
 
 
 class TestHunt:

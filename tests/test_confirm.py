@@ -27,7 +27,6 @@ from planhunt.hunt import (
 from planhunt.inference.engine import Fact, Relations, evaluate
 from planhunt.inference.rules import Literal, Var, parse_rule_pack, render_body
 from planhunt.planner import Limits
-from planhunt.planning_model.model import default_catalog
 from planhunt.telemetry import load_sample
 from oracles.match_body import match_body
 from test_ground_program import CORPUS, unreachable_pivots
@@ -96,7 +95,7 @@ def test_corpus_plans_confirm_as_body_matching_does(setup, tmp_path):
     syscall_outcomes = {True: 0, False: 0}
     for sample_path in CORPUS:
         facts = infer_facts(load_sample(sample_path), assets)
-        for hypothesis in default_catalog():
+        for hypothesis in assets.catalog:
             task, planset = hypothesis_plans(facts, assets, hypothesis, Limits())
             for plan in planset.plans:
                 records = construct_indicators(
@@ -203,7 +202,7 @@ def test_every_probe_goes_through_the_traced_name(bundled, monkeypatch):
     probed = {True: 0, False: 0}
     for sample_path in CORPUS:
         facts = infer_facts(load_sample(sample_path), bundled)
-        for hypothesis in default_catalog():
+        for hypothesis in bundled.catalog:
             task, planset = hypothesis_plans(facts, bundled, hypothesis, Limits())
             for plan in planset.plans:
                 records = construct_indicators(

@@ -12,7 +12,6 @@ from planhunt import defaults
 from planhunt.hunt import HuntAssets, hypothesis_plans, hypothesis_task, infer_facts
 from planhunt.planner import Limits, find_top_k
 from planhunt.planning_model.ground import GroundedTask
-from planhunt.planning_model.model import default_catalog
 from planhunt.planning_model.state import construct_goal
 from planhunt.telemetry import load_sample
 from taskgen import random_task, state_atoms
@@ -66,7 +65,7 @@ def test_corpus_goal_check_agrees_with_search(setup, tmp_path):
     settled = 0
     for sample_path in CORPUS:
         facts = infer_facts(load_sample(sample_path), assets)
-        for hypothesis in default_catalog():
+        for hypothesis in assets.catalog:
             task = hypothesis_task(facts, assets, hypothesis)
             settled += settles_like_search(task, {construct_goal(hypothesis)})
     assert settled > 0
@@ -89,7 +88,7 @@ def test_pivots_off_a_reachable_cve_settle_without_search(tmp_path):
     table.write_text(text + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
     assets = HuntAssets.load(overrides={defaults.CAPABILITIES_FILE: table})
     facts = infer_facts(load_sample(CORPUS_DIR / "multi_cve_demo.jsonl"), assets)
-    fraud = [h for h in default_catalog() if h.threat == "financial_fraud"]
+    fraud = [h for h in assets.catalog if h.threat == "financial_fraud"]
     assert len(fraud) == 2
     for hypothesis in fraud:
         _, planset = hypothesis_plans(facts, assets, hypothesis, Limits(wall_time=2.0))

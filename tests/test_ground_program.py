@@ -32,7 +32,7 @@ from planhunt.hunt import (
 from planhunt.inference.engine import Relations
 from planhunt.planning_model import ground
 from planhunt.planning_model.ground import GroundedTask, ground_task
-from planhunt.planning_model.model import WorldAtoms, default_catalog
+from planhunt.planning_model.model import WorldAtoms, hypothesis_catalog
 from planhunt.planning_model.pddl import parse_domain
 from planhunt.planning_model.state import (
     StaticWorld,
@@ -127,7 +127,7 @@ def test_corpus_tasks_match_the_cartesian_grounder(setup, tmp_path):
         assets = HuntAssets.load(strict_domain=setup == "strict_domain")
     for sample_path in CORPUS:
         facts = infer_facts(load_sample(sample_path), assets)
-        for hypothesis in default_catalog():
+        for hypothesis in assets.catalog:
             problem = hypothesis_problem(facts, assets, hypothesis)
             reference = cartesian_task(assets.domain, problem)
             assert_same_task(ground_task(assets.domain, problem), reference)
@@ -142,7 +142,7 @@ def test_wide_catalog_tasks_match_fresh_grounding(tmp_path):
     assets = HuntAssets.load(overrides={defaults.CAPABILITIES_FILE: path})
     for sample_path in CORPUS:
         facts = infer_facts(load_sample(sample_path), assets)
-        for hypothesis in default_catalog():
+        for hypothesis in assets.catalog:
             problem = hypothesis_problem(facts, assets, hypothesis)
             assert problem.world is assets.world
             assert_same_task(
@@ -163,7 +163,7 @@ def test_sparse_catalog_grounds_without_explosion(tmp_path):
     path, added = unreachable_pivots(tmp_path, 1200)
     assets = HuntAssets.load(overrides={defaults.CAPABILITIES_FILE: path})
     facts = infer_facts(load_sample(CORPUS_DIR / "pivot_demo.jsonl"), assets)
-    hypothesis = next(h for h in default_catalog() if h.label == "surveillance/exploit")
+    hypothesis = next(h for h in assets.catalog if h.label == "surveillance/exploit")
     task = ground_task(assets.domain, hypothesis_problem(facts, assets, hypothesis))
     assert task.find_action("pivot-exploit", ("cve_2019_2194", "cve_2019_2103")) is not None
     assert not any(set(added) & set(action.args) for action in task.actions)
@@ -243,7 +243,7 @@ def world_problems(world, mapping, facts):
     derived ``facts`` through the mapping table text."""
     derived = Relations([Fact(pred, args) for pred, args in facts])
     mapping = load_mapping_table(mapping)
-    return [build_problem(derived, SAMPLE, world, mapping, h) for h in default_catalog()]
+    return [build_problem(derived, SAMPLE, world, mapping, h) for h in hypothesis_catalog(world.domain)]
 
 
 def bundled_world(domain):

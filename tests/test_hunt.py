@@ -40,7 +40,7 @@ from planhunt.inference.engine import evaluate as real_evaluate
 from planhunt.planner import Limits, Plan
 from planhunt.planning_model.ground import GroundAction, GroundedTask
 from planhunt.planning_model.ground import ground_task as real_ground_task
-from planhunt.planning_model.model import ThreatHypothesis, default_catalog
+from planhunt.planning_model.model import ThreatHypothesis
 from planhunt.telemetry import Fact, load_sample
 
 CORPUS = Path("src/planhunt/assets/corpus")
@@ -465,7 +465,7 @@ class TestIdentifyThreats:
             lambda program, base: real_evaluate(program, base, max_derived=1),
         )
         report = hunt("pivot_demo", assets, confirm=True)
-        assert [f.label for f in report.findings] == [h.label for h in default_catalog()]
+        assert [f.label for f in report.findings] == [h.label for h in assets.catalog]
         for finding in report.findings:
             assert (finding.status, finding.planner_status) == (STATUS_TIMED_OUT, "truncated_limit")
             assert (finding.plans, finding.indicators) == ((), ())

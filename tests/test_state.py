@@ -150,12 +150,6 @@ class TestGoalAndProblem:
         goal = construct_goal(ThreatHypothesis("surveillance", "exploit"))
         assert goal == ("threat-possible", ("surveillance", "exploit", "app"))
 
-    def test_hypothesis_validation(self):
-        with pytest.raises(ValueError):
-            ThreatHypothesis("espionage", "exploit")
-        with pytest.raises(ValueError):
-            ThreatHypothesis("surveillance", "magic")
-
     def test_build_problem_objects(self, assets):
         domain, capabilities, mapping = assets.domain, assets.capabilities, assets.mapping
         derived = Relations([Fact("exploited", ("cve_2016_5195",))])

@@ -23,7 +23,7 @@ from planhunt.hunt import (
 from planhunt.inference.engine import Relations
 from planhunt.planning_model import ground, state
 from planhunt.planning_model.ground import ground_task
-from planhunt.planning_model.model import ThreatHypothesis, default_catalog
+from planhunt.planning_model.model import ThreatHypothesis
 from planhunt.planning_model.state import (
     StaticWorld,
     build_problem,
@@ -61,7 +61,7 @@ def test_corpus_problems_match_the_reference_builder(setup, tmp_path):
     assets = load_assets(setup, tmp_path)
     for path in CORPUS:
         facts = infer_facts(load_sample(path), assets)
-        for hypothesis in default_catalog():
+        for hypothesis in assets.catalog:
             assert outcome(lambda: hypothesis_problem(facts, assets, hypothesis)) == outcome(
                 lambda: reference_build_problem(
                     facts.derived, facts.sample, assets.domain, assets.capabilities,
@@ -222,7 +222,7 @@ def corpus_work(assets, monkeypatch):
     rows ground_task adds to its store before saturating, once the bundle's
     world and grounding seed exist."""
     facts = [infer_facts(load_sample(path), assets) for path in CORPUS]
-    hypothesis_task(facts[0], assets, default_catalog()[0])  # builds the world and seed
+    hypothesis_task(facts[0], assets, assets.catalog[0])  # builds the world and seed
     counted: list[int] = []
     type_atoms, add_rows = state._type_atoms, ground.add_rows
 
@@ -240,15 +240,16 @@ def corpus_work(assets, monkeypatch):
         patch.setattr(state, "_type_atoms", counting_type_atoms)
         patch.setattr(ground, "add_rows", counting_add_rows)
         for sample_facts in facts:
-            for hypothesis in default_catalog():
+            for hypothesis in assets.catalog:
                 hypothesis_task(sample_facts, assets, hypothesis)
     return counted
 
 
 def test_per_hypothesis_work_does_not_grow_with_the_catalog(tmp_path, monkeypatch):
-    bundled = corpus_work(HuntAssets.load(), monkeypatch)
+    assets = HuntAssets.load()
+    bundled = corpus_work(assets, monkeypatch)
     wide = corpus_work(load_assets("extra_400", tmp_path), monkeypatch)
-    assert len(bundled) == 2 * len(CORPUS) * len(default_catalog())
+    assert len(bundled) == 2 * len(CORPUS) * len(assets.catalog)
     assert wide == bundled
 
 
@@ -256,7 +257,7 @@ def corpus_tasks(assets):
     tasks = []
     for path in CORPUS:
         facts = infer_facts(load_sample(path), assets)
-        tasks += [hypothesis_task(facts, assets, h) for h in default_catalog()]
+        tasks += [hypothesis_task(facts, assets, h) for h in assets.catalog]
     return tasks
 
 

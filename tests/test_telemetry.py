@@ -164,6 +164,20 @@ class TestCsvLoading:
         # Permission list comes from the first data row only.
         assert sample.permissions == ("camera", "internet")
 
+    @pytest.mark.parametrize("key", ["permissions", "intents"])
+    def test_numeric_list_item(self, tmp_path, key):
+        # As in JSONL, a permission or intent must be a name, not a number.
+        path = self.write_csv(
+            tmp_path,
+            "time,call,proc,names\n1,mmap,p1,x\n2,read,p1,7;CAMERA\n",
+            f"ts=time\nsyscall=call\npid=proc\n{key}=names\n",
+        )
+        assert getattr(load_sample(path), key) == ("x",)  # the first row's cell only
+        path.write_text("time,call,proc,names\n1,mmap,p1,7;CAMERA\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord) as err:
+            load_sample(path)
+        assert (err.value.line, err.value.reason) == (2, f"field {key!r} must be symbolic")
+
     @pytest.mark.parametrize("sample_id", ["..", "../escaped", "sub/dir", "a\\b"])
     def test_sample_id_that_is_not_a_file_name(self, tmp_path, sample_id):
         path = self.write_csv(
