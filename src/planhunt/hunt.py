@@ -80,6 +80,9 @@ __all__ = [
 STATUS_POSSIBLE = "threat_possible"
 STATUS_NO_PLAN = "no_plan"
 STATUS_TIMED_OUT = "timed_out"
+# A hypothesis whose budget runs out before its search is undecided: the
+# sample's time (timed_out), or the derived facts or ground actions (truncated_limit).
+_OUT_OF_TIME, _OUT_OF_COUNT = PlanSet((), STATUS_TIMED_OUT), PlanSet((), "truncated_limit")
 
 CONFIRM_NOT_ATTEMPTED = "not_attempted"
 CONFIRM_CONFIRMED = "confirmed"
@@ -352,9 +355,11 @@ class HuntAssets:
         threat-domain.pddl, threat.rules, cve-capabilities, state-mapping,
         indicator-map), else ``root/<name>`` if ``root`` is given, else the
         bundled copy. A file that does not decode or parse, a domain without
-        a threat or a mechanism constant, or a capability table whose atoms
-        fail the domain's checks, raises one InputError whose message starts
-        with its path (the bundled name for a bundled file).
+        a threat or a mechanism constant, a capability table whose atoms
+        fail the domain's checks, or a state map entry whose target the
+        domain does not declare at its slot count, raises one InputError
+        whose message starts with its path (the bundled name for a bundled
+        file).
         """
 
         overrides = overrides or {}
@@ -380,6 +385,12 @@ class HuntAssets:
             return table, StaticWorld.build(domain, table)
 
         capabilities, world = parsed(defaults.CAPABILITIES_FILE, table_and_world)
+
+        def checked_mapping(text: str) -> MappingTable:
+            mapping = load_mapping_table(text)
+            mapping.check(domain)
+            return mapping
+
         return cls(
             domain=domain,
             catalog=catalog,
@@ -387,7 +398,7 @@ class HuntAssets:
             patterns=cve_patterns(pack),
             capabilities=capabilities,
             world=world,
-            mapping=parsed(defaults.STATE_MAP_FILE, load_mapping_table),
+            mapping=parsed(defaults.STATE_MAP_FILE, checked_mapping),
             indicator_specs=specs,
             strict_domain=strict_domain,
         )
@@ -461,23 +472,14 @@ def identify_threats(
     findings: list[ThreatFinding] = []
     for hypothesis in assets.catalog:
         remaining = deadline - time.monotonic()
-        # A hypothesis whose budget runs out before the search is undecided:
-        # the sample's time (timed_out), or the derived facts or the ground
-        # actions (truncated_limit).
-        planner_status = "truncated_limit" if facts is None else STATUS_TIMED_OUT
+        task, planset = None, _OUT_OF_COUNT if facts is None else _OUT_OF_TIME
         if facts is not None and remaining > 0:
             limits = replace(config.limits, wall_time=min(config.limits.wall_time, remaining))
             try:
                 task, planset = hypothesis_plans(facts, assets, hypothesis, limits)
             except ResourceLimit:
-                planner_status = "truncated_limit"
-            else:
-                findings.append(_finding_from_planset(
-                    hypothesis, task, planset, assets, facts.relations, config))
-                continue
-        findings.append(ThreatFinding(
-            hypothesis.threat, hypothesis.mechanism, STATUS_TIMED_OUT, planner_status, (), ()
-        ))
+                planset = _OUT_OF_COUNT
+        findings.append(_finding_from_planset(hypothesis, task, planset, assets, facts, config))
     return HuntReport(
         sample_id=sample.sample_id,
         unknown_tokens=tuple(flagged),
@@ -491,10 +493,10 @@ def identify_threats(
 
 def _finding_from_planset(
     hypothesis: ThreatHypothesis,
-    task: GroundedTask,
+    task: GroundedTask | None,
     planset: PlanSet,
     assets: HuntAssets,
-    relations: Relations,
+    facts: SampleFacts | None,
     config: HuntConfig,
 ) -> ThreatFinding:
     # Without a plan, only an exhausted search says no_plan; a time or
@@ -519,7 +521,7 @@ def _finding_from_planset(
     confirmation = CONFIRM_NOT_ATTEMPTED
     if config.confirm and status == STATUS_POSSIBLE:
         confirmed = any(
-            confirm_threat(records, relations) for records in indicators
+            confirm_threat(records, facts.relations) for records in indicators
         )
         confirmation = CONFIRM_CONFIRMED if confirmed else CONFIRM_UNCONFIRMED
 

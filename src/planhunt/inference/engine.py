@@ -68,7 +68,8 @@ __all__ = [
     "evaluate",
 ]
 
-DEFAULT_FACT_LIMIT = 10**6
+# The count budget: the derived rows a store may hold; see Relations.spent.
+FACT_LIMIT = 10**6
 
 # A head sink, called once per derived head.
 Sink = Callable[[tuple], None]
@@ -116,10 +117,12 @@ class Relations:
 
     As a set of facts, the store has one ``Fact`` per row: its length
     counts rows over all predicates, and two stores are equal when they
-    hold the same rows.
+    hold the same rows. ``spent`` counts the rows ``saturate`` derived into
+    the store, an overlay's from its base's count on, against ``FACT_LIMIT``.
     """
 
     def __init__(self, facts: Iterable[Fact] = ()):
+        self.spent = 0
         self._rows: dict[str, set[tuple]] = {}
         self.arity: dict[str, int] = {}
         self._indexes: dict[str, dict[tuple[tuple[int, ...], Least], _Index]] = {}
@@ -130,11 +133,12 @@ class Relations:
         return self._rows.get(predicate, ())
 
     def overlay(self) -> "Relations":
-        """A store with the same rows that reads this one's rows and indexes
-        and copies a predicate's rows only when it adds a row to it, so
-        the predicates it leaves alone cost nothing. This store must not
+        """A store with this one's rows and ``spent`` that reads its rows and
+        indexes and copies a predicate's rows only when it adds a row to it,
+        so the predicates it leaves alone cost nothing. This store must not
         change while the overlay is in use."""
         out = _Overlay()
+        out.spent = self.spent
         out._rows = dict(self._rows)
         out.arity = dict(self.arity)
         out._indexes = dict(self._indexes)
@@ -144,7 +148,8 @@ class Relations:
     def __reduce__(self):
         # Indexes hold closures, which do not pickle; lookups rebuild them.
         # An overlay pickles as a plain store of its rows.
-        state = {"_rows": self._rows, "arity": self.arity, "_indexes": {p: {} for p in self._rows}}
+        state = {"_rows": self._rows, "arity": self.arity, "spent": self.spent,
+                 "_indexes": {p: {} for p in self._rows}}
         return Relations, (), state
 
     def __len__(self) -> int:
@@ -321,24 +326,19 @@ class _Index:
 # --- evaluation -------------------------------------------------------------------
 
 
-def evaluate(
-    program: StratifiedProgram,
-    base: Relations,
-    max_derived: int = DEFAULT_FACT_LIMIT,
-) -> DerivedFacts:
+def evaluate(program: StratifiedProgram, base: Relations) -> DerivedFacts:
     """Compute the perfect model over ``base``, which is left unchanged:
     its intensional facts, and a store holding base and derived rows for
     later ``holds`` probes.
 
     The base must be arity-consistent with the pack and contain only
-    extensional predicates. Raises ResourceLimit past ``max_derived``
-    derived facts.
+    extensional predicates. Raises ResourceLimit as ``saturate`` does.
     """
     for pred in base.arity:
         if pred in program.intensional:
             raise DeclarationConflict(pred, "intensional predicate given as input")
     relations = base.overlay()
-    saturate(program, relations, max_derived)
+    saturate(program, relations)
     out = Relations()
     for pred in sorted(program.intensional):
         for args in relations.rows(pred):
@@ -349,13 +349,13 @@ def evaluate(
 def saturate(
     program: StratifiedProgram,
     relations: Relations,
-    max_derived: int = DEFAULT_FACT_LIMIT,
     delta: dict[str, Collection[tuple]] | None = None,
 ) -> None:
     """Add the program's perfect model to ``relations``, taking the rows it
     holds as facts, at their declared arities: rows of an intensional
-    predicate hold as if bodiless rules stated them. Raises ResourceLimit
-    past ``max_derived`` derived rows.
+    predicate hold as if bodiless rules stated them. The rows derived are
+    added to the store's ``spent``, once per round; past ``FACT_LIMIT``,
+    on entry or after a round, raises ResourceLimit.
 
     A caller that extends a model passes the rows it added as ``delta``
     (per predicate, rows the store holds): the store must hold the
@@ -370,7 +370,8 @@ def saturate(
         if declared is not None and declared != arity:
             raise ArityConflict(pred, arity, declared)
 
-    derived_total = 0
+    spent = relations.spent
+    _check_budget(spent)
     # Per predicate, the rows new to the store in this call.
     changed = None if delta is None else {pred: list(rows) for pred, rows in delta.items()}
     for stratum_index, planned in enumerate(program.strata):
@@ -398,15 +399,14 @@ def saturate(
                 for args in heads:
                     if relations.add(head, args):
                         new.append(args)
-                        derived_total += 1
-            _check_budget(derived_total, max_derived)
+                        spent += 1
+            relations.spent = spent
+            _check_budget(spent)
             if changed is not None:
                 for pred, rows in fresh.items():
                     changed.setdefault(pred, []).extend(rows)
             firings = _firings(readers, fresh)
-        logger.debug(
-            "stratum %d fixpoint: %d facts derived so far", stratum_index, derived_total
-        )
+        logger.debug("stratum %d fixpoint: %d rows derived into the store", stratum_index, spent)
 
 
 def _firings(readers: dict, rows_of: dict[str, list[tuple]]) -> list[tuple]:
@@ -419,9 +419,9 @@ def _firings(readers: dict, rows_of: dict[str, list[tuple]]) -> list[tuple]:
     ]
 
 
-def _check_budget(total: int, limit: int) -> None:
-    if total > limit:
-        raise ResourceLimit(limit)
+def _check_budget(spent: int) -> None:
+    if spent > FACT_LIMIT:
+        raise ResourceLimit(FACT_LIMIT)
 
 
 # --- kernels ------------------------------------------------------------------------

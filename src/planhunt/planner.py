@@ -201,7 +201,8 @@ def parse_plan_text(task: GroundedTask, text: str) -> Plan:
 
     Step names are matched through the action-alias table, so underscored
     renderings resolve to the same actions. A line that is not a step of
-    ``task`` raises MalformedRecord.
+    ``task``, or a step after the plan's ``; cost =`` line, which starts a
+    second plan, raises MalformedRecord.
     """
     from .planning_model.aliases import canonical_action_name
 
@@ -220,6 +221,8 @@ def parse_plan_text(task: GroundedTask, text: str) -> Plan:
                 except ValueError:
                     pass
             continue
+        if declared_cost is not None:
+            raise MalformedRecord(lineno, "step after the plan's cost line: one plan per file")
         if not (line.startswith("(") and line.endswith(")")):
             raise MalformedRecord(lineno, "expected (name args...)")
         parts = line[1:-1].split()

@@ -42,7 +42,7 @@ without a goal mask, and the planner answers ``no_plan`` without search.
 import logging
 from dataclasses import dataclass
 
-from ..errors import InputError, ResourceLimit
+from ..errors import InputError
 from ..inference.engine import Relations, StratifiedProgram, saturate, stratify
 from ..inference.rules import Atom, Literal, Rule, Var, rule_pack
 from .model import DomainModel, FAnd, FAtom, FNot, FOr, Formula, GroundAtom, ProblemInstance
@@ -57,7 +57,6 @@ __all__ = [
     "ground_task",
 ]
 
-DEFAULT_ACTION_LIMIT = 10**6
 # DNF size guard: disjunct count per schema beyond this is a modeling error,
 # which parse_domain reports at the action.
 MAX_DISJUNCTS = 64
@@ -322,11 +321,7 @@ def add_rows(
     return added
 
 
-def ground_task(
-    domain: DomainModel,
-    problem: ProblemInstance,
-    max_ground_actions: int = DEFAULT_ACTION_LIMIT,
-) -> GroundedTask:
+def ground_task(domain: DomainModel, problem: ProblemInstance) -> GroundedTask:
     """Ground a problem by saturating a store seeded with its rows under
     its domain's exploration program.
 
@@ -341,8 +336,8 @@ def ground_task(
 
     Raises ArityConflict when the init uses a predicate at two arities, or
     at another arity than the program's rules, and ResourceLimit when the
-    program derives more than ``max_ground_actions`` rows; each ground
-    action is one of them.
+    store holds more derived rows than ``FACT_LIMIT``; each ground action
+    is one of them.
     """
     exploration = domain.exploration
     world = problem.world
@@ -351,15 +346,12 @@ def ground_task(
         and world.domain is domain
         and exploration.negated.isdisjoint(pred for pred, _ in problem.init.own)
     ):
-        model, derived = world.model
-        relations = model.overlay()
+        relations = world.model.overlay()
         delta = add_rows(relations, domain, problem.init.own, problem.objects.maps[0])
     else:
-        relations, derived, delta = Relations(), 0, None
+        relations, delta = Relations(), None
         add_rows(relations, domain, problem.init, {**domain.constants, **problem.objects})
-    if derived > max_ground_actions:
-        raise ResourceLimit(max_ground_actions)
-    saturate(exploration.program, relations, max_ground_actions - derived, delta)
+    saturate(exploration.program, relations, delta)
 
     atoms = sorted((pred, args) for pred in exploration.fluents for args in relations.rows(pred))
     reachable = set(atoms)

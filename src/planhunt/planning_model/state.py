@@ -30,7 +30,7 @@ from ..errors import InputError, MalformedRecord, UnmappedPredicate
 from ..inference.engine import Relations, saturate
 from ..telemetry import SampleRecord
 from ..vocab import ACCOUNT, APP, FACTOR, SENSORS
-from .ground import DEFAULT_ACTION_LIMIT, add_rows
+from .ground import add_rows
 from .model import (
     DomainModel,
     GroundAtom,
@@ -147,6 +147,20 @@ class MappingTable:
         name, slots = entry
         return (name, tuple(str(args[i - 1]) for i in slots))
 
+    def check(self, domain: DomainModel) -> None:
+        """Raise InputError at the first entry, in file order, whose target
+        predicate ``domain`` does not declare or takes another number of
+        arguments than the entry has slots."""
+        for (pred, arity), (name, slots) in self.entries.items():
+            schema = domain.predicates.get(name)
+            if schema is None or len(schema.param_types) != len(slots):
+                template = " ".join([name, *(f"${s}" for s in slots)])
+                reason = (
+                    f"undeclared predicate {name!r}" if schema is None
+                    else f"predicate takes {len(schema.param_types)}, template has {len(slots)}"
+                )
+                raise InputError(f"{pred}/{arity} maps to ({template}): {reason}")
+
 
 def load_mapping_table(text: str) -> MappingTable:
     """Parse ``pred/arity (name $i ...)`` and ``ignore pred/arity`` lines;
@@ -253,17 +267,15 @@ class StaticWorld:
         return cls(domain, atoms, objects)
 
     @cached_property
-    def model(self) -> tuple[Relations, int]:
+    def model(self) -> Relations:
         """The grounding store of the world's rows (its atoms, and the type
         rows of its objects and the domain's constants) with their model
-        under the domain's exploration program, and the count of rows that
-        model derives. Built on the first grounding, since it needs the
-        program. Raises ResourceLimit past ``DEFAULT_ACTION_LIMIT`` rows."""
+        under the domain's exploration program. Built on the first
+        grounding, since it needs the program."""
         store = Relations()
         add_rows(store, self.domain, self.atoms, {**self.domain.constants, **self.objects})
-        given = len(store)
-        saturate(self.domain.exploration.program, store, DEFAULT_ACTION_LIMIT)
-        return store, len(store) - given
+        saturate(self.domain.exploration.program, store)
+        return store
 
 
 def build_problem(

@@ -148,12 +148,7 @@ class TestHunt:
         assert confirmations["surveillance/permission"] == "unconfirmed"
 
     def test_derived_fact_budget_is_a_reported_status(self, monkeypatch, capsys):
-        from planhunt.inference.engine import evaluate
-
-        monkeypatch.setattr(
-            "planhunt.hunt.evaluate",
-            lambda program, base: evaluate(program, base, max_derived=1),
-        )
+        monkeypatch.setattr("planhunt.inference.engine.FACT_LIMIT", 1)
         assert main(["hunt", sample("pivot_demo.jsonl"), "--confirm"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["possible_threats"] == []
@@ -220,6 +215,24 @@ class TestValidate:
         )
         assert code == 0
         assert capsys.readouterr().out.startswith("valid: 2 steps, cost 2")
+
+    def test_plan_output_with_one_plan_validates_whole(self, tmp_path, capsys):
+        out_file = tmp_path / "plans.txt"
+        argv = [sample("dirtycow_demo.jsonl"), "surveillance/permission"]
+        assert main(["plan", *argv, "-o", str(out_file), "-k", "1"]) == 0
+        assert main(["validate", *argv, str(out_file)]) == 0
+        assert capsys.readouterr() == ("valid: 2 steps, cost 2\n", "")
+
+    def test_plan_output_with_many_plans_is_refused_at_the_second(self, tmp_path, capsys):
+        # Joined, the 10 plans read as one of cost 3 whose steps sum to 26.
+        out_file = tmp_path / "plans.txt"
+        argv = [sample("dirtycow_demo.jsonl"), "surveillance/permission"]
+        assert main(["plan", *argv, "-o", str(out_file)]) == 0
+        assert out_file.read_text().count("; plan ") == 10
+        assert main(["validate", *argv, str(out_file)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {out_file}: line 7: step after the plan's cost line: one plan per file\n"
+        )
 
     def test_rejects_inapplicable_plan(self, tmp_path, capsys):
         code = main(
@@ -573,6 +586,12 @@ def named_error_cases(tmp_path):
     plan = tmp_path / "candidate.plan"
     plan.write_text("(warp app)\n", encoding="utf-8")
     csv = sample("cross_sandbox_demo.csv")
+    bundled_map = defaults.asset_text(defaults.STATE_MAP_FILE)
+    misnamed = tmp_path / "misnamed-state-map"
+    misnamed.write_text(bundled_map.replace("(exploited $1)", "(exploted $1)"), encoding="utf-8")
+    short = tmp_path / "short-state-map"
+    short.write_text(bundled_map.replace("(perm-granted $1 $2)", "(perm-granted $1)"),
+                     encoding="utf-8")
     return {
         "jsonl-line": (["hunt", str(bad)], f"{bad}: line 1: event missing 'ts'"),
         "colmap-key": (
@@ -587,10 +606,23 @@ def named_error_cases(tmp_path):
             ["validate", sample("pivot_demo.jsonl"), "surveillance/exploit", str(plan)],
             f"{plan}: line 1: unknown action (warp app)",
         ),
+        # Checked at load, so batch fails once instead of once per sample
+        # that derives the predicate.
+        "state-map-target": (
+            ["batch", str(CORPUS), "--state-map", str(misnamed)],
+            f"{misnamed}: exploited/1 maps to (exploted $1): undeclared predicate 'exploted'",
+        ),
+        "state-map-slots": (
+            ["hunt", sample("clean_demo.jsonl"), "--state-map", str(short)],
+            f"{short}: perm-granted/2 maps to (perm-granted $1): predicate takes 2, template has 1",
+        ),
     }
 
 
-@pytest.mark.parametrize("case", ["jsonl-line", "colmap-key", "colmap-without-ts", "plan-file"])
+@pytest.mark.parametrize("case", [
+    "jsonl-line", "colmap-key", "colmap-without-ts", "plan-file", "state-map-target",
+    "state-map-slots",
+])
 def test_input_error_names_its_file(case, tmp_path, capsys):
     argv, message = named_error_cases(tmp_path)[case]
     assert main(argv) == 1

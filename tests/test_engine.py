@@ -222,14 +222,15 @@ class TestEvaluationContract:
         with pytest.raises(ArityConflict):
             evaluate(program, base)
 
-    def test_derived_fact_budget(self):
+    def test_derived_fact_budget(self, monkeypatch):
         pack = build_pack(*PACK_TRANSITIVE)
         program = stratify(pack)
         base = Relations(
             [Fact("edge", (f"n{i}", f"n{i+1}")) for i in range(30)]
         )
+        monkeypatch.setattr("planhunt.inference.engine.FACT_LIMIT", 10)
         with pytest.raises(ResourceLimit):
-            evaluate(program, base, max_derived=10)
+            evaluate(program, base)
 
     def test_comparison_type_error_surfaces(self):
         pack = parse_rule_pack(

@@ -120,9 +120,10 @@ class TestGrounding:
         assert task.actions[3].render() == "(finish~or1 z)"
         assert task.find_action("finish~or1", ("z",)) == 3
 
-    def test_ground_action_budget(self):
+    def test_ground_action_budget(self, monkeypatch):
+        monkeypatch.setattr("planhunt.inference.engine.FACT_LIMIT", 3)
         with pytest.raises(ResourceLimit):
-            ground_task(parse_domain(WALK_DOMAIN), WALK_PROBLEM, max_ground_actions=3)
+            ground_task(parse_domain(WALK_DOMAIN), WALK_PROBLEM)
 
     def test_init_arity_conflicts_raise(self):
         # Grounding seeds its store with rows, not facts, so the store

@@ -63,6 +63,18 @@ def hunt(name, assets, **kwargs):
     return identify_threats(sample, assets, HuntConfig(**kwargs))
 
 
+def within(limit, function):
+    """``function`` run with the count budget at ``limit``, so only its own
+    work meets that budget."""
+
+    def limited(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("planhunt.inference.engine.FACT_LIMIT", limit)
+            return function(*args)
+
+    return limited
+
+
 def patterns_for_cve(assets, cve):
     """The rendered texts of the patterns that lift ``cve``."""
     text = assets.patterns.get(cve)
@@ -433,7 +445,7 @@ class TestIdentifyThreats:
         def ground_task(domain, problem):
             ((_, (threat, mechanism, _)),) = problem.goal
             limited = (threat, mechanism) == ("surveillance", "permission")
-            return real_ground_task(domain, problem, max_ground_actions=5 if limited else 10**6)
+            return within(5 if limited else 10**6, real_ground_task)(domain, problem)
 
         monkeypatch.setattr("planhunt.hunt.ground_task", ground_task)
         report = hunt("camera_perm_demo", assets)
@@ -444,10 +456,7 @@ class TestIdentifyThreats:
         assert [f for f in report.findings if f is not finding] == others
 
     def test_batch_reports_a_sample_over_the_ground_action_budget(self, assets, monkeypatch):
-        monkeypatch.setattr(
-            "planhunt.hunt.ground_task",
-            lambda domain, problem: real_ground_task(domain, problem, max_ground_actions=5),
-        )
+        monkeypatch.setattr("planhunt.hunt.ground_task", within(5, real_ground_task))
         names = ("camera_perm_demo", "clean_demo", "pivot_demo")
         reports, summary = batch_hunt([CORPUS / f"{name}.jsonl" for name in names], assets)
         assert [r.sample_id for r in reports] == list(names)
@@ -460,10 +469,7 @@ class TestIdentifyThreats:
             ) is undecided
 
     def test_derived_fact_budget_leaves_every_hypothesis_undecided(self, assets, monkeypatch):
-        monkeypatch.setattr(
-            "planhunt.hunt.evaluate",
-            lambda program, base: real_evaluate(program, base, max_derived=1),
-        )
+        monkeypatch.setattr("planhunt.hunt.evaluate", within(1, real_evaluate))
         report = hunt("pivot_demo", assets, confirm=True)
         assert [f.label for f in report.findings] == [h.label for h in assets.catalog]
         for finding in report.findings:
@@ -476,10 +482,7 @@ class TestIdentifyThreats:
             path.stem: len(infer_facts(load_sample(path), assets).derived)
             for path in corpus_paths()
         }
-        monkeypatch.setattr(
-            "planhunt.hunt.evaluate",
-            lambda program, base: real_evaluate(program, base, max_derived=1),
-        )
+        monkeypatch.setattr("planhunt.hunt.evaluate", within(1, real_evaluate))
         reports, summary = batch_hunt(corpus_paths(), assets)
         assert summary.failures == ()
         assert sorted(r.sample_id for r in reports) == sorted(derived)

@@ -194,6 +194,16 @@ class TestPlanText:
         plan = parse_plan_text(chain_task(), "; header\n\n(cheap)\n")
         assert plan == Plan(steps=(0,), cost=2)
 
+    def test_one_plan_per_text(self):
+        # A step after the cost line starts a second plan, which is refused
+        # there rather than joined to the first.
+        text = "; plan 1\n(step1)\n; cost = 1\n; plan 2\n(cheap)\n; cost = 2\n"
+        with pytest.raises(MalformedRecord) as err:
+            parse_plan_text(chain_task(), text)
+        assert err.value.line == 5
+        trailing = "(step1)\n(step2)\n; cost = 2\n; end\n\n"
+        assert parse_plan_text(chain_task(), trailing) == CHAIN_PLANS[1]
+
     @pytest.mark.parametrize(
         "text", ["step1", "()", "(no-such-action)", "(step1 extra)"]
     )

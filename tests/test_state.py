@@ -115,6 +115,29 @@ class TestMappingTable:
         table = load_mapping_table("hits/2 (hits $1 $2)\n")
         assert table.map_fact("hits", ("app", 3)) == ("hits", ("app", "3"))
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "ignore e/0\nexploited/1 (exploited $1)\nexploited/2 (exploted $1)\n",
+                "exploited/2 maps to (exploted $1): undeclared predicate 'exploted'",
+            ),
+            (
+                "perm-granted/2 (perm-granted $2)\nhaunted/1 (haunted $1)\n",
+                "perm-granted/2 maps to (perm-granted $2): predicate takes 2, template has 1",
+            ),
+            ("swapped/2 (perm-granted $2 $2 $1)\n", "predicate takes 2, template has 3"),
+        ],
+    )
+    def test_check_against_the_domain_names_the_first_bad_entry(self, assets, text, message):
+        with pytest.raises(InputError) as err:
+            load_mapping_table(text).check(assets.domain)
+        assert message in str(err.value)
+
+    def test_bundled_map_checks_against_the_bundled_domain(self, assets):
+        assets.mapping.check(assets.domain)
+        assert assets.mapping.entries  # which the check read
+
 
 class TestInitialState:
     def test_union_of_mapped_and_capability_atoms(self, assets):
