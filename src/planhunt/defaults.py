@@ -45,18 +45,19 @@ BUNDLE = Path(__file__).with_name("assets")
 EXTENDED_ACTIONS = ("harvest-credentials", "capture-otp")
 
 
-def read_input(path: Path, newline: str | None = None) -> io.StringIO:
+def read_input(path: Path, newline: str | None = None) -> io.TextIOWrapper:
     """The file's text as a stream of lines (universal newlines unless
-    ``newline`` says otherwise). A byte that is not UTF-8 rejects the whole
-    file, as a MalformedRecord on that byte's line."""
+    ``newline`` says otherwise), decoded from its bytes as it is read. A
+    byte that is not UTF-8 rejects the whole file, as a MalformedRecord on
+    that byte's line."""
     data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[: exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise MalformedRecord(line, "not valid UTF-8") from None
-    return io.StringIO(text, newline=newline)
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
 
 
 @contextmanager

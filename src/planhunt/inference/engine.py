@@ -65,6 +65,7 @@ __all__ = [
     "Relations",
     "stratify",
     "saturate",
+    "check_budget",
     "evaluate",
 ]
 
@@ -371,7 +372,7 @@ def saturate(
             raise ArityConflict(pred, arity, declared)
 
     spent = relations.spent
-    _check_budget(spent)
+    check_budget(spent)
     # Per predicate, the rows new to the store in this call.
     changed = None if delta is None else {pred: list(rows) for pred, rows in delta.items()}
     for stratum_index, planned in enumerate(program.strata):
@@ -401,7 +402,7 @@ def saturate(
                         new.append(args)
                         spent += 1
             relations.spent = spent
-            _check_budget(spent)
+            check_budget(spent)
             if changed is not None:
                 for pred, rows in fresh.items():
                     changed.setdefault(pred, []).extend(rows)
@@ -419,7 +420,8 @@ def _firings(readers: dict, rows_of: dict[str, list[tuple]]) -> list[tuple]:
     ]
 
 
-def _check_budget(spent: int) -> None:
+def check_budget(spent: int) -> None:
+    """Raise ResourceLimit when ``spent`` derived rows exceed ``FACT_LIMIT``."""
     if spent > FACT_LIMIT:
         raise ResourceLimit(FACT_LIMIT)
 

@@ -20,6 +20,7 @@ as ordered event patterns while the rule text stays declarative.
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import (
     ArityConflict,
@@ -140,17 +141,20 @@ class RulePack:
 # --- tokenizer ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
     col: int
 
 
+# The line separators of str.splitlines ("\r\n" counts as one).
+_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
+    rf"""
+      (?P<newline>\r\n|[{_BREAKS}])
+    | (?P<ws>%[^{_BREAKS}]*|[^\S{_BREAKS}]+)
     | (?P<arrow>:-)
     | (?P<op><=|>=|!=|<|>)
     | (?P<int>-?\d+)
@@ -161,25 +165,28 @@ _TOKEN_RE = re.compile(
     | (?P<rpar>\))
     | (?P<comma>,)
     | (?P<dot>\.)
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-def _tokenize(text: str, start_line: int = 1) -> list[_Token]:
+def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text``; ``%`` comments out the rest of its line, and
+    lines end where ``str.splitlines`` ends them."""
     tokens: list[_Token] = []
-    for offset, raw in enumerate(text.splitlines()):
-        line_no = start_line + offset
-        line = raw.split("%", 1)[0]
-        pos = 0
-        while pos < len(line):
-            match = _TOKEN_RE.match(line, pos)
-            if match is None:
-                raise RuleSyntaxError(line_no, pos + 1, f"bad character {line[pos]!r}")
-            kind = match.lastgroup or ""
-            if kind != "ws":
-                tokens.append(_Token(kind, match.group(), line_no, pos + 1))
-            pos = match.end()
+    line = 1
+    line_start = 0
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "newline":
+            line += 1
+            line_start = match.end()
+        elif kind == "bad":
+            col = match.start() - line_start + 1
+            raise RuleSyntaxError(line, col, f"bad character {match.group()!r}")
+        elif kind != "ws":
+            tokens.append(_Token(kind, match.group(), line, match.start() - line_start + 1))
     return tokens
 
 

@@ -201,8 +201,9 @@ def parse_plan_text(task: GroundedTask, text: str) -> Plan:
 
     Step names are matched through the action-alias table, so underscored
     renderings resolve to the same actions. A line that is not a step of
-    ``task``, or a step after the plan's ``; cost =`` line, which starts a
-    second plan, raises MalformedRecord.
+    ``task``, a ``; cost =`` line whose value is not an integer, or a step
+    after the plan's cost line, which starts a second plan, raises
+    MalformedRecord.
     """
     from .planning_model.aliases import canonical_action_name
 
@@ -219,7 +220,7 @@ def parse_plan_text(task: GroundedTask, text: str) -> Plan:
                 try:
                     declared_cost = int(comment[len("cost="):])
                 except ValueError:
-                    pass
+                    raise MalformedRecord(lineno, "plan cost is not an integer") from None
             continue
         if declared_cost is not None:
             raise MalformedRecord(lineno, "step after the plan's cost line: one plan per file")

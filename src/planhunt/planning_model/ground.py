@@ -33,6 +33,13 @@ without a world, such as a hand-made one, is seeded from an empty store
 and saturated from scratch. The task is decoded from the fluent and
 applicability rows; no fact objects are built on the way.
 
+A sample's hypotheses differ only in the goal, so the world keeps a memo of
+its last grounding: the task without its goal and the store's ``spent``,
+under the rows it added (the problem's own atoms and objects). A problem
+with equal rows takes that task, its ``spent`` checked against the budget
+again, so the budget trips at the same limits; a failed grounding stores
+nothing.
+
 A goal is a set of ground atoms that must all hold, so the task keeps it as
 one mask. A goal atom that cannot hold in any state, a fluent one outside
 the reachable atoms or a static one outside the init, leaves the task
@@ -40,10 +47,11 @@ without a goal mask, and the planner answers ``no_plan`` without search.
 """
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from ..errors import InputError
-from ..inference.engine import Relations, StratifiedProgram, saturate, stratify
+from ..inference.engine import Relations, StratifiedProgram, check_budget, saturate, stratify
 from ..inference.rules import Atom, Literal, Rule, Var, rule_pack
 from .model import DomainModel, FAnd, FAtom, FNot, FOr, Formula, GroundAtom, ProblemInstance
 
@@ -334,6 +342,11 @@ def ground_task(domain: DomainModel, problem: ProblemInstance) -> GroundedTask:
     those objects and retract nothing. The world's derived rows count
     against the budget as if each call had derived them.
 
+    A problem whose own atoms and objects equal those of the world's last
+    grounding takes its task from the world's memo, and raises at the same
+    limit as a grounding would, by checking the stored ``spent`` against
+    ``FACT_LIMIT`` at call time. The goal mask is set per call.
+
     Raises ArityConflict when the init uses a predicate at two arities, or
     at another arity than the program's rules, and ResourceLimit when the
     store holds more derived rows than ``FACT_LIMIT``; each ground action
@@ -346,13 +359,37 @@ def ground_task(domain: DomainModel, problem: ProblemInstance) -> GroundedTask:
         and world.domain is domain
         and exploration.negated.isdisjoint(pred for pred, _ in problem.init.own)
     ):
-        relations = world.model.overlay()
-        delta = add_rows(relations, domain, problem.init.own, problem.objects.maps[0])
+        own, objects = problem.init.own, problem.objects.maps[0]
+        memo = world.grounded
+        if memo is not None and memo[0] == own and memo[1] == objects:
+            check_budget(memo[2])
+            task = memo[3]
+        else:
+            relations = world.model.overlay()
+            delta = add_rows(relations, domain, own, objects)
+            saturate(exploration.program, relations, delta)
+            task = _decode(domain, relations, problem.init)
+            object.__setattr__(world, "grounded", (own, dict(objects), relations.spent, task))
     else:
-        relations, delta = Relations(), None
+        relations = Relations()
         add_rows(relations, domain, problem.init, {**domain.constants, **problem.objects})
-    saturate(exploration.program, relations, delta)
+        saturate(exploration.program, relations)
+        task = _decode(domain, relations, problem.init)
+    goal = _goal_mask(task.atoms, problem.goal, problem.init, exploration.fluents)
+    task = GroundedTask(task.atoms, task.actions, task.init, goal)
+    logger.debug(
+        "grounded %s/%s: %d atoms, %d actions",
+        domain.name,
+        problem.name,
+        len(task.atoms),
+        len(task.actions),
+    )
+    return task
 
+
+def _decode(domain: DomainModel, relations: Relations, init) -> GroundedTask:
+    """The task, without a goal, that a saturated store holds."""
+    exploration = domain.exploration
     atoms = sorted((pred, args) for pred in exploration.fluents for args in relations.rows(pred))
     reachable = set(atoms)
     found = [
@@ -383,23 +420,24 @@ def ground_task(domain: DomainModel, problem: ProblemInstance) -> GroundedTask:
                 schema.cost,
             )
         )
+    return GroundedTask.assemble(atoms, specs, [a for a in atoms if a in init], None)
 
-    # A static goal atom holds in every state or in none.
-    goal = problem.goal
-    if any(a[0] not in exploration.fluents and a not in problem.init for a in goal):
-        goal = None
-    else:
-        goal = [a for a in goal if a[0] in exploration.fluents]
-    init = [a for a in atoms if a in problem.init]
-    task = GroundedTask.assemble(atoms, specs, init, goal)
-    logger.debug(
-        "grounded %s/%s: %d atoms, %d actions",
-        domain.name,
-        problem.name,
-        len(task.atoms),
-        len(task.actions),
-    )
-    return task
+
+def _goal_mask(atoms, goal, init, fluents) -> int | None:
+    """The mask of the goal's fluent atoms over the sorted ``atoms``, or None
+    when a goal atom cannot hold: a fluent one outside ``atoms``, or a static
+    one (it holds in every state or in none) outside ``init``."""
+    mask = 0
+    for atom in goal:
+        if atom[0] not in fluents:
+            if atom not in init:
+                return None
+            continue
+        i = bisect_left(atoms, atom)
+        if i == len(atoms) or atoms[i] != atom:
+            return None
+        mask |= 1 << i
+    return mask
 
 
 def _bind(atom: FAtom, binding: dict[str, str]) -> GroundAtom:

@@ -11,7 +11,7 @@ case-insensitive and normalized to lowercase; ``;`` starts a comment.
 """
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import (
     InputError,
@@ -48,21 +48,21 @@ SUPPORTED_REQUIREMENTS = (
 )
 
 
-@dataclass(frozen=True)
-class _Sym:
+class _Sym(NamedTuple):
     text: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class _Node:
+class _Node(NamedTuple):
     items: tuple
     line: int
     col: int
 
 
-_LEX_RE = re.compile(r"\s+|;[^\n]*|\(|\)|[^\s();]+")
+# A newline, a comment, a paren or a symbol; the search skips any other
+# whitespace.
+_LEX_RE = re.compile(r"(?P<newline>\n)|;[^\n]*|(?P<open>\()|(?P<close>\))|(?P<sym>[^\s();]+)")
 
 
 def _read(text: str):
@@ -70,37 +70,24 @@ def _read(text: str):
     stack: list[list] = [[]]
     positions: list[tuple[int, int]] = []
     line = 1
-    col = 1
-    pos = 0
-    while pos < len(text):
-        match = _LEX_RE.match(text, pos)
-        if match is None:
-            raise PddlSyntaxError(line, col, f"bad character {text[pos]!r}")
-        tok = match.group()
-        tok_line, tok_col = line, col
-        newlines = tok.count("\n")
-        if newlines:
-            line += newlines
-            col = len(tok) - tok.rindex("\n")
-        else:
-            col += len(tok)
-        pos = match.end()
-        if tok.isspace() or tok.startswith(";"):
-            continue
-        if tok == "(":
+    line_start = 0
+    for match in _LEX_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "newline":
+            line += 1
+            line_start = match.end()
+        elif kind == "open":
             stack.append([])
-            positions.append((tok_line, tok_col))
-        elif tok == ")":
+            positions.append((line, match.start() - line_start + 1))
+        elif kind == "close":
             if len(stack) == 1:
-                raise PddlSyntaxError(tok_line, tok_col, "unbalanced ')'")
+                raise PddlSyntaxError(line, match.start() - line_start + 1, "unbalanced ')'")
             items = stack.pop()
-            open_line, open_col = positions.pop()
-            stack[-1].append(_Node(tuple(items), open_line, open_col))
-        else:
-            stack[-1].append(_Sym(tok.lower(), tok_line, tok_col))
+            stack[-1].append(_Node(tuple(items), *positions.pop()))
+        elif kind == "sym":
+            stack[-1].append(_Sym(match.group().lower(), line, match.start() - line_start + 1))
     if len(stack) != 1:
-        open_line, open_col = positions[-1]
-        raise PddlSyntaxError(open_line, open_col, "unclosed '('")
+        raise PddlSyntaxError(*positions[-1], "unclosed '('")
     return stack[0]
 
 

@@ -22,7 +22,7 @@ copying them.
 import re
 from collections import ChainMap
 from collections.abc import MutableMapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from ..defaults import table_lines
@@ -251,6 +251,9 @@ class StaticWorld:
     domain: DomainModel
     atoms: frozenset[GroundAtom]
     objects: dict[str, str]
+    # ground_task's memo: (own atoms, own objects, spent, task without goal)
+    # of the last problem it grounded on this world.
+    grounded: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(cls, domain: DomainModel, capabilities: CapabilityTable) -> "StaticWorld":

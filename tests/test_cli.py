@@ -234,6 +234,17 @@ class TestValidate:
             "", f"error: {out_file}: line 7: step after the plan's cost line: one plan per file\n"
         )
 
+    def test_a_cost_line_that_is_not_an_integer_is_refused(self, tmp_path, capsys):
+        argv = [sample("dirtycow_demo.jsonl"), "surveillance/permission"]
+        plan = self.plan_file(
+            tmp_path,
+            "(grant-permission-to-sensor app cve_2016_5195 camera)\n; cost = two\n"
+            "(grant-permission-to-sensor app cve_2016_5195 gps)\n"
+            "(surveillance-via-permission app gps)\n",
+        )
+        assert main(["validate", *argv, plan]) == 1
+        assert capsys.readouterr() == ("", f"error: {plan}: line 2: plan cost is not an integer\n")
+
     def test_rejects_inapplicable_plan(self, tmp_path, capsys):
         code = main(
             [

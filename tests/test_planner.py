@@ -204,6 +204,13 @@ class TestPlanText:
         trailing = "(step1)\n(step2)\n; cost = 2\n; end\n\n"
         assert parse_plan_text(chain_task(), trailing) == CHAIN_PLANS[1]
 
+    def test_a_cost_that_is_not_an_integer_is_refused_on_its_line(self):
+        # Skipped, the line would neither set the cost nor end the plan, and
+        # the steps around it would read as one plan.
+        with pytest.raises(MalformedRecord) as err:
+            parse_plan_text(chain_task(), "(step1)\n; cost = two\n(step2)\n")
+        assert (err.value.line, err.value.reason) == (2, "plan cost is not an integer")
+
     @pytest.mark.parametrize(
         "text", ["step1", "()", "(no-such-action)", "(step1 extra)"]
     )

@@ -5,6 +5,7 @@ load; and per-hypothesis work that must not grow with the capability
 catalog."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -218,23 +219,24 @@ def test_capability_tokens_are_case_insensitive(tmp_path):
 
 
 def corpus_work(assets, monkeypatch):
-    """Per (sample, hypothesis): the atoms build_problem type-checks and the
-    rows ground_task adds to its store before saturating, once the bundle's
-    world and grounding seed exist."""
+    """The atoms build_problem type-checks, per (sample, hypothesis), and
+    the rows ground_task adds to its store before saturating, per call that
+    grounds, once the bundle's world and grounding seed exist."""
     facts = [infer_facts(load_sample(path), assets) for path in CORPUS]
     hypothesis_task(facts[0], assets, assets.catalog[0])  # builds the world and seed
-    counted: list[int] = []
+    typed: list[int] = []
+    added: list[int] = []
     type_atoms, add_rows = state._type_atoms, ground.add_rows
 
     def counting_type_atoms(atoms, objects, domain):
-        counted.append(len(atoms))
+        typed.append(len(atoms))
         type_atoms(atoms, objects, domain)
 
     def counting_add_rows(relations, domain, atoms, objects):
         before = len(relations)
-        added = add_rows(relations, domain, atoms, objects)
-        counted.append(len(relations) - before)
-        return added
+        rows = add_rows(relations, domain, atoms, objects)
+        added.append(len(relations) - before)
+        return rows
 
     with monkeypatch.context() as patch:
         patch.setattr(state, "_type_atoms", counting_type_atoms)
@@ -242,15 +244,45 @@ def corpus_work(assets, monkeypatch):
         for sample_facts in facts:
             for hypothesis in assets.catalog:
                 hypothesis_task(sample_facts, assets, hypothesis)
-    return counted
+    return typed, added
 
 
 def test_per_hypothesis_work_does_not_grow_with_the_catalog(tmp_path, monkeypatch):
+    # The hypotheses of a sample share their own rows, so the world's memo
+    # grounds each sample at most once.
     assets = HuntAssets.load()
     bundled = corpus_work(assets, monkeypatch)
     wide = corpus_work(load_assets("extra_400", tmp_path), monkeypatch)
-    assert len(bundled) == 2 * len(CORPUS) * len(assets.catalog)
+    typed, added = bundled
+    assert len(typed) == len(CORPUS) * len(assets.catalog)
+    assert len(added) <= len(CORPUS)
     assert wide == bundled
+
+
+def test_the_memo_grounds_like_an_empty_store(tmp_path):
+    """Every corpus sample and hypothesis grounds on the world as it does
+    without one, goal mask included, whatever the memo holds: in catalog
+    order, in reverse, and interleaved with another sample's problems and
+    with those of a bundle with 40 more CVEs."""
+    assets = HuntAssets.load()
+    path, _ = unreachable_pivots(tmp_path, 40)
+    wide = HuntAssets.load(overrides={defaults.CAPABILITIES_FILE: path})
+    pivot = infer_facts(load_sample(CORPUS_DIR / "pivot_demo.jsonl"), assets)
+    wide_pivot = infer_facts(load_sample(CORPUS_DIR / "pivot_demo.jsonl"), wide)
+
+    def check(problem, bundle):
+        reference = ground_task(bundle.domain, replace(problem, world=None))
+        assert_same_task(ground_task(bundle.domain, problem), reference)
+
+    for sample_path in CORPUS:
+        facts = infer_facts(load_sample(sample_path), assets)
+        problems = [hypothesis_problem(facts, assets, h) for h in assets.catalog]
+        for problem in problems + problems[::-1]:
+            check(problem, assets)
+        for problem, hypothesis in zip(problems, assets.catalog):
+            check(hypothesis_problem(pivot, assets, hypothesis), assets)
+            check(hypothesis_problem(wide_pivot, wide, hypothesis), wide)
+            check(problem, assets)
 
 
 def corpus_tasks(assets):
