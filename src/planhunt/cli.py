@@ -23,16 +23,17 @@ from .hunt import (
     HuntConfig,
     batch_hunt,
     hypothesis_plans,
-    hypothesis_problem,
     hypothesis_task,
     identify_threats,
     infer_facts,
     report_to_json,
+    sample_problem,
     summary_to_csv,
 )
 from .planner import Limits, parse_plan_text, render_plan, validate_plan
 from .planning_model.model import ThreatHypothesis
 from .planning_model.pddl import render_problem
+from .planning_model.state import pose
 from .telemetry import SampleRecord, load_sample
 
 logger = logging.getLogger(__name__)
@@ -61,7 +62,7 @@ def _asset_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _limit_args(parser: argparse.ArgumentParser) -> None:
+def _limit_args(parser: argparse.ArgumentParser) -> argparse._ArgumentGroup:
     group = parser.add_argument_group("limits")
     group.add_argument("-k", type=int, default=10, help="plans per hypothesis (default 10)")
     group.add_argument(
@@ -69,13 +70,10 @@ def _limit_args(parser: argparse.ArgumentParser) -> None:
         help="planner wall-clock budget per hypothesis (default 3600)",
     )
     group.add_argument(
-        "--sample-time-limit", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget across one sample's catalog (default one planner budget per hypothesis)",
-    )
-    group.add_argument(
         "--memory-limit", type=int, default=8 * 2**30, metavar="BYTES",
         help="planner frontier memory budget (default 8 GiB)",
     )
+    return group
 
 
 def _overrides(args: argparse.Namespace) -> dict[str, Path]:
@@ -96,8 +94,9 @@ def _assets(args: argparse.Namespace) -> HuntAssets:
 
 
 def _config(args: argparse.Namespace) -> HuntConfig:
+    sample_time_limit = getattr(args, "sample_time_limit", None)  # plan has none
     floors = (("-k", args.k, 1), ("--time-limit", args.time_limit, 0),
-              ("--sample-time-limit", args.sample_time_limit, 0),
+              ("--sample-time-limit", sample_time_limit, 0),
               ("--memory-limit", args.memory_limit, 1))
     for flag, value, least in floors:
         if value is not None and not value >= least:  # NaN fails too
@@ -109,7 +108,7 @@ def _config(args: argparse.Namespace) -> HuntConfig:
             memory=args.memory_limit,
         ),
         confirm=getattr(args, "confirm", False),
-        sample_wall_time=args.sample_time_limit,
+        sample_wall_time=sample_time_limit,
     )
 
 
@@ -150,12 +149,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     assets = _assets(args)
     sample = _sample(args)
     hypothesis = _hypothesis(args.hypothesis, assets)
-    facts = infer_facts(sample, assets)
+    problem = sample_problem(infer_facts(sample, assets), assets)
     if args.dump_problem:
-        problem = hypothesis_problem(facts, assets, hypothesis)
-        _write_out(render_problem(problem), args.out)
+        _write_out(render_problem(pose(problem, hypothesis)), args.out)
         return 0
-    task, planset = hypothesis_plans(facts, assets, hypothesis, _config(args).limits)
+    task, planset = hypothesis_plans(problem, assets, hypothesis, _config(args).limits)
     chunks = [f"; status = {planset.status}\n"]
     for i, plan in enumerate(planset.plans, start=1):
         chunks.append(f"; plan {i}\n{render_plan(task, plan)}")
@@ -173,7 +171,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     assets = _assets(args)
     sample = _sample(args)
     hypothesis = _hypothesis(args.hypothesis, assets)
-    task = hypothesis_task(infer_facts(sample, assets), assets, hypothesis)
+    task = hypothesis_task(sample_problem(infer_facts(sample, assets), assets), assets, hypothesis)
     with defaults.naming(args.plan_file):
         plan = parse_plan_text(task, defaults.read_input(args.plan_file).read())
     result = validate_plan(task, plan)
@@ -278,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     hunt.add_argument("--confirm", action="store_true", help="audit indicators against derived facts")
     hunt.add_argument("-o", "--out", type=Path, help="write to a file instead of stdout")
     _asset_args(hunt)
-    _limit_args(hunt)
+    hunt_limits = _limit_args(hunt)
     hunt.set_defaults(func=_cmd_hunt)
 
     validate = sub.add_parser("validate", help="replay a plan file against one sample")
@@ -300,7 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--confirm", action="store_true", help="audit indicators against derived facts")
     _asset_args(batch)
-    _limit_args(batch)
+    for limits in (hunt_limits, _limit_args(batch)):  # plan poses one hypothesis
+        limits.add_argument(
+            "--sample-time-limit", type=float, default=None, metavar="SECONDS",
+            help="wall-clock budget across one sample's catalog (default one planner budget per hypothesis)",
+        )
     batch.set_defaults(func=_cmd_batch)
     return parser
 

@@ -1,14 +1,15 @@
 """End-to-end threat hunting over telemetry samples.
 
 One sample flows through four stages: facts are extracted from telemetry,
-the rule pack derives exploit and capability facts, each hypothesis of the
-domain's catalog (its threat constants times its mechanism constants)
-becomes a planning problem whose top-k plans are enumerated, and every plan
-is translated into indicator-of-compromise records. A hypothesis counts as
-a possible threat exactly when at least one plan was found; optional
-confirmation then audits the checkable indicators against the derived facts.
+the rule pack derives exploit and capability facts, which become the
+sample's one planning problem, each hypothesis of the domain's catalog (its
+threat constants times its mechanism constants) poses its goal on that
+problem and its top-k plans are enumerated, and every plan is translated
+into indicator-of-compromise records. A hypothesis counts as a possible
+threat exactly when at least one plan was found; optional confirmation
+then audits the checkable indicators against the derived facts.
 
-``infer_facts``, ``hypothesis_problem``, ``hypothesis_task`` and
+``infer_facts``, ``sample_problem``, ``hypothesis_task`` and
 ``hypothesis_plans`` are the one path from a sample to its plans; the
 hunt, batch and single-stage CLI commands all go through them.
 """
@@ -48,6 +49,7 @@ from .planning_model.state import (
     build_problem,
     load_capability_table,
     load_mapping_table,
+    pose,
 )
 from .telemetry import SampleRecord, events_to_facts, load_sample, unknown_tokens
 
@@ -67,7 +69,7 @@ __all__ = [
     "cve_patterns",
     "confirm_threat",
     "infer_facts",
-    "hypothesis_problem",
+    "sample_problem",
     "hypothesis_task",
     "hypothesis_plans",
     "identify_threats",
@@ -430,27 +432,22 @@ def infer_facts(sample: SampleRecord, assets: HuntAssets) -> SampleFacts:
     return SampleFacts(sample, base, model.facts, model.relations)
 
 
-def hypothesis_problem(
-    facts: SampleFacts, assets: HuntAssets, hypothesis: ThreatHypothesis
-) -> ProblemInstance:
-    """The planning problem one hypothesis poses over a sample's facts."""
-    return build_problem(facts.derived, facts.sample, assets.world, assets.mapping, hypothesis)
+def sample_problem(facts: SampleFacts, assets: HuntAssets) -> ProblemInstance:
+    """A sample's planning problem, on which each hypothesis poses its goal."""
+    return build_problem(facts.derived, facts.sample, assets.world, assets.mapping)
 
 
 def hypothesis_task(
-    facts: SampleFacts, assets: HuntAssets, hypothesis: ThreatHypothesis
+    problem: ProblemInstance, assets: HuntAssets, hypothesis: ThreatHypothesis
 ) -> GroundedTask:
-    return ground_task(assets.domain, hypothesis_problem(facts, assets, hypothesis))
+    return ground_task(assets.domain, pose(problem, hypothesis))
 
 
 def hypothesis_plans(
-    facts: SampleFacts,
-    assets: HuntAssets,
-    hypothesis: ThreatHypothesis,
-    limits: Limits,
+    problem: ProblemInstance, assets: HuntAssets, hypothesis: ThreatHypothesis, limits: Limits
 ) -> tuple[GroundedTask, PlanSet]:
-    """Ground one hypothesis and enumerate its top-k plans."""
-    task = hypothesis_task(facts, assets, hypothesis)
+    """Ground one hypothesis's goal on a sample's problem and enumerate its top-k plans."""
+    task = hypothesis_task(problem, assets, hypothesis)
     return task, find_top_k(task, limits)
 
 
@@ -467,6 +464,7 @@ def identify_threats(
         facts = infer_facts(sample, assets)
     except ResourceLimit:
         facts = None
+    problem = None if facts is None else sample_problem(facts, assets)
     flagged = unknown_tokens(sample, assets.program.pack.token_table)
 
     findings: list[ThreatFinding] = []
@@ -476,7 +474,7 @@ def identify_threats(
         if facts is not None and remaining > 0:
             limits = replace(config.limits, wall_time=min(config.limits.wall_time, remaining))
             try:
-                task, planset = hypothesis_plans(facts, assets, hypothesis, limits)
+                task, planset = hypothesis_plans(problem, assets, hypothesis, limits)
             except ResourceLimit:
                 planset = _OUT_OF_COUNT
         findings.append(_finding_from_planset(hypothesis, task, planset, assets, facts, config))

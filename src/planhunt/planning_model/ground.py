@@ -33,12 +33,12 @@ without a world, such as a hand-made one, is seeded from an empty store
 and saturated from scratch. The task is decoded from the fluent and
 applicability rows; no fact objects are built on the way.
 
-A sample's hypotheses differ only in the goal, so the world keeps a memo of
-its last grounding: the task without its goal and the store's ``spent``,
-under the rows it added (the problem's own atoms and objects). A problem
-with equal rows takes that task, its ``spent`` checked against the budget
-again, so the budget trips at the same limits; a failed grounding stores
-nothing.
+A sample's hypotheses share one problem and differ only in the goal
+(``state.pose``), so the world keeps a memo of its last grounding: the task
+without its goal and the store's ``spent``, under the rows it added (the
+problem's own atoms and objects). A problem with equal rows takes that
+task, its ``spent`` checked against the budget again, so the budget trips
+at the same limits; a failed grounding stores nothing.
 
 A goal is a set of ground atoms that must all hold, so the task keeps it as
 one mask. A goal atom that cannot hold in any state, a fluent one outside

@@ -178,8 +178,8 @@ class ProblemInstance:
     goal: frozenset[GroundAtom]  # every atom must hold
     # The state.StaticWorld this problem extends. state.build_problem sets
     # it, with ``init`` a WorldAtoms view and ``objects`` a ChainMap whose
-    # first map holds the objects the world lacks, so neither copies the
-    # world; a copy with another init or other objects must reset it to None.
+    # first map holds the objects the world lacks, so neither copies the world.
+    # state.pose keeps all three; a copy with other init or objects resets it to None.
     world: "StaticWorld | None" = field(default=None, compare=False, repr=False)
 
 

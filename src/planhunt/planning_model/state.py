@@ -13,16 +13,16 @@ checked against the domain once: ``HuntAssets.load`` builds it, so a table
 that fails the checks is rejected at load, and every sample and hypothesis
 of the bundle shares it. Its model, the store of its grounding rows
 saturated under the domain's exploration program, is built on the first
-grounding. Per hypothesis, ``build_problem`` checks and types only the
-mapped atoms the world lacks, on top of the world's objects, and the
-problem's init and objects read the world's through views instead of
-copying them.
+grounding. Per sample, ``build_problem`` checks and types only the mapped
+atoms the world lacks, on top of the world's objects, and the problem's
+init and objects read the world's through views instead of copying them;
+``pose`` adds a hypothesis's name suffix and goal, and shares the rest.
 """
 
 import re
 from collections import ChainMap
 from collections.abc import MutableMapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from ..defaults import table_lines
@@ -47,9 +47,9 @@ __all__ = [
     "load_capability_table",
     "load_mapping_table",
     "mapped_atoms",
-    "construct_goal",
     "StaticWorld",
     "build_problem",
+    "pose",
 ]
 
 CAPABILITIES = {
@@ -201,11 +201,6 @@ def mapped_atoms(derived: Relations, mapping: MappingTable) -> frozenset[GroundA
     return frozenset(atoms)
 
 
-def construct_goal(hypothesis: ThreatHypothesis) -> GroundAtom:
-    """The planning goal: the threat-possible atom for this hypothesis."""
-    return (THREAT_POSSIBLE, (hypothesis.threat, hypothesis.mechanism, APP))
-
-
 def _type_atoms(atoms, objects: MutableMapping[str, str], domain: DomainModel) -> None:
     """Check atoms, in sorted order, against their predicate schemas; an
     object that neither ``objects`` nor the domain's constants hold is
@@ -282,13 +277,9 @@ class StaticWorld:
 
 
 def build_problem(
-    derived: Relations,
-    sample: SampleRecord,
-    world: StaticWorld,
-    mapping: MappingTable,
-    hypothesis: ThreatHypothesis,
+    derived: Relations, sample: SampleRecord, world: StaticWorld, mapping: MappingTable
 ) -> ProblemInstance:
-    """Assemble the per-sample planning problem for one hypothesis.
+    """Assemble a sample's planning problem, without a goal: ``pose`` sets one.
 
     The init is the world's atoms plus the mapped derived atoms, read
     through a ``WorldAtoms`` view, and the objects are the world's plus
@@ -303,10 +294,18 @@ def build_problem(
     objects = ChainMap({}, world.objects)
     _type_atoms(own, objects, domain)
     return ProblemInstance(
-        name=f"hunt-{sample.sample_id}-{hypothesis.threat}-{hypothesis.mechanism}",
+        name=f"hunt-{sample.sample_id}",
         domain_name=domain.name,
         objects=objects,
         init=WorldAtoms(world.atoms, own),
-        goal=frozenset({construct_goal(hypothesis)}),
+        goal=frozenset(),
         world=world,
     )
+
+
+def pose(problem: ProblemInstance, hypothesis: ThreatHypothesis) -> ProblemInstance:
+    """``problem`` named for a hypothesis, with its threat-possible atom as
+    the goal; the init, objects and world stay ``problem``'s own objects."""
+    threat, mechanism = hypothesis.threat, hypothesis.mechanism
+    goal = frozenset({(THREAT_POSSIBLE, (threat, mechanism, APP))})
+    return replace(problem, name=f"{problem.name}-{threat}-{mechanism}", goal=goal)

@@ -19,7 +19,7 @@ from planhunt.inference.rules import parse_rule_pack
 from planhunt.planner import Limits, find_top_k, validate_plan
 from planhunt.planning_model.ground import ground_task
 from planhunt.planning_model.model import ThreatHypothesis
-from planhunt.planning_model.state import StaticWorld, build_problem
+from planhunt.planning_model.state import StaticWorld, build_problem, pose
 from planhunt.telemetry import Fact, events_to_facts, load_sample
 
 from oracles.enumerate import CapExceeded, oracle_enumerate
@@ -42,7 +42,7 @@ def hypothesis_planset(sample, assets, label, limits=None):
     base = events_to_facts(sample)
     derived = evaluate(assets.program, base).facts
     world = StaticWorld.build(assets.domain, assets.capabilities)
-    problem = build_problem(derived, sample, world, assets.mapping, hypothesis)
+    problem = pose(build_problem(derived, sample, world, assets.mapping), hypothesis)
     task = ground_task(assets.domain, problem)
     return derived, task, find_top_k(task, limits or Limits())
 
@@ -227,10 +227,9 @@ def test_criterion_8_possible_set_mirrors_raw_planner_output():
         sample = load_sample(path)
         report = identify_threats(sample, assets, config)
         base = events_to_facts(sample)
-        derived = evaluate(assets.program, base).facts
+        problem = build_problem(evaluate(assets.program, base).facts, sample, world, assets.mapping)
         for hypothesis in assets.catalog:
-            problem = build_problem(derived, sample, world, assets.mapping, hypothesis)
-            planset = find_top_k(ground_task(assets.domain, problem), Limits())
+            planset = find_top_k(ground_task(assets.domain, pose(problem, hypothesis)), Limits())
             label = f"{hypothesis.threat}/{hypothesis.mechanism}"
             assert (label in report.possible_threats) == bool(planset.plans), (
                 path.stem, label,

@@ -11,9 +11,10 @@ import pytest
 
 from planhunt import defaults
 from planhunt.errors import ResourceLimit
-from planhunt.hunt import HuntAssets, hypothesis_problem, infer_facts
+from planhunt.hunt import HuntAssets, infer_facts, sample_problem
 from planhunt.inference.engine import evaluate
 from planhunt.planning_model.ground import ground_task
+from planhunt.planning_model.state import pose
 from planhunt.telemetry import events_to_facts, load_sample
 from test_hunt import within
 
@@ -57,9 +58,9 @@ def grounding(assets, problem):
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_world_and_empty_store_trip_at_the_same_limit(assets, path):
-    facts = infer_facts(load_sample(path), assets)
+    sample = sample_problem(infer_facts(load_sample(path), assets), assets)
     for hypothesis in assets.catalog:
-        problem = hypothesis_problem(facts, assets, hypothesis)
+        problem = pose(sample, hypothesis)
         limit = trip_point(grounding(assets, problem))
         if hypothesis.label == "surveillance/permission" and path.stem in TRIP_POINTS:
             assert limit == TRIP_POINTS[path.stem]
@@ -84,10 +85,10 @@ def test_inference_passes_at_exactly_the_derived_count(assets, path):
 def test_a_pickled_world_model_keeps_its_count(assets):
     camera = infer_facts(load_sample(defaults.BUNDLE / "corpus/camera_perm_demo.jsonl"), assets)
     (hypothesis,) = [h for h in assets.catalog if h.label == "surveillance/permission"]
-    assert trip_point(grounding(assets, hypothesis_problem(camera, assets, hypothesis))) == 6
+    assert trip_point(grounding(assets, pose(sample_problem(camera, assets), hypothesis))) == 6
     model = assets.world.model
     assert pickle.loads(pickle.dumps(model)).spent == model.spent > 0
     copy = pickle.loads(pickle.dumps(assets))
     assert "model" in vars(copy.world)  # grounding extends the copied model
-    problem = hypothesis_problem(camera, copy, hypothesis)
+    problem = pose(sample_problem(camera, copy), hypothesis)
     assert trip_point(grounding(copy, problem)) == 6

@@ -10,7 +10,7 @@ import pytest
 
 import planhunt
 from planhunt import defaults
-from planhunt.cli import _OVERRIDE_FLAGS, main
+from planhunt.cli import _OVERRIDE_FLAGS, build_parser, main
 
 CORPUS = Path("src/planhunt/assets/corpus")
 PROBLEMS = Path(__file__).parent / "data" / "problems"
@@ -459,14 +459,14 @@ class TestSinglePipelinePath:
         ["batch", sample("pivot_demo.jsonl"), "--workers", "0"],
         ["hunt", sample("pivot_demo.jsonl"), "--time-limit", "-1"],
         ["hunt", sample("pivot_demo.jsonl"), "--time-limit", "nan"],
-        ["plan", sample("pivot_demo.jsonl"), "surveillance/exploit", "--sample-time-limit", "-0.5"],
+        ["hunt", sample("pivot_demo.jsonl"), "--sample-time-limit", "-0.5"],
         ["batch", sample("pivot_demo.jsonl"), "--sample-time-limit", "nan"],
         ["hunt", sample("pivot_demo.jsonl"), "--memory-limit", "-5"],
         ["batch", sample("pivot_demo.jsonl"), "--memory-limit", "0"],
     ],
     ids=[
         "hunt-k", "plan-k", "batch-workers", "hunt-time-limit", "hunt-time-limit-nan",
-        "plan-sample-time-limit", "batch-sample-time-limit-nan", "hunt-memory-limit",
+        "hunt-sample-time-limit", "batch-sample-time-limit-nan", "hunt-memory-limit",
         "batch-memory-limit",
     ],
 )
@@ -686,3 +686,13 @@ class TestParser:
         with pytest.raises(SystemExit) as exit_info:
             main(["prowl"])
         assert exit_info.value.code == 2
+
+    def test_only_hunt_and_batch_take_a_sample_time_limit(self, capsys):
+        # plan poses one hypothesis, so a budget across the catalog has nothing to bound.
+        for argv in (["hunt", "s.jsonl"], ["batch", "s.jsonl"]):
+            args = build_parser().parse_args([*argv, "--sample-time-limit", "0.5"])
+            assert args.sample_time_limit == 0.5
+        with pytest.raises(SystemExit) as exit_info:
+            main(["plan", "s.jsonl", "surveillance/exploit", "--sample-time-limit", "0.5"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --sample-time-limit" in capsys.readouterr().err

@@ -23,6 +23,7 @@ from planhunt.hunt import (
     cve_patterns,
     hypothesis_plans,
     infer_facts,
+    sample_problem,
 )
 from planhunt.inference.engine import Fact, Relations, evaluate
 from planhunt.inference.rules import Literal, Var, parse_rule_pack, render_body
@@ -95,8 +96,9 @@ def test_corpus_plans_confirm_as_body_matching_does(setup, tmp_path):
     syscall_outcomes = {True: 0, False: 0}
     for sample_path in CORPUS:
         facts = infer_facts(load_sample(sample_path), assets)
+        problem = sample_problem(facts, assets)
         for hypothesis in assets.catalog:
-            task, planset = hypothesis_plans(facts, assets, hypothesis, Limits())
+            task, planset = hypothesis_plans(problem, assets, hypothesis, Limits())
             for plan in planset.plans:
                 records = construct_indicators(
                     task, plan, assets.indicator_specs, assets.patterns
@@ -202,8 +204,9 @@ def test_every_probe_goes_through_the_traced_name(bundled, monkeypatch):
     probed = {True: 0, False: 0}
     for sample_path in CORPUS:
         facts = infer_facts(load_sample(sample_path), bundled)
+        problem = sample_problem(facts, bundled)
         for hypothesis in bundled.catalog:
-            task, planset = hypothesis_plans(facts, bundled, hypothesis, Limits())
+            task, planset = hypothesis_plans(problem, bundled, hypothesis, Limits())
             for plan in planset.plans:
                 records = construct_indicators(
                     task, plan, bundled.indicator_specs, bundled.patterns

@@ -9,10 +9,10 @@ from dataclasses import replace
 import pytest
 
 from planhunt import defaults
-from planhunt.hunt import HuntAssets, hypothesis_plans, hypothesis_task, infer_facts
+from planhunt.hunt import HuntAssets, hypothesis_plans, hypothesis_task, infer_facts, sample_problem
 from planhunt.planner import Limits, find_top_k
 from planhunt.planning_model.ground import GroundedTask
-from planhunt.planning_model.state import construct_goal
+from planhunt.planning_model.state import pose
 from planhunt.telemetry import load_sample
 from taskgen import random_task, state_atoms
 from test_ground_program import CORPUS, CORPUS_DIR, unreachable_pivots
@@ -64,10 +64,10 @@ def test_corpus_goal_check_agrees_with_search(setup, tmp_path):
         assets = HuntAssets.load(strict_domain=setup == "strict_domain")
     settled = 0
     for sample_path in CORPUS:
-        facts = infer_facts(load_sample(sample_path), assets)
+        problem = sample_problem(infer_facts(load_sample(sample_path), assets), assets)
         for hypothesis in assets.catalog:
-            task = hypothesis_task(facts, assets, hypothesis)
-            settled += settles_like_search(task, {construct_goal(hypothesis)})
+            task = hypothesis_task(problem, assets, hypothesis)
+            settled += settles_like_search(task, set(pose(problem, hypothesis).goal))
     assert settled > 0
 
 
@@ -88,10 +88,11 @@ def test_pivots_off_a_reachable_cve_settle_without_search(tmp_path):
     table.write_text(text + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
     assets = HuntAssets.load(overrides={defaults.CAPABILITIES_FILE: table})
     facts = infer_facts(load_sample(CORPUS_DIR / "multi_cve_demo.jsonl"), assets)
+    problem = sample_problem(facts, assets)
     fraud = [h for h in assets.catalog if h.threat == "financial_fraud"]
     assert len(fraud) == 2
     for hypothesis in fraud:
-        _, planset = hypothesis_plans(facts, assets, hypothesis, Limits(wall_time=2.0))
+        _, planset = hypothesis_plans(problem, assets, hypothesis, Limits(wall_time=2.0))
         assert (planset.status, planset.expanded) == ("no_plan", 0), hypothesis.label
 
 

@@ -24,10 +24,10 @@ from oracles.cartesian_ground import ground_task as cartesian_ground_task
 from planhunt import defaults
 from planhunt.hunt import (
     HuntAssets,
-    hypothesis_problem,
     hypothesis_task,
     identify_threats,
     infer_facts,
+    sample_problem,
 )
 from planhunt.inference.engine import Relations
 from planhunt.planning_model import ground
@@ -39,6 +39,7 @@ from planhunt.planning_model.state import (
     build_problem,
     load_capability_table,
     load_mapping_table,
+    pose,
 )
 from planhunt.telemetry import Fact, SampleRecord, load_sample
 from test_ground import random_instance
@@ -126,12 +127,12 @@ def test_corpus_tasks_match_the_cartesian_grounder(setup, tmp_path):
     else:
         assets = HuntAssets.load(strict_domain=setup == "strict_domain")
     for sample_path in CORPUS:
-        facts = infer_facts(load_sample(sample_path), assets)
+        sample = sample_problem(infer_facts(load_sample(sample_path), assets), assets)
         for hypothesis in assets.catalog:
-            problem = hypothesis_problem(facts, assets, hypothesis)
+            problem = pose(sample, hypothesis)
             reference = cartesian_task(assets.domain, problem)
             assert_same_task(ground_task(assets.domain, problem), reference)
-            assert_same_task(hypothesis_task(facts, assets, hypothesis), reference)
+            assert_same_task(hypothesis_task(sample, assets, hypothesis), reference)
 
 
 def test_wide_catalog_tasks_match_fresh_grounding(tmp_path):
@@ -141,12 +142,12 @@ def test_wide_catalog_tasks_match_fresh_grounding(tmp_path):
     path, _ = unreachable_pivots(tmp_path, 1600)
     assets = HuntAssets.load(overrides={defaults.CAPABILITIES_FILE: path})
     for sample_path in CORPUS:
-        facts = infer_facts(load_sample(sample_path), assets)
+        sample = sample_problem(infer_facts(load_sample(sample_path), assets), assets)
         for hypothesis in assets.catalog:
-            problem = hypothesis_problem(facts, assets, hypothesis)
+            problem = pose(sample, hypothesis)
             assert problem.world is assets.world
             assert_same_task(
-                hypothesis_task(facts, assets, hypothesis),
+                hypothesis_task(sample, assets, hypothesis),
                 ground_task(assets.domain, replace(problem, world=None)),
             )
 
@@ -164,7 +165,7 @@ def test_sparse_catalog_grounds_without_explosion(tmp_path):
     assets = HuntAssets.load(overrides={defaults.CAPABILITIES_FILE: path})
     facts = infer_facts(load_sample(CORPUS_DIR / "pivot_demo.jsonl"), assets)
     hypothesis = next(h for h in assets.catalog if h.label == "surveillance/exploit")
-    task = ground_task(assets.domain, hypothesis_problem(facts, assets, hypothesis))
+    task = ground_task(assets.domain, pose(sample_problem(facts, assets), hypothesis))
     assert task.find_action("pivot-exploit", ("cve_2019_2194", "cve_2019_2103")) is not None
     assert not any(set(added) & set(action.args) for action in task.actions)
 
@@ -239,11 +240,11 @@ SAMPLE = SampleRecord(sample_id="s1", events=(), permissions=(), intents=())
 
 
 def world_problems(world, mapping, facts):
-    """Per hypothesis, the problem ``build_problem`` poses on ``world`` for
-    derived ``facts`` through the mapping table text."""
+    """Per hypothesis, the problem it poses on the one ``build_problem``
+    builds on ``world`` for derived ``facts`` through the mapping table text."""
     derived = Relations([Fact(pred, args) for pred, args in facts])
-    mapping = load_mapping_table(mapping)
-    return [build_problem(derived, SAMPLE, world, mapping, h) for h in hypothesis_catalog(world.domain)]
+    problem = build_problem(derived, SAMPLE, world, load_mapping_table(mapping))
+    return [pose(problem, h) for h in hypothesis_catalog(world.domain)]
 
 
 def bundled_world(domain):

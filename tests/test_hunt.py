@@ -10,7 +10,7 @@ import pytest
 from planhunt import defaults
 from planhunt import hunt as hunt_module
 from planhunt.defaults import corpus_paths
-from planhunt.errors import DuplicateSampleId, InputError
+from planhunt.errors import DuplicateSampleId, InputError, UnmappedPredicate
 from planhunt.hunt import (
     CONFIRM_CONFIRMED,
     CONFIRM_NOT_ATTEMPTED,
@@ -33,6 +33,7 @@ from planhunt.hunt import (
     infer_facts,
     parse_indicator_map,
     report_to_json,
+    sample_problem,
     summary_to_csv,
 )
 from planhunt.inference.engine import Relations
@@ -201,10 +202,10 @@ class TestConstructIndicators:
             with monkeypatch.context() as patch:
                 patch.setattr(hunt_module, "_expand", counting)
                 report = identify_threats(load_sample(path), assets)
-            facts = infer_facts(load_sample(path), assets)
+            problem = sample_problem(infer_facts(load_sample(path), assets), assets)
             for finding in report.findings:
                 hypothesis = ThreatHypothesis(finding.threat, finding.mechanism)
-                task, planset = hypothesis_plans(facts, assets, hypothesis, Limits())
+                task, planset = hypothesis_plans(problem, assets, hypothesis, Limits())
                 actions = {index for plan in planset.plans for index in plan.steps}
                 assert sorted(calls[: len(actions)], key=task.actions.index) == [
                     task.actions[index] for index in sorted(actions)
@@ -436,6 +437,32 @@ class TestIdentifyThreats:
         assert all(f.status == STATUS_TIMED_OUT for f in report.findings)
         assert all(f.plans == () for f in report.findings)
         assert report.possible_threats == ()
+
+    def test_one_problem_per_sample_and_one_grounding_per_hypothesis(self, assets, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(hunt_module, name)
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("build_problem", "ground_task"):
+            monkeypatch.setattr(hunt_module, name, counted(name))
+        for path in corpus_paths():
+            calls.clear()
+            identify_threats(load_sample(path), assets)
+            assert calls == ["build_problem", *["ground_task"] * len(assets.catalog)], path.name
+
+    def test_a_mapping_error_surfaces_with_the_sample_budget_spent(self, assets, tmp_path):
+        # The sample's problem is built before its first hypothesis is
+        # budgeted, so a derived predicate the state map lacks is the
+        # sample's error even when no time is left for any hypothesis.
+        mapping = tmp_path / "state-mapping"
+        text = defaults.asset_text(defaults.STATE_MAP_FILE)
+        mapping.write_text(text.replace("exploited/1 (exploited $1)\n", ""), encoding="utf-8")
+        unmapped = HuntAssets.load(overrides={defaults.STATE_MAP_FILE: mapping})
+        with pytest.raises(UnmappedPredicate):
+            hunt("dirtycow_demo", unmapped, sample_wall_time=0.0)
+        assert hunt("clean_demo", unmapped, sample_wall_time=0.0).findings  # derives no exploited
 
     def test_ground_action_budget_leaves_the_hypothesis_undecided(self, assets, monkeypatch):
         # Only the surveillance/permission task gets a ground-action budget

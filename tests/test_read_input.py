@@ -28,9 +28,11 @@ def test_lines_and_text_are_those_of_the_decoded_text(tmp_path_factory, text):
 
 
 def test_loading_a_trace_peaks_near_its_size(tmp_path):
-    # The bytes and one transient decode of them, about twice the size; a
-    # copy of the text in a StringIO, four bytes per character, peaked at
-    # six times the size.
+    # The file's bytes, held while the sample is built, plus the sample
+    # itself: 2.15 times the size for a 20,000-event trace, whether the
+    # UTF-8 check decodes the bytes at once or in chunks, as that decode is
+    # freed before the sample grows. A copy of the text in a StringIO, four
+    # bytes per character, peaked at six times the size.
     gen.long_trace(5, 0, tmp_path, events=3000)
     (path,) = tmp_path.glob("*.jsonl")
     tracemalloc.start()

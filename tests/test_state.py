@@ -1,4 +1,4 @@
-"""Capability/mapping tables and per-hypothesis problem assembly."""
+"""Capability/mapping tables, per-sample problem assembly and the goals hypotheses pose."""
 
 import pytest
 
@@ -7,10 +7,10 @@ from planhunt.planning_model.model import ThreatHypothesis
 from planhunt.planning_model.state import (
     StaticWorld,
     build_problem,
-    construct_goal,
     load_capability_table,
     load_mapping_table,
     mapped_atoms,
+    pose,
 )
 from planhunt.hunt import HuntAssets
 from planhunt.inference.engine import Relations
@@ -148,9 +148,7 @@ class TestInitialState:
         )
         assert mapped_atoms(derived, mapping) == {("exploited", ("cve_1",))}
         world = StaticWorld.build(assets.domain, capabilities)
-        problem = build_problem(
-            derived, sample(), world, mapping, ThreatHypothesis("surveillance", "exploit")
-        )
+        problem = build_problem(derived, sample(), world, mapping)
         assert problem.init == frozenset(
             {
                 ("exploited", ("cve_1",)),
@@ -169,15 +167,30 @@ class TestInitialState:
 
 
 class TestGoalAndProblem:
-    def test_goal_atom(self):
-        goal = construct_goal(ThreatHypothesis("surveillance", "exploit"))
-        assert goal == ("threat-possible", ("surveillance", "exploit", "app"))
+    def test_goal_atom(self, assets):
+        problem = build_problem(Relations(), sample(), assets.world, assets.mapping)
+        assert problem.goal == frozenset()
+        goal = pose(problem, ThreatHypothesis("surveillance", "exploit")).goal
+        assert goal == {("threat-possible", ("surveillance", "exploit", "app"))}
+
+    def test_posed_problems_share_the_sample_problem(self, assets):
+        derived = Relations([Fact("exploited", ("cve_9999_0001",))])
+        problem = build_problem(derived, sample(), assets.world, assets.mapping)
+        posed = [pose(problem, hypothesis) for hypothesis in assets.catalog]
+        for hypothesis, each in zip(assets.catalog, posed):
+            assert each.init is problem.init
+            assert each.objects is problem.objects
+            assert each.world is problem.world is assets.world
+            assert each.domain_name == problem.domain_name
+            assert each.name == f"hunt-s1-{hypothesis.threat}-{hypothesis.mechanism}"
+            assert each.goal == {
+                ("threat-possible", (hypothesis.threat, hypothesis.mechanism, "app"))}
 
     def test_build_problem_objects(self, assets):
         domain, capabilities, mapping = assets.domain, assets.capabilities, assets.mapping
         derived = Relations([Fact("exploited", ("cve_2016_5195",))])
-        problem = build_problem(
-            derived, sample(), StaticWorld.build(domain, capabilities), mapping,
+        problem = pose(
+            build_problem(derived, sample(), StaticWorld.build(domain, capabilities), mapping),
             ThreatHypothesis("surveillance", "permission"),
         )
         assert problem.objects["app"] == "app"
@@ -192,10 +205,7 @@ class TestGoalAndProblem:
     def test_build_problem_types_unknown_objects_from_schema(self, assets):
         domain, capabilities, mapping = assets.domain, assets.capabilities, assets.mapping
         derived = Relations([Fact("exploited", ("cve_9999_0001",))])
-        problem = build_problem(
-            derived, sample(), StaticWorld.build(domain, capabilities), mapping,
-            ThreatHypothesis("surveillance", "exploit"),
-        )
+        problem = build_problem(derived, sample(), StaticWorld.build(domain, capabilities), mapping)
         # Not in the capability table, so the object is typed from the
         # exploited predicate's parameter type.
         assert problem.objects["cve_9999_0001"] == "vuln"
@@ -206,10 +216,7 @@ class TestGoalAndProblem:
         capabilities = load_capability_table("")
         derived = Relations([Fact("haunted", ("app",))])
         with pytest.raises(InputError) as err:
-            build_problem(
-                derived, sample(), StaticWorld.build(domain, capabilities), mapping,
-                ThreatHypothesis("surveillance", "exploit"),
-            )
+            build_problem(derived, sample(), StaticWorld.build(domain, capabilities), mapping)
         assert "undeclared predicate" in str(err.value)
 
     def test_build_problem_rejects_arity_mismatch(self, assets):
@@ -218,10 +225,7 @@ class TestGoalAndProblem:
         capabilities = load_capability_table("")
         derived = Relations([Fact("exploited", ("cve_1", "extra"))])
         with pytest.raises(InputError) as err:
-            build_problem(
-                derived, sample(), StaticWorld.build(domain, capabilities), mapping,
-                ThreatHypothesis("surveillance", "exploit"),
-            )
+            build_problem(derived, sample(), StaticWorld.build(domain, capabilities), mapping)
         assert "arity" in str(err.value)
 
     def test_build_problem_rejects_type_clash(self, assets):
@@ -232,8 +236,5 @@ class TestGoalAndProblem:
         capabilities = assets.capabilities
         derived = Relations([Fact("perm-granted", ("camera", "camera"))])
         with pytest.raises(InputError) as err:
-            build_problem(
-                derived, sample(), StaticWorld.build(domain, capabilities), mapping,
-                ThreatHypothesis("surveillance", "permission"),
-            )
+            build_problem(derived, sample(), StaticWorld.build(domain, capabilities), mapping)
         assert "declared as" in str(err.value)

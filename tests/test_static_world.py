@@ -1,8 +1,8 @@
 """The static world: problems built on a bundle's shared world, against the
 reference builder that typed each problem's whole init
 (tests/oracles/build_problem.py); capability tables the world rejects at
-load; and per-hypothesis work that must not grow with the capability
-catalog."""
+load; and per-sample and per-hypothesis work that must not grow with the
+capability catalog."""
 
 import pickle
 from dataclasses import replace
@@ -15,11 +15,11 @@ from planhunt.errors import InputError, PlanHuntError
 from planhunt.hunt import (
     HuntAssets,
     HuntConfig,
-    hypothesis_problem,
     hypothesis_task,
     identify_threats,
     infer_facts,
     report_to_json,
+    sample_problem,
 )
 from planhunt.inference.engine import Relations
 from planhunt.planning_model import ground, state
@@ -30,6 +30,7 @@ from planhunt.planning_model.state import (
     build_problem,
     load_capability_table,
     load_mapping_table,
+    pose,
 )
 from planhunt.telemetry import Fact, SampleRecord, load_sample
 from test_ground_program import (
@@ -63,7 +64,7 @@ def test_corpus_problems_match_the_reference_builder(setup, tmp_path):
     for path in CORPUS:
         facts = infer_facts(load_sample(path), assets)
         for hypothesis in assets.catalog:
-            assert outcome(lambda: hypothesis_problem(facts, assets, hypothesis)) == outcome(
+            assert outcome(lambda: pose(sample_problem(facts, assets), hypothesis)) == outcome(
                 lambda: reference_build_problem(
                     facts.derived, facts.sample, assets.domain, assets.capabilities,
                     assets.mapping, hypothesis,
@@ -169,7 +170,7 @@ def test_hand_made_tables_match_the_reference_builder(
         assert_load_rejects(text, message, tmp_path, monkeypatch)
         return
     world = StaticWorld.build(domain, table)
-    built = outcome(lambda: build_problem(derived, sample, world, mapping, hypothesis))
+    built = outcome(lambda: pose(build_problem(derived, sample, world, mapping), hypothesis))
     if stage == "problem":
         assert built == ("InputError", message)
         return
@@ -177,7 +178,7 @@ def test_hand_made_tables_match_the_reference_builder(
         lambda: reference_build_problem(derived, sample, domain, table, mapping, hypothesis)
     )
     try:
-        problem = build_problem(derived, sample, world, mapping, hypothesis)
+        problem = pose(build_problem(derived, sample, world, mapping), hypothesis)
     except PlanHuntError:
         return
     assert_same_task(ground_task(domain, problem), cartesian_task(domain, problem))
@@ -219,11 +220,12 @@ def test_capability_tokens_are_case_insensitive(tmp_path):
 
 
 def corpus_work(assets, monkeypatch):
-    """The atoms build_problem type-checks, per (sample, hypothesis), and
-    the rows ground_task adds to its store before saturating, per call that
-    grounds, once the bundle's world and grounding seed exist."""
+    """The atoms build_problem type-checks, per sample, and the rows
+    ground_task adds to its store before saturating, per call that grounds,
+    once the bundle's world and grounding seed exist."""
     facts = [infer_facts(load_sample(path), assets) for path in CORPUS]
-    hypothesis_task(facts[0], assets, assets.catalog[0])  # builds the world and seed
+    first = sample_problem(facts[0], assets)
+    hypothesis_task(first, assets, assets.catalog[0])  # builds the world and seed
     typed: list[int] = []
     added: list[int] = []
     type_atoms, add_rows = state._type_atoms, ground.add_rows
@@ -242,19 +244,20 @@ def corpus_work(assets, monkeypatch):
         patch.setattr(state, "_type_atoms", counting_type_atoms)
         patch.setattr(ground, "add_rows", counting_add_rows)
         for sample_facts in facts:
+            problem = sample_problem(sample_facts, assets)
             for hypothesis in assets.catalog:
-                hypothesis_task(sample_facts, assets, hypothesis)
+                hypothesis_task(problem, assets, hypothesis)
     return typed, added
 
 
 def test_per_hypothesis_work_does_not_grow_with_the_catalog(tmp_path, monkeypatch):
-    # The hypotheses of a sample share their own rows, so the world's memo
-    # grounds each sample at most once.
+    # A sample's hypotheses pose their goals on one problem, typed once, and
+    # share its own rows, so the world's memo grounds each sample at most once.
     assets = HuntAssets.load()
     bundled = corpus_work(assets, monkeypatch)
     wide = corpus_work(load_assets("extra_400", tmp_path), monkeypatch)
     typed, added = bundled
-    assert len(typed) == len(CORPUS) * len(assets.catalog)
+    assert len(typed) == len(CORPUS)
     assert len(added) <= len(CORPUS)
     assert wide == bundled
 
@@ -267,29 +270,29 @@ def test_the_memo_grounds_like_an_empty_store(tmp_path):
     assets = HuntAssets.load()
     path, _ = unreachable_pivots(tmp_path, 40)
     wide = HuntAssets.load(overrides={defaults.CAPABILITIES_FILE: path})
-    pivot = infer_facts(load_sample(CORPUS_DIR / "pivot_demo.jsonl"), assets)
-    wide_pivot = infer_facts(load_sample(CORPUS_DIR / "pivot_demo.jsonl"), wide)
+    pivot = sample_problem(infer_facts(load_sample(CORPUS_DIR / "pivot_demo.jsonl"), assets), assets)
+    wide_pivot = sample_problem(infer_facts(load_sample(CORPUS_DIR / "pivot_demo.jsonl"), wide), wide)
 
     def check(problem, bundle):
         reference = ground_task(bundle.domain, replace(problem, world=None))
         assert_same_task(ground_task(bundle.domain, problem), reference)
 
     for sample_path in CORPUS:
-        facts = infer_facts(load_sample(sample_path), assets)
-        problems = [hypothesis_problem(facts, assets, h) for h in assets.catalog]
+        sample = sample_problem(infer_facts(load_sample(sample_path), assets), assets)
+        problems = [pose(sample, h) for h in assets.catalog]
         for problem in problems + problems[::-1]:
             check(problem, assets)
         for problem, hypothesis in zip(problems, assets.catalog):
-            check(hypothesis_problem(pivot, assets, hypothesis), assets)
-            check(hypothesis_problem(wide_pivot, wide, hypothesis), wide)
+            check(pose(pivot, hypothesis), assets)
+            check(pose(wide_pivot, hypothesis), wide)
             check(problem, assets)
 
 
 def corpus_tasks(assets):
     tasks = []
     for path in CORPUS:
-        facts = infer_facts(load_sample(path), assets)
-        tasks += [hypothesis_task(facts, assets, h) for h in assets.catalog]
+        problem = sample_problem(infer_facts(load_sample(path), assets), assets)
+        tasks += [hypothesis_task(problem, assets, h) for h in assets.catalog]
     return tasks
 
 
