@@ -117,7 +117,7 @@ def parse_indicator_map(text: str) -> tuple[IndicatorSpec, ...]:
         disjunct: int | None = None
         if "@" in head:
             head, _, tail = head.partition("@")
-            if not tail.isdigit() or int(tail) < 1:
+            if not (tail.isascii() and tail.isdigit()) or int(tail) < 1:
                 raise MalformedRecord(lineno, f"bad disjunct suffix {tail!r}")
             disjunct = int(tail)
         fields: list[tuple[str, str]] = []
@@ -271,23 +271,34 @@ _PROBES = {
 match_body = Relations.holds
 
 
-def confirm_threat(records: tuple[IoCRecord, ...], relations: Relations) -> bool:
+def confirm_threat(
+    records: tuple[IoCRecord, ...],
+    relations: Relations,
+    probed: dict[tuple, bool] | None = None,
+) -> bool:
     """Audit the checkable records against the model ``evaluate`` saturated
     for a sample, ``relations``, with one ``holds`` probe each:
     ``exploited(cve)`` for a syscall pattern, ``perm-granted(_, sensor)``
     for a permission audit, the app's surface fact for a surface audit. A
     record without its probe's field fails; api-call records pass. All
-    probes read one store, so the indexes one builds serve the next."""
+    probes read one store, so the indexes one builds serve the next.
+    ``probed`` keeps each (kind, detail)'s outcome across the plans of one
+    finding, so a record shared by several plans is probed once."""
+    if probed is None:
+        probed = {}
     for record in records:
         probe = _PROBES.get(record.kind)
         if probe is None:
             continue
-        predicate, fields = probe
-        detail = record.detail_dict()
-        if not all(name in detail for name in fields if name is not None):
-            return False
-        pattern = tuple(None if name is None else detail[name] for name in fields)
-        if not match_body(relations, predicate, pattern):
+        key = (record.kind, record.detail)
+        if key not in probed:
+            predicate, fields = probe
+            detail = record.detail_dict()
+            probed[key] = False
+            if all(name in detail for name in fields if name is not None):
+                pattern = tuple(None if name is None else detail[name] for name in fields)
+                probed[key] = match_body(relations, predicate, pattern)
+        if not probed[key]:
             return False
     return True
 
@@ -472,7 +483,9 @@ def identify_threats(
         remaining = deadline - time.monotonic()
         task, planset = None, _OUT_OF_COUNT if facts is None else _OUT_OF_TIME
         if facts is not None and remaining > 0:
-            limits = replace(config.limits, wall_time=min(config.limits.wall_time, remaining))
+            limits = config.limits
+            if remaining < limits.wall_time:
+                limits = replace(limits, wall_time=remaining)
             try:
                 task, planset = hypothesis_plans(problem, assets, hypothesis, limits)
             except ResourceLimit:
@@ -508,18 +521,22 @@ def _finding_from_planset(
 
     plans: list[tuple[int, tuple[str, ...]]] = []
     indicators: list[tuple[IoCRecord, ...]] = []
+    # Per action index, shared by the plans: its records and its step name.
     expanded: dict[int, tuple] = {}
+    names: dict[int, str] = {}
     for plan in planset.plans:
-        plans.append(
-            (plan.cost, tuple(task.actions[i].render() for i in plan.steps))
-        )
+        for i in plan.steps:
+            if i not in names:
+                names[i] = task.actions[i].render()
+        plans.append((plan.cost, tuple(names[i] for i in plan.steps)))
         indicators.append(construct_indicators(
             task, plan, assets.indicator_specs, assets.patterns, expanded))
 
     confirmation = CONFIRM_NOT_ATTEMPTED
     if config.confirm and status == STATUS_POSSIBLE:
+        probed: dict[tuple, bool] = {}
         confirmed = any(
-            confirm_threat(records, facts.relations) for records in indicators
+            confirm_threat(records, facts.relations, probed) for records in indicators
         )
         confirmation = CONFIRM_CONFIRMED if confirmed else CONFIRM_UNCONFIRMED
 

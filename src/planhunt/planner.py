@@ -1,13 +1,27 @@
 """Top-k plan enumeration over grounded tasks.
 
-``find_top_k`` runs best-first search over the space of simple paths
-(no repeated state within one path), ordered by accumulated cost with ties
-broken lexicographically over ground-action index sequences. Every popped
-path whose state satisfies the goal is emitted as a plan; expansion
+``find_top_k`` lists plans in the order of uniform-cost search over the
+space of simple paths (no repeated state within one path): by accumulated
+cost, with ties broken lexicographically over ground-action index
+sequences. Every path whose state satisfies the goal is a plan; expansion
 continues through goal states so longer plans that pass through them are
 found too. No state-level dominance pruning is applied: with the
 simple-path constraint such pruning can drop valid plans, and shipped task
 sizes do not need it.
+
+The search is A* in that order. A path's key is its cost plus 0 on a goal
+state, else the least cost of any action whose add mask meets the goal:
+every path from a state that misses the goal contains such an action, so
+the estimate is admissible. Every prefix of a plan then keys at most the
+plan's cost, and on a tie its steps, a prefix of the plan's, sort first,
+so plans are popped in (cost, steps) order, and paths whose cost plus
+estimate passes the k-th plan's cost are never expanded. The statuses
+keep their uniform-cost meaning: at the k-th plan, the frontier's entries
+ranked before it in (cost, steps) order, which uniform-cost search would
+already have expanded, are walked depth first until a simple path ranked
+after the plan shows there are candidates left (``truncated_k``). The
+walk expands only paths uniform-cost search would have expanded before the
+plan, so ``expanded`` never exceeds that search's count.
 
 Before searching, a task without a goal mask, whose goal names an atom no
 state can hold, is answered ``no_plan`` with no expansion, whatever the
@@ -59,13 +73,18 @@ class Plan:
 class PlanSet:
     """Enumeration result. status:
     complete        every simple plan was enumerated (at most k existed)
-    truncated_k     k plans returned, candidate paths remained
+    truncated_k     k plans returned, and a simple path that does not
+                    extend the k-th plan ranks after it in (cost, steps)
+                    order: uniform-cost search would hold candidates
     truncated_limit the memory budget cut enumeration short
-    timed_out       the wall clock expired
+    timed_out       the wall clock expired, before the k-th plan or while
+                    the walk after it told truncated_k from complete
     no_plan         exhaustive search found nothing, or the task has no
                     goal mask (for a grounded task: a goal atom is
                     delete-relaxed unreachable, or static and not in the
                     init), settled without search with expanded 0
+    ``expanded`` counts the paths whose successors were generated, by the
+    search and by the walk that settles ``truncated_k``.
     """
 
     plans: tuple[Plan, ...]
@@ -85,14 +104,27 @@ def find_top_k(task: GroundedTask, limits: Limits | None = None) -> PlanSet:
     limits = limits or Limits()
     if limits.k < 1:
         raise ValueError("k must be at least 1")
-    if task.goal is None:
+    goal = task.goal
+    if goal is None:
         return PlanSet(plans=(), status="no_plan")
     deadline = time.monotonic() + limits.wall_time
 
-    actions = task.actions
+    actions = [
+        (index, a.pre_pos, a.pre_neg, ~a.delete, a.add, a.cost)
+        for index, a in enumerate(task.actions)
+    ]
+    # The estimate for a state that misses the goal: any path from it to
+    # the goal takes an action whose add mask meets the goal. 0 when no
+    # action's does.
+    rest = min((a.cost for a in task.actions if a.add & goal), default=0)
     # A state is an int over the task's atoms, which are fluent only.
     state_bytes = 48 + (len(task.atoms) >> 3)
-    heap: list[tuple[int, tuple[int, ...], int]] = [(0, (), task.init)]
+    init = task.init
+    # Entries: (cost + estimate, steps, cost, state); steps are unique, so
+    # entries never compare past them.
+    heap: list[tuple[int, tuple[int, ...], int, int]] = [
+        (0 if init & goal == goal else rest, (), 0, init)
+    ]
     plans: list[Plan] = []
     expanded = 0
     longest = 0
@@ -107,24 +139,20 @@ def find_top_k(task: GroundedTask, limits: Limits | None = None) -> PlanSet:
         if estimate > limits.memory:
             status = "truncated_limit"
             break
-        cost, seq, state = heapq.heappop(heap)
-        if task.satisfies_goal(state):
+        _, seq, cost, state = heapq.heappop(heap)
+        if state & goal == goal:
             plans.append(Plan(steps=seq, cost=cost))
             if len(plans) >= limits.k:
-                status = "truncated_k" if heap else "complete"
+                status, walked = _rank_after(heap, (cost, seq), actions, init, deadline)
+                expanded += walked
                 break
         expanded += 1
-        visited = _trajectory(task, seq)
-        for index, action in enumerate(actions):
-            if (state & action.pre_pos) != action.pre_pos or state & action.pre_neg:
-                continue
-            successor = (state & ~action.delete) | action.add
-            if successor in visited:
-                continue
-            next_seq = seq + (index,)
-            if len(next_seq) > longest:
-                longest = len(next_seq)
-            heapq.heappush(heap, (cost + action.cost, next_seq, successor))
+        successors = _successors(actions, init, seq, state, cost)
+        if successors and len(seq) >= longest:
+            longest = len(seq) + 1
+        for next_cost, next_seq, successor in successors:
+            key = next_cost if successor & goal == goal else next_cost + rest
+            heapq.heappush(heap, (key, next_seq, next_cost, successor))
 
     if status is None:
         # Frontier exhausted below k plans.
@@ -136,19 +164,51 @@ def find_top_k(task: GroundedTask, limits: Limits | None = None) -> PlanSet:
     )
 
 
-def _trajectory(task: GroundedTask, seq: tuple[int, ...]) -> set[int]:
-    """States visited along a path, recomputed from the action sequence.
+def _successors(actions, init: int, seq: tuple[int, ...], state: int, cost: int):
+    """The simple one-step extensions of a path, as (cost, steps, state).
 
-    Recomputing trades a little CPU for not storing a visited set per
-    frontier entry.
+    The states the path visited are recomputed from its steps, which trades
+    a little CPU for not storing a visited set per frontier entry.
     """
-    state = task.init
-    visited = {state}
+    visited = {init}
+    passed = init
     for index in seq:
-        action = task.actions[index]
-        state = (state & ~action.delete) | action.add
-        visited.add(state)
-    return visited
+        _, _, _, keep, add, _ = actions[index]
+        passed = passed & keep | add
+        visited.add(passed)
+    out = []
+    for index, pre_pos, pre_neg, keep, add, step_cost in actions:
+        if state & pre_pos != pre_pos or state & pre_neg:
+            continue
+        successor = state & keep | add
+        if successor not in visited:
+            out.append((cost + step_cost, seq + (index,), successor))
+    return out
+
+
+def _rank_after(heap, plan: tuple, actions, init: int, deadline: float) -> tuple[str, int]:
+    """The status at the k-th plan, ``plan`` as (cost, steps), and the paths
+    expanded to find it.
+
+    Uniform-cost search would pop every simple path ranked before the plan
+    first, so it holds candidates exactly when some simple path that does
+    not extend the plan ranks after it. The frontier's entries and their
+    extensions are walked depth first: an entry ranked before the plan is
+    one that search would have expanded, so the walk never expands a path
+    that search would not.
+    """
+    pending = fresh = [(cost, seq, state) for _, seq, cost, state in heap]
+    expanded = 0
+    while not any((cost, seq) > plan for cost, seq, _ in fresh):
+        if not pending:
+            return "complete", expanded
+        if time.monotonic() > deadline:
+            return "timed_out", expanded
+        expanded += 1
+        cost, seq, state = pending.pop()
+        fresh = _successors(actions, init, seq, state, cost)
+        pending += fresh
+    return "truncated_k", expanded
 
 
 def validate_plan(task: GroundedTask, plan: Plan) -> ValidationResult:

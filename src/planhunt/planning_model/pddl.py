@@ -344,7 +344,7 @@ def _parse_effect(
                 or len(part.items[1].items) != 1
                 or _sym_text(part.items[1].items[0], "increase") != "total-cost"
                 or not isinstance(part.items[2], _Sym)
-                or not part.items[2].text.isdigit()
+                or not (part.items[2].text.isascii() and part.items[2].text.isdigit())
             ):
                 raise _err(part, "expected (increase (total-cost) N)")
             cost = int(part.items[2].text)

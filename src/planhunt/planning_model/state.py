@@ -22,7 +22,7 @@ init and objects read the world's through views instead of copying them;
 import re
 from collections import ChainMap
 from collections.abc import MutableMapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from ..defaults import table_lines
@@ -308,4 +308,7 @@ def pose(problem: ProblemInstance, hypothesis: ThreatHypothesis) -> ProblemInsta
     the goal; the init, objects and world stay ``problem``'s own objects."""
     threat, mechanism = hypothesis.threat, hypothesis.mechanism
     goal = frozenset({(THREAT_POSSIBLE, (threat, mechanism, APP))})
-    return replace(problem, name=f"{problem.name}-{threat}-{mechanism}", goal=goal)
+    return ProblemInstance(
+        f"{problem.name}-{threat}-{mechanism}", problem.domain_name,
+        problem.objects, problem.init, goal, problem.world,
+    )

@@ -42,14 +42,16 @@ def oracle_enumerate(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if task.goal is None:
+        # A goal atom outside the task's atoms: no state can hold the goal.
+        return PlanSet(plans=(), status="no_plan")
     # Per action: (positive pre, negative pre, add, delete) as atom sets.
     actions = [
         tuple(state_atoms(task, mask) for mask in (a.pre_pos, a.pre_neg, a.add, a.delete))
         for a in task.actions
     ]
     costs = [a.cost for a in task.actions]
-    # A task without a goal mask names a goal atom outside its atoms.
-    goal = None if task.goal is None else state_atoms(task, task.goal)
+    goal = state_atoms(task, task.goal)
     found: list[tuple[int, tuple[int, ...]]] = []
     visits = 0
 
@@ -66,7 +68,7 @@ def oracle_enumerate(
             if visits > cap:
                 raise CapExceeded(cap)
             within = cost_bound is None or cost <= cost_bound
-            if within and goal is not None and goal <= atoms:
+            if within and goal <= atoms:
                 insort(found, (cost, seq))
                 if len(found) > k + 1:
                     # Keep one extra entry so truncation is detectable.

@@ -39,7 +39,6 @@ from planhunt.hunt import (
 )
 from planhunt.inference.engine import Fact, Relations
 from planhunt.inference.rules import Atom, Literal, Var
-from planhunt.planner import PlanSet
 from planhunt.planning_model.pddl import render_problem
 from planhunt.telemetry import SampleRecord, load_sample, unknown_tokens
 from planhunt.vocab import APP, DECLARED_INTENT, DECLARED_PERMISSION, INVOKED
@@ -51,8 +50,6 @@ from oracles.jsonl_reader import load_jsonl
 from oracles.match_body import match_body
 from oracles.naive_datalog import evaluate_naive
 from oracles.report_json import report_to_json
-
-NO_PLAN = PlanSet((), STATUS_NO_PLAN)
 
 # Per checkable indicator kind, the atom a record's probe matches: its
 # predicate and, per argument, the detail field that fills it or None for
@@ -130,7 +127,7 @@ def reference_hunt(path: Path, assets: HuntAssets, config: HuntConfig) -> tuple[
         )
         problems.append(render_problem(problem))
         task = ground_task(assets.domain, problem)
-        planset = NO_PLAN if task.goal is None else oracle_enumerate(task, k=config.limits.k)
+        planset = oracle_enumerate(task, k=config.limits.k)
         plans = tuple(
             (plan.cost, tuple(task.actions[i].render() for i in plan.steps))
             for plan in planset.plans

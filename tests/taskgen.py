@@ -40,8 +40,10 @@ def _tiny_unsolvable(rng: random.Random) -> GroundedTask:
 
 
 def random_task(
-    rng: random.Random, max_atoms: int = 8, max_actions: int = 6
+    rng: random.Random, max_atoms: int = 8, max_actions: int = 6, zero_cost: float = 0.0
 ) -> GroundedTask:
+    """A random task whose actions cost 1 to 3, or, each with probability
+    ``zero_cost``, nothing."""
     if rng.random() < 0.15:
         return _tiny_unsolvable(rng)
     n_atoms = rng.randint(3, max_atoms)
@@ -60,6 +62,9 @@ def random_task(
             else []
         )
         added.update(add)
+        cost = rng.randint(1, 3)
+        if zero_cost and rng.random() < zero_cost:
+            cost = 0
         specs.append(
             (
                 f"act{i}",
@@ -70,7 +75,7 @@ def random_task(
                 [atoms[j] for j in pre_neg],
                 [atoms[j] for j in add],
                 [atoms[j] for j in delete],
-                rng.randint(1, 3),
+                cost,
             )
         )
     init = frozenset(atom for atom in atoms if rng.random() < 0.3)

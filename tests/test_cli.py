@@ -186,6 +186,29 @@ class TestHunt:
         assert captured.err.startswith(f"error: {indicator_map}: line {lineno}: field 'cve' ")
         assert captured.err.count("\n") == 1 and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flag,old,new,message",
+        [
+            ("--domain", "(increase (total-cost) 1)", "(increase (total-cost) ²)",
+             "expected (increase (total-cost) N)"),
+            ("--indicator-map", "fin-fraud-mechanism-exploit@1 ",
+             "fin-fraud-mechanism-exploit@² ", "bad disjunct suffix '²'"),
+        ],
+        ids=["domain-cost", "indicator-suffix"],
+    )
+    def test_a_non_ascii_digit_fails_at_load(self, tmp_path, capsys, flag, old, new, message):
+        # '²' passes str.isdigit(), but int() refuses it.
+        name = _OVERRIDE_FLAGS[flag][0]
+        text = defaults.asset_text(name)
+        assert old in text
+        path = tmp_path / name
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+        assert main(["hunt", sample("pivot_demo.jsonl"), flag, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ")
+        assert captured.err.rstrip("\n").endswith(message)
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_k_is_threaded_through(self, capsys):
         assert main(["hunt", sample("clean_demo.jsonl"), "-k", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)

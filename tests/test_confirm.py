@@ -222,3 +222,29 @@ def test_every_probe_goes_through_the_traced_name(bundled, monkeypatch):
                     assert len(results) <= count
                 probed[confirmed] += len(results)
     assert min(probed.values()) > 0
+
+
+def test_a_finding_probes_each_distinct_record_once(bundled, monkeypatch):
+    # An unconfirmed finding audits every plan, and its plans share most
+    # records; the finding's memo probes each (kind, detail) once.
+    probe, confirm = hunt.match_body, hunt.confirm_threat
+    findings: list[tuple[dict, list]] = []  # (memo, probes made under it)
+
+    def confirming(records, relations, probed=None):
+        if not findings or findings[-1][0] is not probed:
+            findings.append((probed, []))
+        return confirm(records, relations, probed)
+
+    def probing(relations, predicate, pattern):
+        findings[-1][1].append((predicate, pattern))
+        return probe(relations, predicate, pattern)
+
+    monkeypatch.setattr(hunt, "confirm_threat", confirming)
+    monkeypatch.setattr(hunt, "match_body", probing)
+    for sample_path in CORPUS:
+        hunt.identify_threats(load_sample(sample_path), bundled, hunt.HuntConfig(confirm=True))
+    assert findings
+    for probed, probes in findings:
+        assert probed is not None
+        assert len(probes) == len(set(probes)) == len(probed)
+    assert max(len(probes) for _, probes in findings) > 1

@@ -9,6 +9,7 @@ from planhunt.errors import MalformedRecord
 from planhunt.planner import (
     Limits,
     Plan,
+    PlanSet,
     find_top_k,
     parse_plan_text,
     render_plan,
@@ -152,6 +153,14 @@ class TestOracleEnumerate:
             frozenset(), {G},
         )
         assert oracle_enumerate(empty).status == "no_plan"
+
+    def test_goal_outside_the_atoms_is_no_plan_without_search(self):
+        task = GroundedTask.assemble(
+            (M,), [("step1", "step1", (), None, [], [], [M], [], 1)],
+            frozenset(), {("nowhere", ())},
+        )
+        assert task.goal is None
+        assert oracle_enumerate(task, cap=0) == PlanSet((), "no_plan")
 
     def test_cost_bound(self):
         result = oracle_enumerate(chain_task(), cost_bound=2, k=10)
