@@ -34,7 +34,7 @@ from .errors import (
 from .inference.engine import Relations, StratifiedProgram, evaluate, stratify
 from .inference.rules import Atom, Literal, Rule, RulePack, Var, parse_rule_pack, render_body
 from .planner import Limits, Plan, PlanSet, find_top_k
-from .planning_model.ground import GroundedTask, _dnf, ground_task
+from .planning_model.ground import GroundedTask, ground_task
 from .planning_model.model import (
     DomainModel,
     ProblemInstance,
@@ -145,7 +145,7 @@ def _check_indicator_slots(specs: tuple[IndicatorSpec, ...], domain: DomainModel
         if action is None:
             continue
         if spec.disjunct is not None:
-            count = len(_dnf(action.precondition))
+            count = len(action.precondition)
             if count == 1 or spec.disjunct > count:
                 raise InputError(
                     f"indicator template {spec.schema}@{spec.disjunct} {spec.kind}: "
@@ -370,9 +370,10 @@ class HuntAssets:
         bundled copy. A file that does not decode or parse, a domain without
         a threat or a mechanism constant, a capability table whose atoms
         fail the domain's checks, or a state map entry whose target the
-        domain does not declare at its slot count, raises one InputError
-        whose message starts with its path (the bundled name for a bundled
-        file).
+        domain does not declare at its slot count, or into which a rule head
+        sends a constant of a type that does not fit (``MappingTable.check``),
+        raises one InputError whose message starts with its path (the
+        bundled name for a bundled file).
         """
 
         overrides = overrides or {}
@@ -401,7 +402,7 @@ class HuntAssets:
 
         def checked_mapping(text: str) -> MappingTable:
             mapping = load_mapping_table(text)
-            mapping.check(domain)
+            mapping.check(world, pack.rules)
             return mapping
 
         return cls(

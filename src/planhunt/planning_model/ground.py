@@ -5,9 +5,9 @@ compiles once into Datalog exploration rules (Helmert, "Concise
 finite-domain representations for PDDL planning tasks", AIJ 2009) whose
 model is the delete-relaxed reachable atoms and the actions that can fire
 under the relaxation, so its cost follows that output, not the typed
-bindings. Disjunctive preconditions are compiled at the lifted level into
-DNF; each disjunct becomes its own ground action (identical effects) whose
-name gains a ``~orN`` suffix when a schema has more than one disjunct.
+bindings. The parser keeps each precondition in disjunctive normal form;
+each disjunct becomes its own ground action (identical effects) whose name
+gains a ``~orN`` suffix when a schema has more than one disjunct.
 
 Static atoms (predicate never occurring in any effect) are init checks, not
 state variables. The applicability rules join static precondition literals
@@ -50,10 +50,9 @@ import logging
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from ..errors import InputError
 from ..inference.engine import Relations, StratifiedProgram, check_budget, saturate, stratify
 from ..inference.rules import Atom, Literal, Rule, Var, rule_pack
-from .model import DomainModel, FAnd, FAtom, FNot, FOr, Formula, GroundAtom, ProblemInstance
+from .model import DomainModel, FAtom, GroundAtom, ProblemInstance
 
 logger = logging.getLogger(__name__)
 
@@ -64,10 +63,6 @@ __all__ = [
     "add_rows",
     "ground_task",
 ]
-
-# DNF size guard: disjunct count per schema beyond this is a modeling error,
-# which parse_domain reports at the action.
-MAX_DISJUNCTS = 64
 
 
 @dataclass(frozen=True)
@@ -161,33 +156,6 @@ class GroundedTask:
         )
 
 
-# --- formula helpers ---------------------------------------------------------------
-
-
-def _dnf(formula: Formula) -> list[list[tuple[FAtom, bool]]]:
-    """Lifted DNF: a list of disjuncts, each a list of (atom, negated).
-    Raises InputError past ``MAX_DISJUNCTS`` disjuncts."""
-    if isinstance(formula, FAtom):
-        return [[(formula, False)]]
-    if isinstance(formula, FNot):
-        return [[(formula.atom, True)]]
-    if isinstance(formula, FAnd):
-        disjuncts: list[list[tuple[FAtom, bool]]] = [[]]
-        for part in formula.parts:
-            right = _dnf(part)
-            disjuncts = _capped([left + r for left in disjuncts for r in right])
-        return disjuncts
-    if isinstance(formula, FOr):
-        return _capped([d for part in formula.parts for d in _dnf(part)])
-    raise TypeError(f"unknown formula node {formula!r}")
-
-
-def _capped(disjuncts: list) -> list:
-    if len(disjuncts) > MAX_DISJUNCTS:
-        raise InputError(f"precondition has more than {MAX_DISJUNCTS} disjuncts")
-    return disjuncts
-
-
 # --- grounding ---------------------------------------------------------------------
 
 # Generated predicate names hold a space, which no PDDL name can contain.
@@ -228,8 +196,7 @@ def explore_domain(domain: DomainModel) -> Exploration:
     for index, schema in enumerate(domain.actions):
         params = tuple(p.name for p in schema.parameters)
         typing = [FAtom(TYPE.format(p.type), (p.name,)) for p in schema.parameters]
-        disjuncts = _dnf(schema.precondition)
-        for d_index, disjunct in enumerate(disjuncts, start=1):
+        for d_index, disjunct in enumerate(schema.precondition, start=1):
             positive = [atom for atom, negated in disjunct if not negated]
             negative = [atom for atom, negated in disjunct if negated]
             # An add and a delete of one atom, or a fluent atom needed both
@@ -248,7 +215,7 @@ def explore_domain(domain: DomainModel) -> Exploration:
             body += [negation for _, negation in guards]
             rules.append(Rule(head, tuple(dict.fromkeys(body))))
             rules += [Rule(_atom(a), (Literal(head),)) for a in schema.add]
-            label = d_index if len(disjuncts) > 1 else 0
+            label = d_index if len(schema.precondition) > 1 else 0
             actions[head.predicate] = (
                 index,
                 label,

@@ -1,4 +1,4 @@
-"""Typed STRIPS model: types, predicates, formulas, actions, problems."""
+"""Typed STRIPS model: types, predicates, actions with DNF preconditions, problems."""
 
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, field, replace
@@ -15,11 +15,8 @@ __all__ = [
     "TypeHierarchy",
     "PredicateSchema",
     "Parameter",
-    "Formula",
     "FAtom",
-    "FAnd",
-    "FOr",
-    "FNot",
+    "Precondition",
     "ActionSchema",
     "DomainModel",
     "ProblemInstance",
@@ -82,14 +79,8 @@ class Parameter:
     type: str
 
 
-class Formula:
-    """Base class for precondition trees; a goal is a set of ground atoms."""
-
-    __slots__ = ()
-
-
 @dataclass(frozen=True)
-class FAtom(Formula):
+class FAtom:
     predicate: str
     args: tuple[str, ...]  # parameter names ("?x") or object names
 
@@ -97,30 +88,21 @@ class FAtom(Formula):
         return f"({' '.join((self.predicate, *self.args))})"
 
 
-@dataclass(frozen=True)
-class FAnd(Formula):
-    parts: tuple[Formula, ...]
-
-
-@dataclass(frozen=True)
-class FOr(Formula):
-    parts: tuple[Formula, ...]
-
-
-@dataclass(frozen=True)
-class FNot(Formula):
-    # Negation is atom-level only; the parser enforces this.
-    atom: FAtom
+# A precondition in disjunctive normal form: its disjuncts, each a tuple of
+# (atom, negated) literals. Disjunct order numbers the ``~orN`` ground
+# actions and the ``@N`` indicator templates; no precondition is one empty
+# disjunct.
+Precondition = tuple[tuple[tuple[FAtom, bool], ...], ...]
 
 
 @dataclass(frozen=True)
 class ActionSchema:
-    """A lifted action: conjunctive/disjunctive precondition, add/delete
+    """A lifted action: a precondition in disjunctive normal form, add/delete
     effects, a constant non-negative cost (unit unless declared)."""
 
     name: str
     parameters: tuple[Parameter, ...]
-    precondition: Formula
+    precondition: Precondition
     add: tuple[FAtom, ...]
     delete: tuple[FAtom, ...]
     cost: int = 1

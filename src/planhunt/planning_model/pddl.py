@@ -4,17 +4,18 @@ Domains are read from PDDL text; problems are built in memory (see
 ``state.build_problem``) and only rendered, for ``plan --dump-problem``.
 Supported requirements: :strips :typing :negative-preconditions
 :disjunctive-preconditions :action-costs. Preconditions are and/or trees
-over literals with negation applied to atoms only, with at most
-``ground.MAX_DISJUNCTS`` disjuncts in their DNF; effects are add/delete
-lists plus an optional constant (increase (total-cost) n). Symbols are
-case-insensitive and normalized to lowercase; ``;`` starts a comment.
+over literals with negation applied to atoms only; the parser builds each
+straight into its disjunctive normal form (``model.Precondition``) and
+rejects one with more than ``MAX_DISJUNCTS`` disjuncts. Effects are
+add/delete lists plus an optional constant (increase (total-cost) n).
+Symbols are case-insensitive and normalized to lowercase; ``;`` starts a
+comment.
 """
 
 import re
 from typing import NamedTuple
 
 from ..errors import (
-    InputError,
     PddlSyntaxError,
     UndeclaredObject,
     UndeclaredPredicate,
@@ -22,16 +23,12 @@ from ..errors import (
     UndeclaredVariable,
     UnsupportedRequirement,
 )
-from .ground import _dnf
 from .model import (
     ActionSchema,
     DomainModel,
-    FAnd,
     FAtom,
-    FNot,
-    FOr,
-    Formula,
     Parameter,
+    Precondition,
     PredicateSchema,
     ProblemInstance,
     TypeHierarchy,
@@ -46,6 +43,10 @@ SUPPORTED_REQUIREMENTS = (
     ":disjunctive-preconditions",
     ":action-costs",
 )
+
+# A precondition with more disjuncts than this is a modeling error,
+# reported at the action.
+MAX_DISJUNCTS = 64
 
 
 class _Sym(NamedTuple):
@@ -148,7 +149,7 @@ def parse_domain(text: str) -> DomainModel:
     types = TypeHierarchy()
     predicates: dict[str, PredicateSchema] = {}
     constants: dict[str, str] = {}
-    actions: list[ActionSchema] = []
+    actions: dict[str, ActionSchema] = {}
 
     for section in items[2:]:
         if not isinstance(section, _Node) or not section.items:
@@ -174,6 +175,8 @@ def parse_domain(text: str) -> DomainModel:
                 if not isinstance(decl, _Node) or not decl.items:
                     raise _err(decl, "expected a predicate declaration")
                 pred_name = _sym_text(decl.items[0], ":predicates")
+                if pred_name in predicates:
+                    raise _err(decl, f"predicate {pred_name} declared twice")
                 params = _parse_typed_list(decl.items[1:], f"predicate {pred_name}")
                 for _, type_name in params:
                     if not types.known(type_name):
@@ -191,7 +194,10 @@ def parse_domain(text: str) -> DomainModel:
                 ):
                     raise _err(decl, "only (total-cost) is supported in :functions")
         elif head == ":action":
-            actions.append(_parse_action(section, types, predicates, constants))
+            action = _parse_action(section, types, predicates, constants)
+            if action.name in actions:
+                raise _err(section, f"action {action.name} declared twice")
+            actions[action.name] = action
         else:
             raise _err(section, f"unknown domain section {head}")
 
@@ -200,7 +206,7 @@ def parse_domain(text: str) -> DomainModel:
         types=types,
         predicates=predicates,
         constants=constants,
-        actions=tuple(actions),
+        actions=tuple(actions.values()),
     )
 
 
@@ -213,6 +219,10 @@ def _parse_action(section, types, predicates, constants) -> ActionSchema:
     i = 2
     while i < len(items):
         key = _sym_text(items[i], f"action {name}")
+        if key not in (":parameters", ":precondition", ":effect"):
+            raise _err(items[i], f"unknown key {key} in action {name}")
+        if key in fields:
+            raise _err(items[i], f"repeated key {key} in action {name}")
         if i + 1 >= len(items):
             raise _err(items[i], f"missing value for {key} in action {name}")
         fields[key] = items[i + 1]
@@ -231,15 +241,13 @@ def _parse_action(section, types, predicates, constants) -> ActionSchema:
         params.append(Parameter(var, type_name))
     param_types = {p.name: p.type for p in params}
 
-    precondition: Formula = FAnd(())
+    precondition: Precondition | None = ((),)
     if ":precondition" in fields:
         precondition = _parse_formula(
             fields[":precondition"], predicates, param_types, constants, types
         )
-        try:
-            _dnf(precondition)
-        except InputError as exc:
-            raise _err(section, f"action {name}: {exc}") from None
+        if precondition is None:
+            raise _err(section, f"action {name}: precondition has more than {MAX_DISJUNCTS} disjuncts")
 
     add: list[FAtom] = []
     delete: list[FAtom] = []
@@ -296,23 +304,36 @@ def _parse_atom(node, predicates, param_types, constants, types) -> FAtom:
     return FAtom(pred_name, args)
 
 
-def _parse_formula(node, predicates, param_types, constants, types) -> Formula:
+def _parse_formula(node, predicates, param_types, constants, types) -> Precondition | None:
+    """A formula's disjunctive normal form: ``and`` is the left-major product
+    of its parts', ``or`` the concatenation, literals in written order. None
+    once a product or concatenation has more than ``MAX_DISJUNCTS``
+    disjuncts; every atom is checked all the same."""
     if not isinstance(node, _Node) or not node.items:
         raise _err(node, "expected a formula")
     head = node.items[0]
     if isinstance(head, _Sym) and head.text in ("and", "or"):
-        parts = tuple(
+        parts = [
             _parse_formula(part, predicates, param_types, constants, types)
             for part in node.items[1:]
-        )
-        return FAnd(parts) if head.text == "and" else FOr(parts)
+        ]
+        if None in parts:
+            return None
+        if head.text == "or":
+            if sum(map(len, parts)) > MAX_DISJUNCTS:
+                return None
+            return tuple(d for part in parts for d in part)
+        disjuncts = ((),)
+        for part in parts:
+            if len(disjuncts) * len(part) > MAX_DISJUNCTS:
+                return None
+            disjuncts = tuple(left + right for left in disjuncts for right in part)
+        return disjuncts
     if isinstance(head, _Sym) and head.text == "not":
         if len(node.items) != 2:
             raise _err(node, "not takes exactly one atom")
-        inner = node.items[1]
-        atom = _parse_atom(inner, predicates, param_types, constants, types)
-        return FNot(atom)
-    return _parse_atom(node, predicates, param_types, constants, types)
+        return (((_parse_atom(node.items[1], predicates, param_types, constants, types), True),),)
+    return (((_parse_atom(node, predicates, param_types, constants, types), False),),)
 
 
 def _parse_effect(

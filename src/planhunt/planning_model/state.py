@@ -28,6 +28,7 @@ from functools import cached_property
 from ..defaults import table_lines
 from ..errors import InputError, MalformedRecord, UnmappedPredicate
 from ..inference.engine import Relations, saturate
+from ..inference.rules import Rule, Var
 from ..telemetry import SampleRecord
 from ..vocab import ACCOUNT, APP, FACTOR, SENSORS
 from .ground import add_rows
@@ -147,19 +148,43 @@ class MappingTable:
         name, slots = entry
         return (name, tuple(str(args[i - 1]) for i in slots))
 
-    def check(self, domain: DomainModel) -> None:
+    def check(self, world: "StaticWorld", rules: tuple[Rule, ...]) -> None:
         """Raise InputError at the first entry, in file order, whose target
-        predicate ``domain`` does not declare or takes another number of
-        arguments than the entry has slots."""
+        predicate the world's domain does not declare or takes another
+        number of arguments than the entry has slots; then at the first
+        head of ``rules`` that sends a constant through an entry into a
+        slot whose parameter type does not fit the constant's type, taken
+        from the domain's constants or the world's objects. A constant
+        neither types is typed by the sample."""
+        domain, types = world.domain, world.domain.types
         for (pred, arity), (name, slots) in self.entries.items():
             schema = domain.predicates.get(name)
             if schema is None or len(schema.param_types) != len(slots):
-                template = " ".join([name, *(f"${s}" for s in slots)])
                 reason = (
                     f"undeclared predicate {name!r}" if schema is None
                     else f"predicate takes {len(schema.param_types)}, template has {len(slots)}"
                 )
-                raise InputError(f"{pred}/{arity} maps to ({template}): {reason}")
+                raise InputError(f"{pred}/{arity} maps to ({_template(name, slots)}): {reason}")
+        for head in (rule.head for rule in rules):
+            entry = self.entries.get((head.predicate, len(head.args)))
+            if entry is None:
+                continue
+            name, slots = entry
+            for slot, want in zip(slots, domain.predicates[name].param_types):
+                arg = head.args[slot - 1]
+                if isinstance(arg, Var):
+                    continue
+                have = domain.constants.get(str(arg)) or world.objects.get(str(arg))
+                if have and not (types.is_subtype(have, want) or types.is_subtype(want, have)):
+                    raise InputError(
+                        f"{head.predicate}/{len(head.args)} maps to ({_template(name, slots)}): "
+                        f"object {str(arg)!r} used as {want} but declared as {have}, "
+                        f"in rule head {head}"
+                    )
+
+
+def _template(name: str, slots: tuple[int, ...]) -> str:
+    return " ".join([name, *(f"${s}" for s in slots)])
 
 
 def load_mapping_table(text: str) -> MappingTable:

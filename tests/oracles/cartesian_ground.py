@@ -12,7 +12,7 @@ init, goal, masks and action order.
 import itertools
 
 from planhunt.errors import ResourceLimit
-from planhunt.planning_model.ground import GroundedTask, _dnf
+from planhunt.planning_model.ground import GroundedTask
 from planhunt.planning_model.model import DomainModel, FAtom, GroundAtom, ProblemInstance
 
 DEFAULT_ACTION_LIMIT = 10**6
@@ -38,7 +38,7 @@ def ground_task(
     candidates: list[tuple[str, str, tuple[str, ...], int | None, list, list, list, list, int]] = []
     budget = 0
     for schema in domain.actions:
-        disjuncts = _dnf(schema.precondition)
+        disjuncts = schema.precondition
         pools = [objects_of(p.type) for p in schema.parameters]
         combos = 1
         for pool in pools:

@@ -1,24 +1,19 @@
 """Reference semantics for grounded tasks: lifted schemas applied directly.
 
-Transitions come from evaluating each schema's precondition formula under a
-parameter binding against a set-of-atoms state. No DNF compilation, static
-pruning, reachability restriction, or bitmask encoding is involved, so this
-is an independent check on the production grounder. Bindings whose ground
-add and delete lists overlap are skipped, mirroring the grounder's refusal
-of contradictory instantiations.
+Transitions come from evaluating each schema's precondition, the
+disjunctive normal form the parser gives it, under a parameter binding
+against a set-of-atoms state. No static pruning, reachability restriction,
+or bitmask encoding is involved, so this is an independent check on the
+production grounder; the conversion to DNF is checked on its own, against
+tests/oracles/dnf.py. Bindings whose ground add and delete lists overlap
+are skipped, mirroring the grounder's refusal of contradictory
+instantiations.
 """
 
 import heapq
 import itertools
 
-from planhunt.planning_model.model import (
-    DomainModel,
-    FAnd,
-    FAtom,
-    FNot,
-    FOr,
-    ProblemInstance,
-)
+from planhunt.planning_model.model import DomainModel, FAtom, Precondition, ProblemInstance
 
 __all__ = ["ExplorationCap", "explore", "optimal_cost", "holds"]
 
@@ -31,16 +26,12 @@ def _ground(atom: FAtom, binding: dict) -> tuple:
     return (atom.predicate, tuple(binding.get(a, a) for a in atom.args))
 
 
-def holds(formula, binding: dict, atoms) -> bool:
-    if isinstance(formula, FAtom):
-        return _ground(formula, binding) in atoms
-    if isinstance(formula, FNot):
-        return _ground(formula.atom, binding) not in atoms
-    if isinstance(formula, FAnd):
-        return all(holds(part, binding, atoms) for part in formula.parts)
-    if isinstance(formula, FOr):
-        return any(holds(part, binding, atoms) for part in formula.parts)
-    raise TypeError(f"unknown formula node {formula!r}")
+def holds(precondition: Precondition, binding: dict, atoms) -> bool:
+    """Whether some disjunct has every literal true under ``binding``."""
+    return any(
+        all((_ground(atom, binding) in atoms) != negated for atom, negated in disjunct)
+        for disjunct in precondition
+    )
 
 
 def _successors(domain: DomainModel, objects: dict, atoms: frozenset):

@@ -626,6 +626,9 @@ def named_error_cases(tmp_path):
     short = tmp_path / "short-state-map"
     short.write_text(bundled_map.replace("(perm-granted $1 $2)", "(perm-granted $1)"),
                      encoding="utf-8")
+    swapped = tmp_path / "swapped-state-map"
+    swapped.write_text(bundled_map.replace("(perm-granted $1 $2)", "(perm-granted $2 $1)"),
+                       encoding="utf-8")
     return {
         "jsonl-line": (["hunt", str(bad)], f"{bad}: line 1: event missing 'ts'"),
         "colmap-key": (
@@ -650,12 +653,17 @@ def named_error_cases(tmp_path):
             ["hunt", sample("clean_demo.jsonl"), "--state-map", str(short)],
             f"{short}: perm-granted/2 maps to (perm-granted $1): predicate takes 2, template has 1",
         ),
+        "state-map-head-constant": (
+            ["batch", str(CORPUS), "--state-map", str(swapped)],
+            f"{swapped}: perm-granted/2 maps to (perm-granted $2 $1): object 'camera' used as app"
+            " but declared as sensor, in rule head perm-granted(A, camera)",
+        ),
     }
 
 
 @pytest.mark.parametrize("case", [
     "jsonl-line", "colmap-key", "colmap-without-ts", "plan-file", "state-map-target",
-    "state-map-slots",
+    "state-map-slots", "state-map-head-constant",
 ])
 def test_input_error_names_its_file(case, tmp_path, capsys):
     argv, message = named_error_cases(tmp_path)[case]

@@ -12,16 +12,14 @@ from dataclasses import replace
 
 import pytest
 
+from oracles import dnf
 from oracles.lifted_search import ExplorationCap, explore, optimal_cost
 from planhunt.errors import ArityConflict, PddlSyntaxError, ResourceLimit
 from planhunt.planning_model.ground import GroundedTask, ground_task
 from planhunt.planning_model.model import (
     ActionSchema,
     DomainModel,
-    FAnd,
     FAtom,
-    FNot,
-    FOr,
     Parameter,
     PredicateSchema,
     ProblemInstance,
@@ -244,7 +242,7 @@ class TestGoalMask:
 
 def random_instance(rng: random.Random):
     """A small single-type domain/problem pair with random precondition
-    trees and a goal of one or two atoms."""
+    trees, converted by the reference DNF, and a goal of one or two atoms."""
     types = TypeHierarchy()
     types.declare("thing")
     objects = {f"o{i}": "thing" for i in range(rng.randint(2, 3))}
@@ -264,9 +262,9 @@ def random_instance(rng: random.Random):
         roll = rng.random()
         if depth == 0 or roll < 0.45:
             atom = lifted_atom(params)
-            return FNot(atom) if rng.random() < 0.3 else atom
+            return ("not", atom) if rng.random() < 0.3 else atom
         parts = tuple(formula(params, depth - 1) for _ in range(rng.randint(2, 3)))
-        return FAnd(parts) if roll < 0.8 else FOr(parts)
+        return ("and" if roll < 0.8 else "or", *parts)
 
     actions = []
     for i in range(rng.randint(2, 3)):
@@ -284,7 +282,7 @@ def random_instance(rng: random.Random):
             ActionSchema(
                 name=f"act{i}",
                 parameters=params,
-                precondition=formula(params, rng.randint(1, 2)),
+                precondition=dnf.precondition(formula(params, rng.randint(1, 2))),
                 add=add,
                 delete=delete,
                 cost=rng.randint(1, 3),

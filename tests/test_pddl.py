@@ -1,9 +1,13 @@
 """Domain parsing for the supported PDDL subset, and problem rendering."""
 
+import random
+
 import pytest
 
+from oracles import dnf
 from planhunt.hunt import HuntAssets
 from planhunt.errors import (
+    InputError,
     PddlSyntaxError,
     UndeclaredObject,
     UndeclaredPredicate,
@@ -11,7 +15,7 @@ from planhunt.errors import (
     UndeclaredVariable,
     UnsupportedRequirement,
 )
-from planhunt.planning_model.model import FAnd, FAtom, FNot, FOr, ProblemInstance
+from planhunt.planning_model.model import FAtom, ProblemInstance
 from planhunt.planning_model.pddl import parse_domain, render_problem
 
 TOY_DOMAIN = """
@@ -60,24 +64,25 @@ class TestDomainParsing:
         assert move.cost == 2
         assert move.add == (FAtom("in", ("?b", "?to")),)
         assert move.delete == (FAtom("in", ("?b", "?from")),)
-        pre = move.precondition
-        assert isinstance(pre, FAnd)
-        assert pre.parts == (
-            FAtom("in", ("?b", "?from")),
-            FAtom("open", ("?to",)),
-            FNot(FAtom("sealed", ("?b",))),
-        )
+        assert move.precondition == ((
+            (FAtom("in", ("?b", "?from")), False),
+            (FAtom("open", ("?to",)), False),
+            (FAtom("sealed", ("?b",)), True),
+        ),)
 
     def test_default_cost_is_one(self):
         assert toy().actions[1].cost == 1
 
     def test_disjunctive_precondition(self):
         unseal = toy().actions[1]
-        assert isinstance(unseal.precondition, FOr)
-        assert unseal.precondition.parts == (
-            FAtom("in", ("?b", "depot")),
-            FAtom("sealed", ("?b",)),
+        assert unseal.precondition == (
+            ((FAtom("in", ("?b", "depot")), False),),
+            ((FAtom("sealed", ("?b",)), False),),
         )
+
+    def test_no_precondition_is_one_empty_disjunct(self):
+        domain = parse_domain("(define (domain x) (:predicates (p)) (:action a :parameters () :effect (p)))")
+        assert domain.actions[0].precondition == ((),)
 
     def test_symbols_are_case_insensitive(self):
         domain = parse_domain(
@@ -173,6 +178,23 @@ class TestDomainParsing:
             parse_domain(text)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text,position,reason",
+        [
+            ("(:action a :parameters () :preconditon (p) :effect (q))", 29, "unknown key :preconditon in action a"),
+            (
+                "(:action a :parameters () :precondition (p) :precondition (q) :effect (q))",
+                47, "repeated key :precondition in action a",
+            ),
+            ("(:action a :parameters () :effect (q)) (:action a :parameters ())", 42, "action a declared twice"),
+            ("(:predicates (q ?a))", 16, "predicate q declared twice"),
+        ],
+    )
+    def test_action_keys_and_names_are_checked(self, text, position, reason):
+        with pytest.raises(PddlSyntaxError) as err:
+            parse_domain(f"(define (domain x) (:predicates (p) (q))\n  {text})")
+        assert ((err.value.line, err.value.col), err.value.reason) == ((2, position), reason)
+
     def test_error_carries_position(self):
         with pytest.raises(PddlSyntaxError) as err:
             parse_domain("(define (domain x)\n  (:widgets))")
@@ -198,6 +220,71 @@ class TestDomainParsing:
         trimmed = toy().without_actions(("unseal",))
         assert [a.name for a in trimmed.actions] == ["move"]
         assert set(trimmed.predicates) == {"in", "open", "sealed"}
+
+
+# A precondition past the cap is reported at its action: line 2, col 3.
+DNF_DOMAIN = (
+    "(define (domain d) (:constants c) (:predicates (p) (q ?v) (r ?v ?w) (done))\n"
+    "  (:action a :parameters (?x ?y) :precondition {} :effect (done)))"
+)
+ARITY = {"p": 0, "q": 1, "r": 2}
+OR9 = ("or", *(("or", *(FAtom("q", (arg,)),) * 3) for arg in ("?x", "?y", "c")))
+
+
+def random_tree(rng: random.Random, depth: int = 3):
+    """A precondition tree of depth at most ``depth`` and width at most 3:
+    literals, empty (and) and (or), ``or`` just above the literals and
+    mostly ``and`` higher up, so that some trees pass the cap."""
+    if depth == 0 or rng.random() < 0.05:
+        name = rng.choice(sorted(ARITY))
+        atom = FAtom(name, tuple(rng.choice(("?x", "?y", "c")) for _ in range(ARITY[name])))
+        return ("not", atom) if rng.random() < 0.3 else atom
+    head = "or" if depth == 1 or rng.random() < 0.2 else "and"
+    return (head, *(random_tree(rng, depth - 1) for _ in range(rng.choice((0, 2, 3, 3)))))
+
+
+class TestPreconditionDnf:
+    """The parser's DNF against the reference conversion
+    (tests/oracles/dnf.py): the same disjuncts in the same order, or the
+    same cap error at the same position."""
+
+    def parsed(self, tree):
+        try:
+            return parse_domain(DNF_DOMAIN.format(dnf.render(tree))).actions[0].precondition
+        except PddlSyntaxError as err:
+            return str(err)
+
+    def expected(self, tree):
+        try:
+            return dnf.precondition(tree)
+        except InputError as exc:
+            return f"line 2, col 3: action a: {exc}"
+
+    def test_random_trees_match_the_reference(self):
+        capped = 0
+        for seed in range(600):
+            tree = random_tree(random.Random(seed))
+            expected = self.expected(tree)
+            assert self.parsed(tree) == expected, dnf.render(tree)
+            capped += isinstance(expected, str)
+        assert 20 <= capped <= 200
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            ("and", OR9, OR9, ("or",)),  # the running product passes the cap
+            ("and", ("or",), ("and", OR9, OR9)),
+            ("and", OR9, ("or", *(OR9,) * 3), ("not", FAtom("p", ()))),
+            ("or", *(OR9,) * 7, ("or",), ("not", FAtom("p", ()))),
+            ("and", ("and",), ("not", FAtom("r", ("c", "?x"))), ("or", FAtom("p", ()), ("and",))),
+        ],
+    )
+    def test_edge_trees_match_the_reference(self, tree):
+        assert self.parsed(tree) == self.expected(tree)
+
+    def test_an_undeclared_atom_wins_over_the_cap(self):
+        with pytest.raises(UndeclaredPredicate):
+            parse_domain(DNF_DOMAIN.format(f"(and (and {dnf.render(OR9)} {dnf.render(OR9)}) (bogus))"))
 
 
 class TestRendering:

@@ -2,7 +2,9 @@
 
 import pytest
 
+from planhunt import defaults
 from planhunt.errors import InputError, MalformedRecord, UnmappedPredicate
+from planhunt.inference.rules import Atom, Rule, Var
 from planhunt.planning_model.model import ThreatHypothesis
 from planhunt.planning_model.state import (
     StaticWorld,
@@ -131,12 +133,42 @@ class TestMappingTable:
     )
     def test_check_against_the_domain_names_the_first_bad_entry(self, assets, text, message):
         with pytest.raises(InputError) as err:
-            load_mapping_table(text).check(assets.domain)
+            load_mapping_table(text).check(assets.world, assets.program.pack.rules)
         assert message in str(err.value)
 
     def test_bundled_map_checks_against_the_bundled_domain(self, assets):
-        assets.mapping.check(assets.domain)
+        assets.mapping.check(assets.world, assets.program.pack.rules)
         assert assets.mapping.entries  # which the check read
+
+    @pytest.mark.parametrize(
+        "head,message",
+        [
+            (Atom("exploited", ("camera",)), "object 'camera' used as vuln but declared as sensor"),
+            (Atom("exploited", ("surveillance",)), "object 'surveillance' used as vuln but declared as threat"),
+            (Atom("exploited", ("cve_1999_0001",)), None),  # typed by the sample
+            (Atom("exploited", (Var("V"),)), None),
+        ],
+    )
+    def test_check_sends_head_constants_through_their_template(self, assets, head, message):
+        mapping = load_mapping_table("exploited/1 (exploited $1)\n")
+        rules = (*assets.program.pack.rules, Rule(head))
+        if message is None:
+            mapping.check(assets.world, rules)
+            return
+        with pytest.raises(InputError) as err:
+            mapping.check(assets.world, rules)
+        assert str(err.value) == f"exploited/1 maps to (exploited $1): {message}, in rule head {head}"
+
+    def test_a_swapped_template_fails_at_load_naming_the_map(self, tmp_path):
+        swapped = tmp_path / "swapped-map"
+        text = defaults.asset_text(defaults.STATE_MAP_FILE)
+        swapped.write_text(text.replace("(perm-granted $1 $2)", "(perm-granted $2 $1)"), encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            HuntAssets.load(overrides={defaults.STATE_MAP_FILE: swapped})
+        assert str(err.value) == (
+            f"{swapped}: perm-granted/2 maps to (perm-granted $2 $1): object 'camera' used as app"
+            " but declared as sensor, in rule head perm-granted(A, camera)"
+        )
 
 
 class TestInitialState:
