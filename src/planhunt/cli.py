@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     hunt = sub.add_parser("hunt", help="full report for one sample")
     hunt.add_argument("sample", type=Path)
     hunt.add_argument("--column-map", type=Path, help="CSV column mapping file")
-    hunt.add_argument("--confirm", action="store_true", help="audit indicators against derived facts")
+    hunt.add_argument("--confirm", action="store_true", help="audit indicators against the mapped atoms")
     hunt.add_argument("-o", "--out", type=Path, help="write to a file instead of stdout")
     _asset_args(hunt)
     hunt_limits = _limit_args(hunt)
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed-corpus", type=Path, metavar="DIR",
         help="copy the bundled demo corpus into DIR",
     )
-    batch.add_argument("--confirm", action="store_true", help="audit indicators against derived facts")
+    batch.add_argument("--confirm", action="store_true", help="audit indicators against the mapped atoms")
     _asset_args(batch)
     for limits in (hunt_limits, _limit_args(batch)):  # plan poses one hypothesis
         limits.add_argument(

@@ -7,7 +7,8 @@ threat constants times its mechanism constants) poses its goal on that
 problem and its top-k plans are enumerated, and every plan is translated
 into indicator-of-compromise records. A hypothesis counts as a possible
 threat exactly when at least one plan was found; optional confirmation
-then audits the checkable indicators against the derived facts.
+then audits the checkable indicators against the sample's mapped atoms, the
+init the planner read, so it sees domain predicates under any state map.
 
 ``infer_facts``, ``sample_problem``, ``hypothesis_task`` and
 ``hypothesis_plans`` are the one path from a sample to its plans; the
@@ -26,12 +27,11 @@ from pathlib import Path
 from . import defaults
 from .errors import (
     DuplicateSampleId,
-    InputError,
     MalformedRecord,
     PlanHuntError,
     ResourceLimit,
 )
-from .inference.engine import Relations, StratifiedProgram, evaluate, stratify
+from .inference.engine import Fact, Relations, StratifiedProgram, evaluate, stratify
 from .inference.rules import Atom, Literal, Rule, RulePack, Var, parse_rule_pack, render_body
 from .planner import Limits, Plan, PlanSet, find_top_k
 from .planning_model.ground import GroundedTask, ground_task
@@ -106,62 +106,47 @@ class IndicatorSpec:
     fields: tuple[tuple[str, str], ...]  # (key, "$N" slot or literal)
 
 
-def parse_indicator_map(text: str) -> tuple[IndicatorSpec, ...]:
-    """Parse ``action[@disjunct] kind key=value ...`` lines."""
+def parse_indicator_map(text: str, domain: DomainModel) -> tuple[IndicatorSpec, ...]:
+    """Parse ``action[@disjunct] kind key=value ...`` lines, each checked as
+    it is read; the first bad line raises MalformedRecord. On a line whose
+    action ``domain`` declares, an ``@N`` suffix must number one of that
+    action's two or more precondition disjuncts (a single disjunct's ground
+    actions carry none), and each ``$N`` value one of its parameters. Lines
+    for actions the domain lacks are not checked against it: a custom domain
+    may omit them."""
+    actions = {action.name: action for action in domain.actions}
     specs: list[IndicatorSpec] = []
     for lineno, line in defaults.table_lines(text):
         parts = line.split()
         if len(parts) < 2:
             raise MalformedRecord(lineno, "need action and kind")
-        head = parts[0]
-        disjunct: int | None = None
-        if "@" in head:
-            head, _, tail = head.partition("@")
+        (head, at, tail), kind = parts[0].partition("@"), parts[1]
+        action, disjunct = actions.get(head), None
+        if at:
             if not (tail.isascii() and tail.isdigit()) or int(tail) < 1:
                 raise MalformedRecord(lineno, f"bad disjunct suffix {tail!r}")
             disjunct = int(tail)
+            count = len(action.precondition) if action else 0
+            if action and (count == 1 or disjunct > count):
+                raise MalformedRecord(lineno, (
+                    f"indicator template {head}@{disjunct} {kind}: suffix out of range for {head}, "
+                    f"which has {count} precondition disjunct(s); a single one takes no suffix"))
         fields: list[tuple[str, str]] = []
         for item in parts[2:]:
             if "=" not in item:
                 raise MalformedRecord(lineno, f"field {item!r} has no '='")
             key, _, value = item.partition("=")
-            if key in dict(fields) or (key, parts[1]) == ("patterns", "syscall-pattern"):
+            if key in dict(fields) or (key, kind) == ("patterns", "syscall-pattern"):
                 raise MalformedRecord(lineno, f"field {key!r} repeated or filled by the hunt")
-            fields.append((key, value))
-        specs.append(IndicatorSpec(head, disjunct, parts[1], tuple(fields)))
-    return tuple(specs)
-
-
-def _check_indicator_slots(specs: tuple[IndicatorSpec, ...], domain: DomainModel) -> None:
-    """Raise InputError unless every ``$N`` slot of a template whose action
-    ``domain`` declares names one of that action's parameters, and its
-    ``@N`` suffix, if any, one of the action's two or more precondition
-    disjuncts (a single disjunct's ground actions carry none). Templates for
-    actions the domain lacks are not checked: a custom domain may omit them.
-    """
-    actions = {action.name: action for action in domain.actions}
-    for spec in specs:
-        action = actions.get(spec.schema)
-        if action is None:
-            continue
-        if spec.disjunct is not None:
-            count = len(action.precondition)
-            if count == 1 or spec.disjunct > count:
-                raise InputError(
-                    f"indicator template {spec.schema}@{spec.disjunct} {spec.kind}: "
-                    f"suffix out of range for {action.name}, which has {count} "
-                    "precondition disjunct(s); a single one takes no suffix"
-                )
-        count = len(action.parameters)
-        for _, value in spec.fields:
             slot = value[1:]
-            in_range = slot.isascii() and slot.isdigit() and 1 <= int(slot) <= count
-            if value.startswith("$") and not in_range:
+            if action and value.startswith("$") and not (
+                    slot.isascii() and slot.isdigit() and 1 <= int(slot) <= len(action.parameters)):
                 params = " ".join(p.name for p in action.parameters)
-                raise InputError(
-                    f"indicator template {spec.schema} {spec.kind}: slot {value} "
-                    f"out of range for ({action.name} {params})"
-                )
+                raise MalformedRecord(lineno, (
+                    f"indicator template {head} {kind}: slot {value} out of range for ({head} {params})"))
+            fields.append((key, value))
+        specs.append(IndicatorSpec(head, disjunct, kind, tuple(fields)))
+    return tuple(specs)
 
 
 @dataclass(frozen=True)
@@ -179,8 +164,9 @@ class IoCRecord:
 def cve_patterns(pack: RulePack) -> dict[str, str]:
     """Per cve, the `` | ``-joined text of the rule bodies that lift
     ``exploited(cve)``: the ``patterns`` detail of its syscall-pattern
-    indicators. Confirmation probes the model for ``exploited(cve)``, which
-    holds exactly when one of these bodies matches.
+    indicators. Confirmation probes the sample's mapped atoms for
+    ``exploited(cve)``, which, under the bundled state map, holds exactly
+    when one of these bodies matches.
 
     A lifting rule whose body is a single evidence predicate expands to
     that predicate's own rule bodies, so the patterns reference telemetry
@@ -213,7 +199,7 @@ def construct_indicators(
     expanded: dict[int, tuple[tuple[str, tuple], ...]] | None = None,
 ) -> tuple[IoCRecord, ...]:
     """Expand each plan step through the indicator templates, whose slots
-    ``HuntAssets.load`` checked; a syscall-pattern record gets its CVE's
+    ``parse_indicator_map`` checked; a syscall-pattern record gets its CVE's
     ``patterns``.
 
     Records equal up to their source step are deduplicated, keeping the
@@ -256,9 +242,9 @@ def _expand(action, specs, patterns) -> tuple[tuple[str, tuple], ...]:
 
 
 # Per indicator kind checkable against already-captured telemetry, the
-# probe of the model: a predicate and, per argument, the detail field that
-# fills it or None for any value. api-call records describe future behavior
-# and stay out of confirmation.
+# probe of the mapped atoms: a domain predicate and, per argument, the
+# detail field that fills it or None for any value. api-call records
+# describe future behavior and stay out of confirmation.
 _PROBES = {
     "syscall-pattern": ("exploited", ("cve",)),
     "permission-audit": ("perm-granted", (None, "sensor")),
@@ -276,8 +262,8 @@ def confirm_threat(
     relations: Relations,
     probed: dict[tuple, bool] | None = None,
 ) -> bool:
-    """Audit the checkable records against the model ``evaluate`` saturated
-    for a sample, ``relations``, with one ``holds`` probe each:
+    """Audit the checkable records against ``relations``, in the hunt the
+    sample's mapped atoms (``problem.init.own``), with one ``holds`` probe each:
     ``exploited(cve)`` for a syscall pattern, ``perm-granted(_, sensor)``
     for a permission audit, the app's surface fact for a surface audit. A
     record without its probe's field fails; api-call records pass. All
@@ -373,7 +359,10 @@ class HuntAssets:
         domain does not declare at its slot count, or into which a rule head
         sends a constant of a type that does not fit (``MappingTable.check``),
         raises one InputError whose message starts with its path (the
-        bundled name for a bundled file).
+        bundled name for a bundled file). So does an indicator template whose
+        ``@N`` suffix or ``$N`` slot is out of range for its action in the
+        full domain, as ``<path>: line N: indicator template ...``, with or
+        without ``strict_domain``.
         """
 
         overrides = overrides or {}
@@ -388,8 +377,7 @@ class HuntAssets:
             return domain, hypothesis_catalog(domain)
 
         domain, catalog = parsed(defaults.DOMAIN_FILE, domain_and_catalog)
-        specs = parsed(defaults.INDICATOR_MAP_FILE, parse_indicator_map)
-        _check_indicator_slots(specs, domain)
+        specs = parsed(defaults.INDICATOR_MAP_FILE, lambda text: parse_indicator_map(text, domain))
         if strict_domain:
             domain = domain.without_actions(defaults.EXTENDED_ACTIONS)
         pack = parsed(defaults.RULES_FILE, parse_rule_pack)
@@ -429,7 +417,7 @@ class HuntConfig:
 @dataclass(frozen=True)
 class SampleFacts:
     """A sample with its extensional facts, the facts derived from them,
-    and the store that holds both, which confirmation reads."""
+    and the store that holds both."""
 
     sample: SampleRecord
     base: Relations
@@ -480,6 +468,7 @@ def identify_threats(
     flagged = unknown_tokens(sample, assets.program.pack.token_table)
 
     findings: list[ThreatFinding] = []
+    mapped = None  # the problem's own atoms, the store confirmation probes
     for hypothesis in assets.catalog:
         remaining = deadline - time.monotonic()
         task, planset = None, _OUT_OF_COUNT if facts is None else _OUT_OF_TIME
@@ -491,7 +480,9 @@ def identify_threats(
                 task, planset = hypothesis_plans(problem, assets, hypothesis, limits)
             except ResourceLimit:
                 planset = _OUT_OF_COUNT
-        findings.append(_finding_from_planset(hypothesis, task, planset, assets, facts, config))
+        if config.confirm and planset.plans and mapped is None:
+            mapped = Relations(Fact(*atom) for atom in problem.init.own)
+        findings.append(_finding_from_planset(hypothesis, task, planset, assets, mapped, config))
     return HuntReport(
         sample_id=sample.sample_id,
         unknown_tokens=tuple(flagged),
@@ -508,7 +499,7 @@ def _finding_from_planset(
     task: GroundedTask | None,
     planset: PlanSet,
     assets: HuntAssets,
-    facts: SampleFacts | None,
+    mapped: Relations | None,
     config: HuntConfig,
 ) -> ThreatFinding:
     # Without a plan, only an exhausted search says no_plan; a time or
@@ -537,7 +528,7 @@ def _finding_from_planset(
     if config.confirm and status == STATUS_POSSIBLE:
         probed: dict[tuple, bool] = {}
         confirmed = any(
-            confirm_threat(records, facts.relations, probed) for records in indicators
+            confirm_threat(records, mapped, probed) for records in indicators
         )
         confirmation = CONFIRM_CONFIRMED if confirmed else CONFIRM_UNCONFIRMED
 

@@ -361,7 +361,6 @@ def parse_rule_pack(text: str) -> RulePack:
     while not parser.at_end():
         rules.append(parser.parse_rule())
 
-    _check_arities(rules, declared)
     _infer_declarations(rules, declared)
     if order_mode == "strict":
         rules = [_inject_event_order(rule) for rule in rules]
@@ -381,46 +380,40 @@ def parse_rule_pack(text: str) -> RulePack:
 
 
 def rule_pack(rules: "list[Rule] | tuple[Rule, ...]") -> RulePack:
-    """A pack over generated rules, each predicate declared by its use."""
+    """A pack over generated rules, each predicate declared by its use and
+    held to one arity."""
     declared: dict[str, tuple[int, str]] = {}
     _infer_declarations(rules, declared)
     return RulePack(rules=tuple(rules), declared=declared, token_table={})
 
 
 def _iter_atoms(rule: Rule):
-    yield rule.head, False
+    yield rule.head
     for item in rule.body:
         if isinstance(item, Literal):
-            yield item.atom, item.negated
-
-
-def _check_arities(rules: list[Rule], declared: dict[str, tuple[int, str]]) -> None:
-    seen: dict[str, int] = {p: a for p, (a, _) in declared.items()}
-    for rule in rules:
-        for atom, _neg in _iter_atoms(rule):
-            known = seen.get(atom.predicate)
-            if known is None:
-                seen[atom.predicate] = len(atom.args)
-            elif known != len(atom.args):
-                raise ArityConflict(atom.predicate, len(atom.args), known)
+            yield item.atom
 
 
 def _infer_declarations(
     rules: "list[Rule] | tuple[Rule, ...]", declared: dict[str, tuple[int, str]]
 ) -> None:
-    """Fill in declarations for undeclared predicates and check kinds.
+    """Check arities, fill in declarations for undeclared predicates, and
+    check kinds, in one walk over the atoms in rule order.
 
-    A predicate defined by a rule head must not be declared extensional; an
-    undeclared predicate is classified by use (head -> intensional).
+    A predicate's arity is fixed at its ``#pred`` line or at its first use;
+    the first atom of another arity raises ArityConflict. An undeclared
+    predicate is classified by use (head -> intensional). After the walk, a
+    predicate defined by a rule head must not be declared extensional.
     """
     head_preds = {rule.head.predicate for rule in rules}
     for rule in rules:
-        for atom, _neg in _iter_atoms(rule):
-            pred = atom.predicate
-            if pred in declared:
-                continue
-            kind = "intensional" if pred in head_preds else "extensional"
-            declared[pred] = (len(atom.args), kind)
+        for atom in _iter_atoms(rule):
+            entry = declared.get(atom.predicate)
+            if entry is None:
+                kind = "intensional" if atom.predicate in head_preds else "extensional"
+                declared[atom.predicate] = (len(atom.args), kind)
+            elif entry[0] != len(atom.args):
+                raise ArityConflict(atom.predicate, len(atom.args), entry[0])
     for pred in head_preds:
         if declared[pred][1] == "extensional":
             raise DeclarationConflict(

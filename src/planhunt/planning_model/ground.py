@@ -29,9 +29,11 @@ overlay, adds only the problem's own rows, and extends the model from them
 as a delta (every stratum's semi-naive rounds start from those rows), so
 the per-problem work does not grow with the world. A problem whose own
 rows reach a static predicate that some rule reads negated, or a problem
-without a world, such as a hand-made one, is seeded from an empty store
-and saturated from scratch. The task is decoded from the fluent and
-applicability rows; no fact objects are built on the way.
+without a world, such as a hand-made one, or a copy of a built problem
+whose init is no longer a ``WorldAtoms`` view or whose objects are no
+longer a ``ChainMap``, is seeded from an empty store and saturated from
+scratch. The task is decoded from the fluent and applicability rows; no
+fact objects are built on the way.
 
 A sample's hypotheses share one problem and differ only in the goal
 (``state.pose``), so the world keeps a memo of its last grounding: the task
@@ -48,11 +50,12 @@ without a goal mask, and the planner answers ``no_plan`` without search.
 
 import logging
 from bisect import bisect_left
+from collections import ChainMap
 from dataclasses import dataclass
 
 from ..inference.engine import Relations, StratifiedProgram, check_budget, saturate, stratify
 from ..inference.rules import Atom, Literal, Rule, Var, rule_pack
-from .model import DomainModel, FAtom, GroundAtom, ProblemInstance
+from .model import DomainModel, FAtom, GroundAtom, ProblemInstance, WorldAtoms
 
 logger = logging.getLogger(__name__)
 
@@ -300,14 +303,16 @@ def ground_task(domain: DomainModel, problem: ProblemInstance) -> GroundedTask:
     """Ground a problem by saturating a store seeded with its rows under
     its domain's exploration program.
 
-    A problem built on a static world for this domain reads the world's
-    model, saturated once per world, through an overlay, adds only the rows
-    the world lacks, and extends the model from them. Rows a problem adds
-    to a static predicate that some rule reads negated could retract a row
-    of that model, so such a problem, like one without a world, is seeded
-    from an empty store; the guard rows a problem's objects derive name
-    those objects and retract nothing. The world's derived rows count
-    against the budget as if each call had derived them.
+    A problem built on a static world for this domain, its init still a
+    ``WorldAtoms`` view and its objects a ``ChainMap`` as ``build_problem``
+    left them, reads the world's model, saturated once per world, through an
+    overlay, adds only the rows the world lacks, and extends the model from
+    them. Rows a problem adds to a static predicate that some rule reads
+    negated could retract a row of that model, so such a problem, like one
+    without a world, is seeded from an empty store; the guard rows a
+    problem's objects derive name those objects and retract nothing. The
+    world's derived rows count against the budget as if each call had
+    derived them.
 
     A problem whose own atoms and objects equal those of the world's last
     grounding takes its task from the world's memo, and raises at the same
@@ -324,6 +329,8 @@ def ground_task(domain: DomainModel, problem: ProblemInstance) -> GroundedTask:
     if (
         world is not None
         and world.domain is domain
+        and isinstance(problem.init, WorldAtoms)
+        and isinstance(problem.objects, ChainMap)
         and exploration.negated.isdisjoint(pred for pred, _ in problem.init.own)
     ):
         own, objects = problem.init.own, problem.objects.maps[0]

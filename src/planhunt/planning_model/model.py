@@ -161,7 +161,9 @@ class ProblemInstance:
     # The state.StaticWorld this problem extends. state.build_problem sets
     # it, with ``init`` a WorldAtoms view and ``objects`` a ChainMap whose
     # first map holds the objects the world lacks, so neither copies the world.
-    # state.pose keeps all three; a copy with other init or objects resets it to None.
+    # state.pose keeps all three, and so does dataclasses.replace: ground_task
+    # takes the world's path only while init is a WorldAtoms and objects a
+    # ChainMap, and grounds any other copy from scratch.
     world: "StaticWorld | None" = field(default=None, compare=False, repr=False)
 
 

@@ -169,6 +169,8 @@ def parse_domain(text: str) -> DomainModel:
             for obj, type_name in _parse_typed_list(rest, ":constants"):
                 if not types.known(type_name):
                     raise UndeclaredType(type_name)
+                if obj in constants:
+                    raise _err(section, f"constant {obj} declared twice")
                 constants[obj] = type_name
         elif head == ":predicates":
             for decl in rest:
@@ -238,6 +240,8 @@ def _parse_action(section, types, predicates, constants) -> ActionSchema:
             raise _err(fields[":parameters"], f"parameter {var} must start with '?'")
         if not types.known(type_name):
             raise UndeclaredType(type_name)
+        if any(p.name == var for p in params):
+            raise _err(fields[":parameters"], f"parameter {var} declared twice in action {name}")
         params.append(Parameter(var, type_name))
     param_types = {p.name: p.type for p in params}
 

@@ -15,7 +15,8 @@ the package's fast path:
   outside the task's atoms, so no state holds it and the task has no plan
   (tests/test_goal_check.py checks that against the enumeration);
 - each plan step is expanded through the indicator templates here;
-- confirmation matches each checkable record's probe as a one-atom body;
+- confirmation matches each checkable record's probe as a one-atom body
+  against the init of the hypothesis's own reference problem;
 - the json.dumps report writer serializes the report.
 
 Shared with the package are only the loaded asset bundle (domain, rule
@@ -94,9 +95,9 @@ def indicators(task, plan, assets: HuntAssets) -> tuple[IoCRecord, ...]:
     return tuple(records)
 
 
-def confirmed(records: tuple[IoCRecord, ...], model: Relations) -> bool:
-    """Whether every checkable record's probe matches ``model``; a record
-    without a field its probe needs fails."""
+def confirmed(records: tuple[IoCRecord, ...], init: Relations) -> bool:
+    """Whether every checkable record's probe matches ``init``, a store of a
+    problem's init atoms; a record without a field its probe needs fails."""
     for record in records:
         if record.kind not in PROBES:
             continue
@@ -107,7 +108,7 @@ def confirmed(records: tuple[IoCRecord, ...], model: Relations) -> bool:
         args = tuple(
             Var(f"_{i}") if name is None else detail[name] for i, name in enumerate(fields)
         )
-        if not match_body((Literal(Atom(predicate, args)),), model):
+        if not match_body((Literal(Atom(predicate, args)),), init):
             return False
     return True
 
@@ -119,7 +120,6 @@ def reference_hunt(path: Path, assets: HuntAssets, config: HuntConfig) -> tuple[
     sample = load_jsonl(path) if path.suffix == ".jsonl" else load_sample(path)
     base = base_facts(sample)
     derived = evaluate_naive(assets.program.pack, base)
-    model = Relations([*base, *derived])
     findings, problems = [], []
     for hypothesis in assets.catalog:
         problem = build_problem(
@@ -135,7 +135,8 @@ def reference_hunt(path: Path, assets: HuntAssets, config: HuntConfig) -> tuple[
         records = tuple(indicators(task, plan, assets) for plan in planset.plans)
         confirmation = CONFIRM_NOT_ATTEMPTED
         if config.confirm and plans:
-            hit = any(confirmed(each, model) for each in records)
+            init = Relations([Fact(*atom) for atom in problem.init])
+            hit = any(confirmed(each, init) for each in records)
             confirmation = CONFIRM_CONFIRMED if hit else CONFIRM_UNCONFIRMED
         findings.append(ThreatFinding(
             threat=hypothesis.threat,

@@ -170,7 +170,9 @@ class TestHunt:
         argv = ["--indicator-map", str(indicator_map)]
         assert main(["hunt", sample("clean_demo.jsonl"), *argv]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: indicator template surveillance-via-permission")
+        lineno = text.splitlines().index(f"{line}$2") + 1
+        assert err.startswith(
+            f"error: {indicator_map}: line {lineno}: indicator template surveillance-via-permission")
         assert main(["batch", str(CORPUS), *argv]) == 1
         assert capsys.readouterr().err == err
 
@@ -629,6 +631,16 @@ def named_error_cases(tmp_path):
     swapped = tmp_path / "swapped-state-map"
     swapped.write_text(bundled_map.replace("(perm-granted $1 $2)", "(perm-granted $2 $1)"),
                        encoding="utf-8")
+    indicators = defaults.asset_text(defaults.INDICATOR_MAP_FILE)
+    slot_map, suffix_map = tmp_path / "slot-indicator-map", tmp_path / "suffix-indicator-map"
+    line = "surveillance-via-permission permission-audit sensor=$2"
+    slot_map.write_text(indicators.replace(line, line.replace("$2", "$5")), encoding="utf-8")
+    line = "pivot-exploit syscall-pattern cve=$1"
+    suffix_map.write_text(indicators.replace(line, line.replace(" ", "@1 ", 1)), encoding="utf-8")
+    domain = defaults.asset_text(defaults.DOMAIN_FILE)
+    twice = tmp_path / "constant-twice.pddl"
+    twice.write_text(domain.replace(" exploit - mechanism)", " exploit exploit - mechanism)"),
+                     encoding="utf-8")
     return {
         "jsonl-line": (["hunt", str(bad)], f"{bad}: line 1: event missing 'ts'"),
         "colmap-key": (
@@ -658,12 +670,28 @@ def named_error_cases(tmp_path):
             f"{swapped}: perm-granted/2 maps to (perm-granted $2 $1): object 'camera' used as app"
             " but declared as sensor, in rule head perm-granted(A, camera)",
         ),
+        "indicator-map-slot": (
+            ["hunt", sample("clean_demo.jsonl"), "--indicator-map", str(slot_map)],
+            f"{slot_map}: line 9: indicator template surveillance-via-permission permission-audit:"
+            " slot $5 out of range for (surveillance-via-permission ?a ?s)",
+        ),
+        "indicator-map-suffix": (
+            ["batch", str(CORPUS), "--strict-domain", "--indicator-map", str(suffix_map)],
+            f"{suffix_map}: line 5: indicator template pivot-exploit@1 syscall-pattern: suffix out"
+            " of range for pivot-exploit, which has 1 precondition disjunct(s); a single one takes"
+            " no suffix",
+        ),
+        "domain-constant-twice": (
+            ["hunt", sample("clean_demo.jsonl"), "--domain", str(twice)],
+            f"{twice}: line 9, col 3: constant exploit declared twice",
+        ),
     }
 
 
 @pytest.mark.parametrize("case", [
     "jsonl-line", "colmap-key", "colmap-without-ts", "plan-file", "state-map-target",
-    "state-map-slots", "state-map-head-constant",
+    "state-map-slots", "state-map-head-constant", "indicator-map-slot", "indicator-map-suffix",
+    "domain-constant-twice",
 ])
 def test_input_error_names_its_file(case, tmp_path, capsys):
     argv, message = named_error_cases(tmp_path)[case]

@@ -152,6 +152,24 @@ def test_wide_catalog_tasks_match_fresh_grounding(tmp_path):
             )
 
 
+def test_replaced_copies_with_plain_init_or_objects_ground_from_scratch():
+    # dataclasses.replace keeps ``world``: a copy whose init is a frozenset,
+    # or whose objects are a dict, has no world view to read, and must
+    # ground to the posed problem's task.
+    assets = HuntAssets.load()
+    for sample_path in CORPUS:
+        sample = sample_problem(infer_facts(load_sample(sample_path), assets), assets)
+        for hypothesis in assets.catalog:
+            problem = pose(sample, hypothesis)
+            task = ground_task(assets.domain, problem)
+            for copy in (
+                replace(problem, init=frozenset(problem.init)),
+                replace(problem, objects=dict(problem.objects)),
+            ):
+                assert copy.world is assets.world
+                assert_same_task(ground_task(assets.domain, copy), task)
+
+
 def test_random_tasks_match_the_cartesian_grounder():
     for seed in range(600):
         domain, problem = random_instance(random.Random(seed))

@@ -88,12 +88,13 @@ def by_label(report, label):
 
 
 class TestIndicatorMapParsing:
-    def test_fields_and_disjuncts(self):
+    def test_fields_and_disjuncts(self, assets):
         specs = parse_indicator_map(
             "# comment\n\n"
             "pivot-exploit syscall-pattern cve=$1\n"
             "fin-fraud-mechanism-exploit@2 clipboard-access app=$1\n"
-            "surveillance-via-exploit api-call api=sensor-capture sensor=$3\n"
+            "surveillance-via-exploit api-call api=sensor-capture sensor=$3\n",
+            assets.domain,
         )
         assert len(specs) == 3
         assert specs[0].schema == "pivot-exploit"
@@ -110,9 +111,21 @@ class TestIndicatorMapParsing:
             "pivot-exploit syscall-pattern cve",
         ],
     )
-    def test_bad_lines(self, line):
+    def test_bad_lines(self, line, assets):
         with pytest.raises(InputError):
-            parse_indicator_map(line + "\n")
+            parse_indicator_map(line + "\n", assets.domain)
+
+    def test_the_first_bad_line_wins(self, tmp_path):
+        # Each line is checked as it is read, against the domain too: a slot
+        # out of range on line 1 is reported before line 2's missing kind.
+        path = tmp_path / "indicator-map"
+        path.write_text("pivot-exploit api-call api=$9\npivot-exploit\n", encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            HuntAssets.load(overrides={defaults.INDICATOR_MAP_FILE: path})
+        assert str(err.value) == (
+            f"{path}: line 1: indicator template pivot-exploit api-call: slot $9 out of range"
+            " for (pivot-exploit ?from ?to)"
+        )
 
 
 class TestPatternsForCve:
@@ -158,7 +171,7 @@ def tiny_task(args=("app", "cve_x"), disjunct=None):
 class TestConstructIndicators:
     def test_slot_substitution_and_literals(self, assets):
         task = tiny_task()
-        specs = parse_indicator_map("probe api-call api=ping target=$1 via=$2\n")
+        specs = parse_indicator_map("probe api-call api=ping target=$1 via=$2\n", assets.domain)
         records = construct_indicators(task, Plan((0,), 1), specs, assets.patterns)
         assert records == (
             IoCRecord(
@@ -171,7 +184,7 @@ class TestConstructIndicators:
     def test_duplicate_records_keep_first_step(self, assets):
         task = tiny_task()
         specs = parse_indicator_map(
-            "probe api-call api=ping\nprobe api-call api=ping\n"
+            "probe api-call api=ping\nprobe api-call api=ping\n", assets.domain
         )
         records = construct_indicators(task, Plan((0,), 1), specs, assets.patterns)
         assert len(records) == 1
@@ -182,7 +195,8 @@ class TestConstructIndicators:
         specs = parse_indicator_map(
             "probe@1 notification-access app=$1\n"
             "probe@2 clipboard-access app=$1\n"
-            "probe api-call api=always\n"
+            "probe api-call api=always\n",
+            assets.domain,
         )
         records = construct_indicators(task, Plan((0,), 1), specs, assets.patterns)
         assert [r.kind for r in records] == ["clipboard-access", "api-call"]
@@ -222,6 +236,7 @@ class TestConstructIndicators:
         # domain: a producer action --strict-domain drops is checked too.
         bundled = defaults.asset_text(defaults.INDICATOR_MAP_FILE)
         path = tmp_path / "indicator-map"
+        lineno = len(bundled.splitlines()) + 1
         cases = [
             ("surveillance-via-permission permission-audit sensor=$3", "$3"),
             ("capture-otp notification-access app=$0", "$0"),
@@ -231,8 +246,9 @@ class TestConstructIndicators:
             path.write_text(f"{bundled}{line}\n", encoding="utf-8")
             with pytest.raises(InputError) as err:
                 HuntAssets.load(overrides={defaults.INDICATOR_MAP_FILE: path}, strict_domain=strict)
-            assert f"slot {slot} out of range" in str(err.value)
-            assert line.split()[0] in str(err.value)
+            head, kind = line.split()[:2]
+            assert str(err.value).startswith(
+                f"{path}: line {lineno}: indicator template {head} {kind}: slot {slot} out of range")
 
     def test_disjunct_suffix_out_of_range(self, tmp_path):
         # A single-disjunct schema's ground actions carry no disjunct, so a
@@ -249,7 +265,8 @@ class TestConstructIndicators:
             with pytest.raises(InputError) as err:
                 HuntAssets.load(overrides={defaults.INDICATOR_MAP_FILE: path}, strict_domain=strict)
             head, kind = line.split()[:2]
-            assert str(err.value).startswith(f"indicator template {head} {kind}: suffix out of range")
+            assert str(err.value).startswith(
+                f"{path}: line 1: indicator template {head} {kind}: suffix out of range")
         path.write_text(
             "fin-fraud-mechanism-exploit@3 ui-overlay app=$1\nprobe@7 api-call via=$1\n",
             encoding="utf-8",
@@ -289,7 +306,7 @@ class TestConstructIndicators:
 
     def test_syscall_pattern_records_attach_rule_bodies(self, assets):
         task = tiny_task(args=("cve_2019_2103",))
-        specs = parse_indicator_map("probe syscall-pattern cve=$1\n")
+        specs = parse_indicator_map("probe syscall-pattern cve=$1\n", assets.domain)
         (record,) = construct_indicators(task, Plan((0,), 1), specs, assets.patterns)
         assert record.detail_dict()["cve"] == "cve_2019_2103"
         assert "sendmsg" in record.detail_dict()["patterns"]
@@ -297,7 +314,7 @@ class TestConstructIndicators:
 
     def test_syscall_pattern_records_carry_the_pack_bodies(self, assets):
         task = tiny_task(args=("cve_2016_5195",))
-        specs = parse_indicator_map("probe syscall-pattern cve=$1\n")
+        specs = parse_indicator_map("probe syscall-pattern cve=$1\n", assets.domain)
         (record,) = construct_indicators(task, Plan((0,), 1), specs, assets.patterns)
         assert record.detail_dict()["patterns"] == DIRTY_PATTERNS
 
@@ -643,6 +660,27 @@ class TestBatchHunt:
         batch_hunt(self.paths(), report_dir=pooled_dir, workers=2)
         for name in sorted(serial_dir.iterdir()):
             assert name.read_bytes() == (pooled_dir / name.name).read_bytes()
+
+    def test_confirmation_probes_the_mapped_atoms(self, tmp_path):
+        # Confirmation probes domain predicates, so it reads the atoms the
+        # planner started from: a pack that derives has-perm, mapped to
+        # perm-granted, confirms every finding as the bundled pack does.
+        rules, state_map = tmp_path / "threat.rules", tmp_path / "state-mapping"
+        for path, old, new in [
+            (rules, "perm-granted", "has-perm"), (state_map, "perm-granted/2", "has-perm/2")
+        ]:
+            text = defaults.asset_text(path.name)
+            assert old in text
+            path.write_text(text.replace(old, new), encoding="utf-8")
+        renamed = HuntAssets.load(
+            overrides={defaults.RULES_FILE: rules, defaults.STATE_MAP_FILE: state_map})
+        config = HuntConfig(confirm=True)
+        reports, _ = batch_hunt(corpus_paths(), config=config, report_dir=tmp_path / "bundled")
+        batch_hunt(corpus_paths(), renamed, config, report_dir=tmp_path / "renamed")
+        camera = next(r for r in reports if r.sample_id == "camera_perm_demo")
+        assert by_label(camera, "surveillance/permission").confirmation == CONFIRM_CONFIRMED
+        for path in sorted((tmp_path / "bundled").iterdir()):
+            assert path.read_bytes() == (tmp_path / "renamed" / path.name).read_bytes(), path.name
 
     def test_duplicate_sample_ids_abort(self, tmp_path):
         line = (

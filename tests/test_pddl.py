@@ -188,6 +188,8 @@ class TestDomainParsing:
             ),
             ("(:action a :parameters () :effect (q)) (:action a :parameters ())", 42, "action a declared twice"),
             ("(:predicates (q ?a))", 16, "predicate q declared twice"),
+            ("(:types t u) (:constants a - t a - u)", 16, "constant a declared twice"),
+            ("(:action a :parameters (?x ?x) :effect (q))", 26, "parameter ?x declared twice in action a"),
         ],
     )
     def test_action_keys_and_names_are_checked(self, text, position, reason):
