@@ -9,6 +9,8 @@ into indicator-of-compromise records. A hypothesis counts as a possible
 threat exactly when at least one plan was found; optional confirmation
 then audits the checkable indicators against the sample's mapped atoms, the
 init the planner read, so it sees domain predicates under any state map.
+``HuntAssets.load`` checks that the map covers every derived predicate, so
+no mapping error waits for a sample.
 
 ``infer_facts``, ``sample_problem``, ``hypothesis_task`` and
 ``hypothesis_plans`` are the one path from a sample to its plans; the
@@ -161,23 +163,25 @@ class IoCRecord:
         return dict(self.detail)
 
 
-def cve_patterns(pack: RulePack) -> dict[str, str]:
-    """Per cve, the `` | ``-joined text of the rule bodies that lift
-    ``exploited(cve)``: the ``patterns`` detail of its syscall-pattern
-    indicators. Confirmation probes the sample's mapped atoms for
-    ``exploited(cve)``, which, under the bundled state map, holds exactly
-    when one of these bodies matches.
-
-    A lifting rule whose body is a single evidence predicate expands to
-    that predicate's own rule bodies, so the patterns reference telemetry
-    directly. An ``exploited(X)`` head names no cve and is skipped.
+def cve_patterns(pack: RulePack, mapping: MappingTable) -> dict[str, str]:
+    """Per cve, the `` | ``-joined text of the rule bodies that lift it to
+    ``exploited(cve)``, the atom confirmation probes: the ``patterns``
+    detail of its syscall-pattern indicators. Lifting rules are those whose
+    heads the state map sends to ``exploited``, whatever the pack calls
+    them, and the cve is the head's argument at the entry's slot; a head
+    with a variable there is skipped. A lifting rule whose body is a single
+    evidence predicate expands to that predicate's own rule bodies, so the
+    patterns reference telemetry directly.
     """
     by_head: dict[Atom, list[Rule]] = {}
     for rule in pack.rules:
         by_head.setdefault(rule.head, []).append(rule)
+    target = _PROBES["syscall-pattern"][0]
     patterns: dict[str, str] = {}
     for head, lifting in by_head.items():
-        if head.predicate != "exploited" or len(head.args) != 1 or isinstance(head.args[0], Var):
+        name, slots = mapping.entries.get((head.predicate, len(head.args)), (None, ()))
+        cve = head.args[slots[0] - 1] if name == target and slots else None
+        if cve is None or isinstance(cve, Var):
             continue
         rules: list[Rule] = []
         for rule in lifting:
@@ -187,7 +191,7 @@ def cve_patterns(pack: RulePack) -> dict[str, str]:
             else:
                 rules.append(rule)
         if rules:
-            patterns[head.args[0]] = " | ".join(render_body(rule.body) for rule in rules)
+            patterns[str(cve)] = " | ".join(render_body(rule.body) for rule in rules)
     return patterns
 
 
@@ -357,7 +361,8 @@ class HuntAssets:
         a threat or a mechanism constant, a capability table whose atoms
         fail the domain's checks, or a state map entry whose target the
         domain does not declare at its slot count, or into which a rule head
-        sends a constant of a type that does not fit (``MappingTable.check``),
+        sends a constant of a type that does not fit, or a map that neither
+        maps nor ignores a predicate the pack derives (``MappingTable.check``),
         raises one InputError whose message starts with its path (the
         bundled name for a bundled file). So does an indicator template whose
         ``@N`` suffix or ``$N`` slot is out of range for its action in the
@@ -390,17 +395,18 @@ class HuntAssets:
 
         def checked_mapping(text: str) -> MappingTable:
             mapping = load_mapping_table(text)
-            mapping.check(world, pack.rules)
+            mapping.check(world, pack)
             return mapping
 
+        mapping = parsed(defaults.STATE_MAP_FILE, checked_mapping)
         return cls(
             domain=domain,
             catalog=catalog,
             program=stratify(pack),
-            patterns=cve_patterns(pack),
+            patterns=cve_patterns(pack, mapping),
             capabilities=capabilities,
             world=world,
-            mapping=parsed(defaults.STATE_MAP_FILE, checked_mapping),
+            mapping=mapping,
             indicator_specs=specs,
             strict_domain=strict_domain,
         )
@@ -416,20 +422,18 @@ class HuntConfig:
 
 @dataclass(frozen=True)
 class SampleFacts:
-    """A sample with its extensional facts, the facts derived from them,
-    and the store that holds both."""
+    """A sample with its extensional facts and the facts derived from them."""
 
     sample: SampleRecord
     base: Relations
     derived: Relations
-    relations: Relations
 
 
 def infer_facts(sample: SampleRecord, assets: HuntAssets) -> SampleFacts:
     """Extract the sample's facts and run the rule program over them."""
     base = events_to_facts(sample)
     model = evaluate(assets.program, base)
-    return SampleFacts(sample, base, model.facts, model.relations)
+    return SampleFacts(sample, base, model.facts)
 
 
 def sample_problem(facts: SampleFacts, assets: HuntAssets) -> ProblemInstance:

@@ -28,7 +28,7 @@ from functools import cached_property
 from ..defaults import table_lines
 from ..errors import InputError, MalformedRecord, UnmappedPredicate
 from ..inference.engine import Relations, saturate
-from ..inference.rules import Rule, Var
+from ..inference.rules import RulePack, Var
 from ..telemetry import SampleRecord
 from ..vocab import ACCOUNT, APP, FACTOR, SENSORS
 from .ground import add_rows
@@ -138,24 +138,16 @@ class MappingTable:
     entries: dict[tuple[str, int], tuple[str, tuple[int, ...]]]
     ignored: frozenset[tuple[str, int]]
 
-    def map_fact(self, predicate: str, args: tuple) -> GroundAtom | None:
-        key = (predicate, len(args))
-        if key in self.ignored:
-            return None
-        entry = self.entries.get(key)
-        if entry is None:
-            raise UnmappedPredicate(predicate)
-        name, slots = entry
-        return (name, tuple(str(args[i - 1]) for i in slots))
-
-    def check(self, world: "StaticWorld", rules: tuple[Rule, ...]) -> None:
+    def check(self, world: "StaticWorld", pack: RulePack) -> None:
         """Raise InputError at the first entry, in file order, whose target
         predicate the world's domain does not declare or takes another
         number of arguments than the entry has slots; then at the first
-        head of ``rules`` that sends a constant through an entry into a
-        slot whose parameter type does not fit the constant's type, taken
+        head of ``pack``'s rules that sends a constant through an entry into
+        a slot whose parameter type does not fit the constant's type, taken
         from the domain's constants or the world's objects. A constant
-        neither types is typed by the sample."""
+        neither types is typed by the sample. Last, raise UnmappedPredicate
+        at the first intensional predicate of ``pack.declared`` that the map
+        neither maps nor ignores at its declared arity."""
         domain, types = world.domain, world.domain.types
         for (pred, arity), (name, slots) in self.entries.items():
             schema = domain.predicates.get(name)
@@ -165,7 +157,7 @@ class MappingTable:
                     else f"predicate takes {len(schema.param_types)}, template has {len(slots)}"
                 )
                 raise InputError(f"{pred}/{arity} maps to ({_template(name, slots)}): {reason}")
-        for head in (rule.head for rule in rules):
+        for head in (rule.head for rule in pack.rules):
             entry = self.entries.get((head.predicate, len(head.args)))
             if entry is None:
                 continue
@@ -181,6 +173,10 @@ class MappingTable:
                         f"object {str(arg)!r} used as {want} but declared as {have}, "
                         f"in rule head {head}"
                     )
+        for pred, (arity, kind) in pack.declared.items():
+            key = (pred, arity)
+            if kind == "intensional" and key not in self.entries and key not in self.ignored:
+                raise UnmappedPredicate(pred)
 
 
 def _template(name: str, slots: tuple[int, ...]) -> str:
@@ -213,17 +209,16 @@ def load_mapping_table(text: str) -> MappingTable:
 
 
 def mapped_atoms(derived: Relations, mapping: MappingTable) -> frozenset[GroundAtom]:
-    """The initial-state atoms the derived facts map to.
-
-    Every derived predicate must be mapped or explicitly ignored; anything
-    else raises UnmappedPredicate (the first in sorted fact order).
-    """
-    atoms: set[GroundAtom] = set()
-    for fact in derived.sorted():
-        atom = mapping.map_fact(fact.predicate, fact.args)
-        if atom is not None:
-            atoms.add(atom)
-    return frozenset(atoms)
+    """The initial-state atoms the derived facts map to: each entry's
+    template filled from every row of its predicate, when the store holds
+    that predicate at the entry's arity. ``MappingTable.check`` has seen
+    that the map covers every predicate the pack derives."""
+    return frozenset(
+        (name, tuple(str(row[i - 1]) for i in slots))
+        for (pred, arity), (name, slots) in mapping.entries.items()
+        if derived.arity.get(pred) == arity
+        for row in derived.rows(pred)
+    )
 
 
 def _type_atoms(atoms, objects: MutableMapping[str, str], domain: DomainModel) -> None:
@@ -312,7 +307,7 @@ def build_problem(
     atoms the world lacks are checked, in sorted order, on top of the
     world's objects, so an atom that contradicts the world's types is the
     sample's error; an object only they name is typed from the first of
-    them it appears in.
+    them it appears in. A map that lacks a derived predicate fails at load.
     """
     domain = world.domain
     own = mapped_atoms(derived, mapping) - world.atoms

@@ -13,7 +13,7 @@ the sample's error; this builder may instead blame whichever atom sorts
 later.
 """
 
-from planhunt.errors import InputError
+from planhunt.errors import InputError, UnmappedPredicate
 from planhunt.inference.engine import Relations
 from planhunt.planning_model.model import (
     THREAT_POSSIBLE,
@@ -39,10 +39,24 @@ def construct_initial_state(
     """
     atoms: set[GroundAtom] = set(capabilities.atoms())
     for fact in derived.sorted():
-        atom = mapping.map_fact(fact.predicate, fact.args)
+        atom = map_fact(mapping, fact.predicate, fact.args)
         if atom is not None:
             atoms.add(atom)
     return frozenset(atoms)
+
+
+def map_fact(mapping: MappingTable, predicate: str, args: tuple) -> GroundAtom | None:
+    """The atom one derived fact maps to, looked up in the table's entries
+    and ignore lines by predicate and arity: None for an ignored predicate,
+    UnmappedPredicate for one the table lacks. The planner's builder maps
+    per predicate instead, its table checked whole when the assets load."""
+    key = (predicate, len(args))
+    if key in mapping.ignored:
+        return None
+    if key not in mapping.entries:
+        raise UnmappedPredicate(predicate)
+    name, slots = mapping.entries[key]
+    return (name, tuple(str(args[i - 1]) for i in slots))
 
 
 def construct_goal(hypothesis: ThreatHypothesis) -> GroundAtom:

@@ -28,6 +28,7 @@ from planhunt.hunt import (
 from planhunt.inference.engine import Fact, Relations, evaluate
 from planhunt.inference.rules import Literal, Var, parse_rule_pack, render_body
 from planhunt.planner import Limits
+from planhunt.planning_model.state import load_mapping_table
 from planhunt.telemetry import load_sample
 from oracles.match_body import match_body
 from test_ground_program import CORPUS, unreachable_pivots
@@ -96,6 +97,7 @@ def test_corpus_plans_confirm_as_body_matching_does(setup, tmp_path):
     syscall_outcomes = {True: 0, False: 0}
     for sample_path in CORPUS:
         facts = infer_facts(load_sample(sample_path), assets)
+        relations = evaluate(assets.program, facts.base).relations
         problem = sample_problem(facts, assets)
         for hypothesis in assets.catalog:
             task, planset = hypothesis_plans(problem, assets, hypothesis, Limits())
@@ -103,15 +105,15 @@ def test_corpus_plans_confirm_as_body_matching_does(setup, tmp_path):
                 records = construct_indicators(
                     task, plan, assets.indicator_specs, assets.patterns
                 )
-                expected = body_matching_confirm(records, facts.relations, bodies)
-                assert confirm_threat(records, facts.relations) == expected, (
+                expected = body_matching_confirm(records, relations, bodies)
+                assert confirm_threat(records, relations) == expected, (
                     sample_path.name, hypothesis.label, plan
                 )
                 outcomes[expected] += 1
                 for record in records:
                     if record.kind == "syscall-pattern":
-                        alone = body_matching_confirm((record,), facts.relations, bodies)
-                        assert confirm_threat((record,), facts.relations) == alone
+                        alone = body_matching_confirm((record,), relations, bodies)
+                        assert confirm_threat((record,), relations) == alone
                         syscall_outcomes[alone] += 1
     assert min(outcomes.values()) > 0
     assert min(syscall_outcomes.values()) > 0
@@ -171,7 +173,11 @@ def test_variable_exploited_head_lists_no_patterns():
         "exploited(X) :- seen(X).\n"
         "exploited(cve_x) :- seen(y).\n"
     )
-    assert cve_patterns(pack) == {"cve_x": "seen(y)"}
+    assert cve_patterns(pack, load_mapping_table("exploited/1 (exploited $1)\n")) == {
+        "cve_x": "seen(y)"
+    }
+    # Lifting rules are found through the map, not by the pack's names.
+    assert cve_patterns(pack, load_mapping_table("ignore exploited/1\n")) == {}
 
 
 def test_record_without_its_probe_field_fails():
@@ -204,6 +210,7 @@ def test_every_probe_goes_through_the_traced_name(bundled, monkeypatch):
     probed = {True: 0, False: 0}
     for sample_path in CORPUS:
         facts = infer_facts(load_sample(sample_path), bundled)
+        relations = evaluate(bundled.program, facts.base).relations
         problem = sample_problem(facts, bundled)
         for hypothesis in bundled.catalog:
             task, planset = hypothesis_plans(problem, bundled, hypothesis, Limits())
@@ -212,7 +219,7 @@ def test_every_probe_goes_through_the_traced_name(bundled, monkeypatch):
                     task, plan, bundled.indicator_specs, bundled.patterns
                 )
                 results.clear()
-                confirmed = confirm_threat(records, facts.relations)
+                confirmed = confirm_threat(records, relations)
                 count = sum(record.kind in checkable for record in records)
                 # One probe per checkable record, up to the first that fails.
                 if confirmed:

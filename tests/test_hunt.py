@@ -10,7 +10,7 @@ import pytest
 from planhunt import defaults
 from planhunt import hunt as hunt_module
 from planhunt.defaults import corpus_paths
-from planhunt.errors import DuplicateSampleId, InputError, UnmappedPredicate
+from planhunt.errors import DuplicateSampleId, InputError
 from planhunt.hunt import (
     CONFIRM_CONFIRMED,
     CONFIRM_NOT_ATTEMPTED,
@@ -471,15 +471,18 @@ class TestIdentifyThreats:
 
     def test_a_mapping_error_surfaces_with_the_sample_budget_spent(self, assets, tmp_path):
         # The sample's problem is built before its first hypothesis is
-        # budgeted, so a derived predicate the state map lacks is the
-        # sample's error even when no time is left for any hypothesis.
+        # budgeted, so a mapped atom that contradicts the world's types is
+        # the sample's error even when no time is left for any hypothesis.
         mapping = tmp_path / "state-mapping"
         text = defaults.asset_text(defaults.STATE_MAP_FILE)
-        mapping.write_text(text.replace("exploited/1 (exploited $1)\n", ""), encoding="utf-8")
-        unmapped = HuntAssets.load(overrides={defaults.STATE_MAP_FILE: mapping})
-        with pytest.raises(UnmappedPredicate):
-            hunt("dirtycow_demo", unmapped, sample_wall_time=0.0)
-        assert hunt("clean_demo", unmapped, sample_wall_time=0.0).findings  # derives no exploited
+        mapping.write_text(
+            text.replace("(perm-granted $1 $2)", "(perm-granted $1 $1)"), encoding="utf-8")
+        clashing = HuntAssets.load(overrides={defaults.STATE_MAP_FILE: mapping})
+        with pytest.raises(InputError) as err:
+            hunt("big_mix_demo", clashing, sample_wall_time=0.0)
+        assert str(err.value) == "object 'app' used as sensor but declared as app"
+        # clean_demo derives no perm-granted.
+        assert hunt("clean_demo", clashing, sample_wall_time=0.0).findings
 
     def test_ground_action_budget_leaves_the_hypothesis_undecided(self, assets, monkeypatch):
         # Only the surveillance/permission task gets a ground-action budget
@@ -661,26 +664,68 @@ class TestBatchHunt:
         for name in sorted(serial_dir.iterdir()):
             assert name.read_bytes() == (pooled_dir / name.name).read_bytes()
 
+    def renamed(self, tmp_path, old, new):
+        """The bundle with the pack's predicate ``old`` renamed ``new``, in
+        the pack and in the state map's key, so the map still sends it to
+        the domain's ``old``."""
+        rules, state_map = tmp_path / "threat.rules", tmp_path / "state-mapping"
+        for path, before, after in [(rules, old, new), (state_map, f"{old}/", f"{new}/")]:
+            text = defaults.asset_text(path.name)
+            assert before in text
+            path.write_text(text.replace(before, after), encoding="utf-8")
+        return HuntAssets.load(
+            overrides={defaults.RULES_FILE: rules, defaults.STATE_MAP_FILE: state_map})
+
+    def confirmed_as_bundled(self, renamed, tmp_path):
+        """Batch the corpus with ``--confirm`` under the bundled assets and
+        under ``renamed``: reports and summary must match byte for byte."""
+        config = HuntConfig(confirm=True)
+        reports, _ = batch_hunt(corpus_paths(), config=config, report_dir=tmp_path / "bundled")
+        batch_hunt(corpus_paths(), renamed, config, report_dir=tmp_path / "renamed")
+        for path in sorted((tmp_path / "bundled").iterdir()):
+            assert path.read_bytes() == (tmp_path / "renamed" / path.name).read_bytes(), path.name
+        return reports
+
     def test_confirmation_probes_the_mapped_atoms(self, tmp_path):
         # Confirmation probes domain predicates, so it reads the atoms the
         # planner started from: a pack that derives has-perm, mapped to
         # perm-granted, confirms every finding as the bundled pack does.
-        rules, state_map = tmp_path / "threat.rules", tmp_path / "state-mapping"
-        for path, old, new in [
-            (rules, "perm-granted", "has-perm"), (state_map, "perm-granted/2", "has-perm/2")
-        ]:
-            text = defaults.asset_text(path.name)
-            assert old in text
-            path.write_text(text.replace(old, new), encoding="utf-8")
-        renamed = HuntAssets.load(
-            overrides={defaults.RULES_FILE: rules, defaults.STATE_MAP_FILE: state_map})
-        config = HuntConfig(confirm=True)
-        reports, _ = batch_hunt(corpus_paths(), config=config, report_dir=tmp_path / "bundled")
-        batch_hunt(corpus_paths(), renamed, config, report_dir=tmp_path / "renamed")
+        renamed = self.renamed(tmp_path, "perm-granted", "has-perm")
+        reports = self.confirmed_as_bundled(renamed, tmp_path)
         camera = next(r for r in reports if r.sample_id == "camera_perm_demo")
         assert by_label(camera, "surveillance/permission").confirmation == CONFIRM_CONFIRMED
-        for path in sorted((tmp_path / "bundled").iterdir()):
-            assert path.read_bytes() == (tmp_path / "renamed" / path.name).read_bytes(), path.name
+
+    def test_syscall_patterns_follow_the_map_to_exploited(self, assets, tmp_path):
+        # The lifting rules are the heads the map sends to exploited, so a
+        # pack that calls it pwned lists the bundled patterns and confirms
+        # every finding as the bundled pack does.
+        renamed = self.renamed(tmp_path, "exploited", "pwned")
+        assert renamed.patterns == assets.patterns
+        assert len(assets.patterns) == 4
+        self.confirmed_as_bundled(renamed, tmp_path)
+
+    @pytest.mark.parametrize("edit", [
+        *range(len(defaults.asset_text(defaults.STATE_MAP_FILE).splitlines())), "swap"])
+    def test_a_broken_state_map_fails_at_load_or_not_at_all(self, edit, tmp_path):
+        # Every single-line deletion of the bundled map, and its one slot
+        # swap, either fails at load with one error naming the map, or
+        # hunts the whole corpus with no sample failing.
+        text = defaults.asset_text(defaults.STATE_MAP_FILE)
+        if edit == "swap":
+            edited = text.replace("(perm-granted $1 $2)", "(perm-granted $2 $1)")
+        else:
+            lines = text.splitlines(keepends=True)
+            edited = "".join(lines[:edit] + lines[edit + 1:])
+        assert edited != text
+        state_map = tmp_path / "state-mapping"
+        state_map.write_text(edited, encoding="utf-8")
+        try:
+            bundle = HuntAssets.load(overrides={defaults.STATE_MAP_FILE: state_map})
+        except InputError as err:
+            assert str(err).startswith(f"{state_map}: ")
+            return
+        _, summary = batch_hunt(corpus_paths(), bundle, HuntConfig(confirm=True))
+        assert (summary.samples, summary.failures) == (20, ())
 
     def test_duplicate_sample_ids_abort(self, tmp_path):
         line = (

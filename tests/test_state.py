@@ -1,10 +1,12 @@
 """Capability/mapping tables, per-sample problem assembly and the goals hypotheses pose."""
 
+from dataclasses import replace
+
 import pytest
 
 from planhunt import defaults
 from planhunt.errors import InputError, MalformedRecord, UnmappedPredicate
-from planhunt.inference.rules import Atom, Rule, Var
+from planhunt.inference.rules import Atom, Rule, Var, parse_rule_pack
 from planhunt.planning_model.model import ThreatHypothesis
 from planhunt.planning_model.state import (
     StaticWorld,
@@ -72,28 +74,46 @@ class TestCapabilityTable:
         assert err.value.line == 1
 
 
+def mapped(table, *facts):
+    return mapped_atoms(Relations(facts), table)
+
+
 class TestMappingTable:
     def test_same_name_template(self):
         table = load_mapping_table(MAP_TEXT)
-        assert table.map_fact("exploited", ("cve_1",)) == ("exploited", ("cve_1",))
+        assert mapped(table, Fact("exploited", ("cve_1",))) == {("exploited", ("cve_1",))}
 
     def test_slot_reordering(self):
         table = load_mapping_table(MAP_TEXT)
-        assert table.map_fact("swapped", ("a", "b")) == ("pair", ("b", "a"))
+        assert mapped(table, Fact("swapped", ("a", "b"))) == {("pair", ("b", "a"))}
 
     def test_ignored_predicate(self):
         table = load_mapping_table(MAP_TEXT)
-        assert table.map_fact("bookkeeping", ()) is None
+        assert mapped(table, Fact("bookkeeping", ())) == frozenset()
 
-    def test_unmapped_predicate(self):
-        table = load_mapping_table(MAP_TEXT)
-        with pytest.raises(UnmappedPredicate):
-            table.map_fact("mystery", ("x",))
+    def test_unmapped_predicate(self, tmp_path):
+        # A map that lacks a derived predicate fails at load, naming the
+        # map, though no sample has yet derived it; an ignore line loads.
+        partial = tmp_path / "state-mapping"
+        text = defaults.asset_text(defaults.STATE_MAP_FILE)
+        line = "clipboard-readable/1 (clipboard-readable $1)\n"
+        assert line in text
+        partial.write_text(text.replace(line, ""), encoding="utf-8")
+        with pytest.raises(UnmappedPredicate) as err:
+            HuntAssets.load(overrides={defaults.STATE_MAP_FILE: partial})
+        assert str(err.value) == (
+            f"{partial}: derived predicate 'clipboard-readable' has no initial-state mapping"
+        )
+        partial.write_text(text.replace(line, "ignore clipboard-readable/1\n"), encoding="utf-8")
+        HuntAssets.load(overrides={defaults.STATE_MAP_FILE: partial})
 
-    def test_arity_is_part_of_the_key(self):
-        table = load_mapping_table(MAP_TEXT)
+    def test_arity_is_part_of_the_key(self, assets):
+        table = load_mapping_table("exploited/1 (exploited $1)\nignore exploited/2\n")
+        assert mapped(table, Fact("exploited", ("a", "b"))) == frozenset()
+        pack = parse_rule_pack("#pred seen/2 extensional\nexploited(X, Y) :- seen(X, Y).\n")
         with pytest.raises(UnmappedPredicate):
-            table.map_fact("exploited", ("a", "b"))
+            load_mapping_table("exploited/1 (exploited $1)\n").check(assets.world, pack)
+        table.check(assets.world, pack)
 
     @pytest.mark.parametrize(
         "line",
@@ -115,7 +135,7 @@ class TestMappingTable:
 
     def test_integer_arguments_become_strings(self):
         table = load_mapping_table("hits/2 (hits $1 $2)\n")
-        assert table.map_fact("hits", ("app", 3)) == ("hits", ("app", "3"))
+        assert mapped(table, Fact("hits", ("app", 3))) == {("hits", ("app", "3"))}
 
     @pytest.mark.parametrize(
         "text,message",
@@ -133,11 +153,11 @@ class TestMappingTable:
     )
     def test_check_against_the_domain_names_the_first_bad_entry(self, assets, text, message):
         with pytest.raises(InputError) as err:
-            load_mapping_table(text).check(assets.world, assets.program.pack.rules)
+            load_mapping_table(text).check(assets.world, assets.program.pack)
         assert message in str(err.value)
 
     def test_bundled_map_checks_against_the_bundled_domain(self, assets):
-        assets.mapping.check(assets.world, assets.program.pack.rules)
+        assets.mapping.check(assets.world, assets.program.pack)
         assert assets.mapping.entries  # which the check read
 
     @pytest.mark.parametrize(
@@ -150,13 +170,12 @@ class TestMappingTable:
         ],
     )
     def test_check_sends_head_constants_through_their_template(self, assets, head, message):
-        mapping = load_mapping_table("exploited/1 (exploited $1)\n")
-        rules = (*assets.program.pack.rules, Rule(head))
+        pack = replace(assets.program.pack, rules=(*assets.program.pack.rules, Rule(head)))
         if message is None:
-            mapping.check(assets.world, rules)
+            assets.mapping.check(assets.world, pack)
             return
         with pytest.raises(InputError) as err:
-            mapping.check(assets.world, rules)
+            assets.mapping.check(assets.world, pack)
         assert str(err.value) == f"exploited/1 maps to (exploited $1): {message}, in rule head {head}"
 
     def test_a_swapped_template_fails_at_load_naming_the_map(self, tmp_path):
@@ -190,12 +209,19 @@ class TestInitialState:
             }
         )
 
-    def test_unmapped_derived_predicate_raises(self):
-        capabilities = load_capability_table(CAPS_TEXT)
-        mapping = load_mapping_table(MAP_TEXT)
-        derived = Relations([Fact("mystery", ("x",))])
-        with pytest.raises(UnmappedPredicate):
-            mapped_atoms(derived, mapping)
+    def test_unmapped_derived_predicate_raises(self, assets):
+        # The check names the first unmapped predicate the pack declares,
+        # in declaration order, whether or not a rule head defines it.
+        pack = parse_rule_pack(
+            "#pred seen/1 extensional\n#pred zeta/1 intensional\n#pred alpha/1 intensional\n"
+            "exploited(X) :- seen(X).\nalpha(X) :- seen(X).\n"
+        )
+        mapping = load_mapping_table("exploited/1 (exploited $1)\nignore alpha/1\n")
+        with pytest.raises(UnmappedPredicate) as err:
+            mapping.check(assets.world, pack)
+        assert err.value.predicate == "zeta"
+        del pack.declared["zeta"]
+        mapping.check(assets.world, pack)
 
 
 class TestGoalAndProblem:
